@@ -46,8 +46,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_graph(path: str) -> Graph:
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    return parse_edge_list(text)
+    if path == "-":
+        return parse_edge_list(sys.stdin.read())
+    with open(path) as fh:
+        return parse_edge_list(fh.read())
 
 
 def _budget(args) -> EnumerationBudget:
@@ -135,25 +137,33 @@ def _cmd_recognize(args, out) -> int:
 
     seq = pruning_sequence(g)
     out.write(f"distance-hereditary={'yes' if seq is not None else 'no'}\n")
-    out.write(f"square-chordal={'yes' if detectors.is_square_chordal(g) else 'no'}\n")
+    square_chordal = detectors.is_chordal(g.power(2))
+    out.write(f"square-chordal={'yes' if square_chordal else 'no'}\n")
 
-    helly_ok = helly.is_helly(g, _clique_budget(args))
-    line = f"helly={'yes' if helly_ok else 'no'}"
-    if witness and not helly_ok:
-        violation = helly.find_pseudo_modular_violation(g)
-        if violation is not None:
-            line += " witness=non-pseudo-modular:" + ",".join(map(str, violation))
-        else:
-            unsuspended = next(
-                ts for ts in helly.maximal_two_sets(g) if not ts.suspended
-            )
-            line += " witness=unsuspended:" + ",".join(map(str, unsuspended.members))
+    # Helly = pseudo-modular + neighborhood-Helly; dually chordal =
+    # neighborhood-Helly + chordal square. The 2-sets are enumerated once, at
+    # the first line that needs them, so a budget error cuts the same output.
+    violation = helly.find_pseudo_modular_violation(g)
+    unsuspended = None
+    if violation is None:
+        unsuspended = _first_unsuspended(g, args)
+    line = f"helly={'yes' if violation is None and unsuspended is None else 'no'}"
+    if witness and violation is not None:
+        line += " witness=non-pseudo-modular:" + ",".join(map(str, violation))
+    elif witness and unsuspended is not None:
+        line += " witness=unsuspended:" + ",".join(map(str, unsuspended.members))
     out.write(line + "\n")
 
-    out.write(
-        f"dually-chordal={'yes' if helly.is_dually_chordal(g, _clique_budget(args)) else 'no'}\n"
-    )
+    if violation is not None:
+        unsuspended = _first_unsuspended(g, args)
+    dually = unsuspended is None and square_chordal
+    out.write(f"dually-chordal={'yes' if dually else 'no'}\n")
     return EXIT_OK
+
+
+def _first_unsuspended(g: Graph, args) -> Optional[helly.TwoSet]:
+    two_sets = helly.maximal_two_sets(g, _clique_budget(args))
+    return next((ts for ts in two_sets if not ts.suspended), None)
 
 
 def _cmd_hyperbolicity(args, out) -> int:

@@ -10,7 +10,7 @@ function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DisconnectedGraphError
 
@@ -23,6 +23,15 @@ def bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _distance_row(n: int, layers: Iterable[int]) -> tuple[int, ...]:
+    """Distance row of one source from its BFS layers."""
+    row = [0] * n
+    for k, layer in enumerate(layers):
+        for v in bits(layer):
+            row[v] = k
+    return tuple(row)
 
 
 @dataclass(frozen=True)
@@ -46,7 +55,7 @@ class Graph:
     by equality.
     """
 
-    __slots__ = ("n", "adj", "labels", "_dm")
+    __slots__ = ("n", "adj", "labels", "_dm", "_levels", "_square")
 
     def __init__(self, n: int, adj: Sequence[int], labels: Optional[Sequence[str]] = None):
         if n < 1:
@@ -69,6 +78,8 @@ class Graph:
         if self.labels is not None and len(self.labels) != n:
             raise ValueError("label count does not match n")
         self._dm: Optional[DistanceMatrix] = None
+        self._levels: Optional[list[list[int]]] = None
+        self._square: Optional[Graph] = None
 
     @classmethod
     def from_edge_list(
@@ -161,41 +172,56 @@ class Graph:
         full = (1 << self.n) - 1
         return self._bfs_reach(1, full) == full
 
-    def _bfs_reach(self, start_mask: int, allowed: int) -> int:
-        """Set of vertices reachable from ``start_mask`` inside ``allowed``."""
-        seen = start_mask & allowed
-        frontier = seen
+    def _frontiers(self, start_mask: int, allowed: int) -> Iterator[int]:
+        """Yield the BFS layers from ``start_mask`` inside ``allowed`` as masks."""
+        adj = self.adj
+        seen = frontier = start_mask & allowed
         while frontier:
+            yield frontier
             nxt = 0
             for v in bits(frontier):
-                nxt |= self.adj[v]
+                nxt |= adj[v]
             frontier = nxt & allowed & ~seen
             seen |= frontier
+
+    def _bfs_reach(self, start_mask: int, allowed: int) -> int:
+        """Set of vertices reachable from ``start_mask`` inside ``allowed``."""
+        seen = 0
+        for layer in self._frontiers(start_mask, allowed):
+            seen |= layer
         return seen
 
-    def _bfs_levels(self, src: int) -> list[int]:
-        dist = [-1] * self.n
-        dist[src] = 0
-        seen = 1 << src
-        frontier = seen
-        d = 0
-        while frontier:
-            d += 1
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= self.adj[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-            for v in bits(frontier):
-                dist[v] = d
-        return dist
+    def _require_connected(self, what: str) -> None:
+        if not self.is_connected():
+            raise DisconnectedGraphError(f"{what} need a connected graph")
+
+    def level_masks(self) -> list[list[int]]:
+        """Per-source BFS layers, cached on first use; callers must not mutate them.
+
+        ``level_masks()[u][k]`` is the mask of the vertices at distance k from
+        u, so each source has ``ecc(u) + 1`` entries. They are lists because
+        copying every source's layers into a tuple adds allocator churn that
+        shows up as a higher peak RSS.
+        """
+        if self._levels is None:
+            self._require_connected("level masks")
+            full = (1 << self.n) - 1
+            self._levels = [list(self._frontiers(1 << u, full)) for u in range(self.n)]
+        return self._levels
 
     def distances(self) -> DistanceMatrix:
-        """All-pairs distances via n BFS runs, cached on first use."""
+        """All-pairs distances via n BFS runs, cached on first use.
+
+        The matrix keeps no BFS layers, so a large hull graph's distances
+        stay small; :meth:`level_masks` caches the layers when they are needed.
+        """
         if self._dm is None:
-            if not self.is_connected():
-                raise DisconnectedGraphError("distances need a connected graph")
-            rows = tuple(tuple(self._bfs_levels(v)) for v in range(self.n))
+            self._require_connected("distances")
+            full = (1 << self.n) - 1
+            rows = tuple(
+                _distance_row(self.n, self._frontiers(1 << v, full))
+                for v in range(self.n)
+            )
             ecc = tuple(max(row) for row in rows)
             self._dm = DistanceMatrix(rows, ecc, min(ecc), max(ecc))
         return self._dm
@@ -231,17 +257,24 @@ class Graph:
         return mask
 
     def power(self, k: int) -> "Graph":
-        """Graph on the same vertices with edges between all pairs at distance <= k."""
+        """Graph on the same vertices with edges between all pairs at distance <= k.
+
+        Rows are the union of BFS layers 1..k; the square is cached.
+        """
         if k < 1:
             raise ValueError("power index must be >= 1")
-        d = self.distances().rows
-        rows = [0] * self.n
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if d[u][v] <= k:
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-        return Graph(self.n, rows, self.labels)
+        if k == 2 and self._square is not None:
+            return self._square
+        rows = []
+        for layers in self.level_masks():
+            row = 0
+            for layer in layers[1 : k + 1]:
+                row |= layer
+            rows.append(row)
+        g = Graph(self.n, rows, self.labels)
+        if k == 2:
+            self._square = g
+        return g
 
 
 def is_isometric_subgraph(sub: Graph, host: Graph, embed: Sequence[int]) -> bool:

@@ -1,9 +1,10 @@
 """Direct Helly-property recognition without building the hull.
 
-The decision procedure composes two checks: pseudo-modularity, tested on
-vertex triples, and the neighborhood-Helly property, tested through maximal
-2-sets. Maximal 2-sets are exactly the maximal cliques of the square graph,
-so they are enumerated with pivoting Bron-Kerbosch on bit rows. A bounded
+The decision procedure composes two checks: pseudo-modularity, tested per
+source on the graph's cached BFS level masks with one bitset scan per vertex,
+and the neighborhood-Helly property, tested through maximal 2-sets. Maximal
+2-sets are exactly the maximal cliques of the square graph, so they are
+enumerated with pivoting Bron-Kerbosch on bit rows. A bounded
 disk-Helly check and the extended-square characterization used for
 distance-hereditary inputs live here too.
 """
@@ -115,26 +116,31 @@ def find_pseudo_modular_violation(g: Graph) -> Optional[tuple[int, int, int]]:
     """First triple (u, v, w) breaking the equidistant-pair condition.
 
     A violation is 1 <= d(v,w) <= 2 and d(u,v) = d(u,w) = k >= 2 with no
-    common neighbor of v and w at distance k-1 from u.
+    common neighbor of v and w at distance k-1 from u. Triples are ordered
+    by u, then v, then w. For each source u and vertex v at level k, the
+    violating w are ``L_k(u) & N2(v)`` above v, minus the neighborhoods of
+    ``N(v) & L_{k-1}(u)``, where L are the BFS level masks and N2 the square.
     """
-    dm = g.distances()
-    d = dm.rows
     n = g.n
-    level = [[0] * (dm.ecc[u] + 1) for u in range(n)]
-    for u in range(n):
-        for v in range(n):
-            level[u][d[u][v]] |= 1 << v
-    for u in range(n):
-        du = d[u]
-        for v in range(n):
-            k = du[v]
+    adj = g.adj
+    near = g.power(2).adj
+    for u, layers in enumerate(g.level_masks()):
+        du = [0] * n
+        for k in range(2, len(layers)):
+            for v in bits(layers[k]):
+                du[v] = k
+        for v, k in enumerate(du):
             if k < 2:
                 continue
-            for w in range(v + 1, n):
-                if du[w] != k or not 1 <= d[v][w] <= 2:
-                    continue
-                if not g.adj[v] & g.adj[w] & level[u][k - 1]:
-                    return (u, v, w)
+            candidates = layers[k] & near[v] >> (v + 1) << (v + 1)
+            if not candidates:
+                continue
+            covered = 0
+            for c in bits(adj[v] & layers[k - 1]):
+                covered |= adj[c]
+            bad = candidates & ~covered
+            if bad:
+                return (u, v, (bad & -bad).bit_length() - 1)
     return None
 
 

@@ -2,10 +2,12 @@
 
 Everything here deliberately avoids the code paths under test: the extremal
 scan enumerates raw vectors with numpy, Helly checks go through exhaustive
-disk families, and induced-subgraph containment is a direct subset sweep.
+disk families, pseudo-modularity is a direct triple scan over the distance
+matrix, and induced-subgraph containment is a direct subset sweep.
 """
 
 from itertools import combinations
+from typing import Optional
 
 import numpy as np
 
@@ -48,6 +50,35 @@ def triple_disk_pseudo_modular(g: Graph) -> bool:
         if a & b and a & c and b & c and not (a & b & c):
             return False
     return True
+
+
+def pseudo_modular_violation_scan(g: Graph) -> Optional[tuple[int, int, int]]:
+    """First triple (u, v, w) breaking the equidistant-pair condition.
+
+    A violation is 1 <= d(v,w) <= 2 and d(u,v) = d(u,w) = k >= 2 with no
+    common neighbor of v and w at distance k-1 from u. Direct scan over the
+    distance matrix, O(n^3) per source; the library's bitset scan must return
+    the same triple.
+    """
+    dm = g.distances()
+    d = dm.rows
+    n = g.n
+    level = [[0] * (dm.ecc[u] + 1) for u in range(n)]
+    for u in range(n):
+        for v in range(n):
+            level[u][d[u][v]] |= 1 << v
+    for u in range(n):
+        du = d[u]
+        for v in range(n):
+            k = du[v]
+            if k < 2:
+                continue
+            for w in range(v + 1, n):
+                if du[w] != k or not 1 <= d[v][w] <= 2:
+                    continue
+                if not g.adj[v] & g.adj[w] & level[u][k - 1]:
+                    return (u, v, w)
+    return None
 
 
 def exhaustive_helly(g: Graph) -> bool:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from tightspan import fixture, format_edge_list
+from tightspan import fixture, format_edge_list, helly
 from tightspan.cli import run
 
 
@@ -107,6 +107,34 @@ def test_recognize_witness(c4_file):
     assert code == 0
     assert "chordal=no witness=cycle:" in out
     assert "bipartite=yes witness=side:" in out
+
+
+def test_recognize_witness_respects_budget(c4_file, monkeypatch):
+    budgets = []
+    original = helly.maximal_cliques
+
+    def spy(rows, n, max_nodes=helly.DEFAULT_CLIQUE_NODES):
+        budgets.append(max_nodes)
+        return original(rows, n, max_nodes)
+
+    monkeypatch.setattr(helly, "maximal_cliques", spy)
+    code, out = _run(["recognize", c4_file, "--witness", "--budget", "123"])
+    assert code == 0
+    assert "helly=no witness=unsuspended:0,1,2,3\n" in out
+    assert budgets and all(b == 123 for b in budgets)
+
+
+def test_recognize_budget_error_keeps_earlier_lines(c4_file):
+    code, out = _run(["recognize", c4_file, "--budget", "1"])
+    assert code == 2
+    assert out == (
+        "chordal=no\n"
+        "bipartite=yes\n"
+        "split=no\n"
+        "at-free=yes\n"
+        "distance-hereditary=yes\n"
+        "square-chordal=yes\n"
+    )
 
 
 def test_hyperbolicity_output(c4_file):

@@ -129,6 +129,24 @@ def test_power_c6_squared_from_distance_table():
     assert g.power(2).m == 12
 
 
+def test_level_masks_c6():
+    levels = fixture("C6").level_masks()
+    assert levels[0] == [0b000001, 0b100010, 0b010100, 0b001000]
+
+
+def test_level_masks_need_connected_graph():
+    g = Graph.from_edge_list(4, [(0, 1), (2, 3)], require_connected=False)
+    with pytest.raises(DisconnectedGraphError):
+        g.level_masks()
+    with pytest.raises(DisconnectedGraphError):
+        g.power(2)
+
+
+def test_square_is_cached():
+    g = fixture("C6")
+    assert g.power(2) is g.power(2)
+
+
 def test_power_idempotent_on_result():
     g = fixture("C6")
     assert g.power(2).power(1) == g.power(2)
@@ -220,3 +238,25 @@ def test_power_edges_superset(g):
 @settings(max_examples=40)
 def test_every_graph_isometric_in_itself(g):
     assert is_isometric_subgraph(g, g, tuple(range(g.n)))
+
+
+@given(connected_graphs())
+@settings(max_examples=60)
+def test_level_masks_match_distance_rows(g):
+    d = g.distances().rows
+    levels = g.level_masks()
+    for u in range(g.n):
+        assert len(levels[u]) == max(d[u]) + 1
+        for k, mask in enumerate(levels[u]):
+            assert mask == sum(1 << v for v in range(g.n) if d[u][v] == k)
+
+
+@given(connected_graphs())
+@settings(max_examples=60)
+def test_power_matches_distance_rows(g):
+    d = g.distances().rows
+    for k in (1, 2, 3):
+        rows = tuple(
+            sum(1 << v for v in range(g.n) if 1 <= d[u][v] <= k) for u in range(g.n)
+        )
+        assert g.power(k).adj == rows

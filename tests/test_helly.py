@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from oracles import (
     bounded_disk_helly_by_definition,
     exhaustive_helly,
+    pseudo_modular_violation_scan,
     triple_disk_pseudo_modular,
 )
 from strategies import connected_graphs
 from tightspan import (
     BudgetExceededError,
+    Graph,
+    SplitMix64,
     all_extended_squares_suspended,
     build_injective_hull,
     crown_family,
@@ -24,6 +27,7 @@ from tightspan import (
     is_neighborhood_helly,
     is_pseudo_modular,
     maximal_two_sets,
+    random_chordal,
     random_dh,
     split_family,
 )
@@ -71,6 +75,36 @@ def test_pseudo_modular():
     u, v, w = violation
     d = fixture("C6").distances().rows
     assert d[u][v] == d[u][w] >= 2 and 1 <= d[v][w] <= 2
+
+
+def _sparse_graph(n: int, seed: int) -> Graph:
+    """Random spanning tree plus n // 4 chords: long cycles, many levels."""
+    rng = SplitMix64(seed)
+    edges = {(rng.below(v), v) for v in range(1, n)}
+    for _ in range(n // 4):
+        u, v = sorted((rng.below(n), rng.below(n)))
+        if u != v:
+            edges.add((u, v))
+    return Graph.from_edge_list(n, sorted(edges))
+
+
+@given(connected_graphs(max_n=10))
+@settings(max_examples=200, deadline=None)
+def test_pseudo_modular_violation_matches_scan(g):
+    assert find_pseudo_modular_violation(g) == pseudo_modular_violation_scan(g)
+
+
+@pytest.mark.parametrize("make", [random_dh, random_chordal, _sparse_graph])
+def test_pseudo_modular_violation_matches_scan_seeded(make):
+    found = 0
+    for seed in range(40):
+        g = make(5 + seed % 36, seed)
+        expected = pseudo_modular_violation_scan(g)
+        assert find_pseudo_modular_violation(g) == expected, seed
+        found += expected is not None
+    # Distance-hereditary graphs are pseudo-modular, so only the other two
+    # families exercise the witness path.
+    assert (found == 0) == (make is random_dh)
 
 
 @pytest.mark.parametrize("name,expected", [
