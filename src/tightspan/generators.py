@@ -12,7 +12,7 @@ import re
 from typing import Sequence
 
 from .dh import FALSE_TWIN, PENDANT, TRUE_TWIN, PruningSequence, PruningStep, replay
-from .graphs import Graph
+from .graphs import Graph, check_size
 
 _MASK64 = (1 << 64) - 1
 
@@ -92,6 +92,7 @@ def split_family(k: int) -> Graph:
     """
     if k < 2:
         raise ValueError("split family needs k >= 2")
+    check_size(6 * k)
     xs, ys, us, vs, ws, zs, labels = _family_vertices(k)
     edges = _family_edges(k, xs, ys, us, vs, ws, zs)
     return Graph.from_edge_list(6 * k, edges, labels)
@@ -102,6 +103,7 @@ def cocomparability_family(k: int) -> tuple[Graph, tuple[int, ...]]:
     X-then-M-then-Y vertex ordering, which is a cocomparability ordering."""
     if k < 2:
         raise ValueError("cocomparability family needs k >= 2")
+    check_size(6 * k)
     xs, ys, us, vs, ws, zs, labels = _family_vertices(k)
     edges = _family_edges(k, xs, ys, us, vs, ws, zs)
     for block in (xs, ys):
@@ -117,6 +119,7 @@ def crown_family(k: int) -> Graph:
     """Complete bipartite graph K_{k,k} minus a perfect matching (2k vertices)."""
     if k < 3:
         raise ValueError("crown family needs k >= 3")
+    check_size(2 * k)
     edges = [
         (i, k + j) for i in range(k) for j in range(k) if i != j
     ]
@@ -128,6 +131,7 @@ def random_chordal(n: int, seed: int) -> Graph:
     """Random connected chordal graph grown by simplicial attachment."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    check_size(n)
     rng = SplitMix64(seed)
     adj: list[set[int]] = [set() for _ in range(n)]
     for v in range(1, n):
@@ -250,6 +254,7 @@ def fixture(name: str) -> Graph:
     match = _PARAMETRIC.match(name)
     if match:
         kind, num = match.group(1), int(match.group(2))
+        check_size(num + 1 if kind == "W" else num)
         if kind == "C":
             return _cycle(num)
         if kind == "W":

@@ -17,6 +17,12 @@ from .errors import DisconnectedGraphError
 DEFAULT_MAX_VERTICES = 512
 
 
+def check_size(n: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> None:
+    """Reject n above the size cap; generators call this before listing edges."""
+    if n > max_vertices:
+        raise ValueError(f"n={n} exceeds the size cap {max_vertices}")
+
+
 def bits(mask: int):
     """Yield the set bit positions of ``mask`` in ascending order."""
     while mask:
@@ -97,8 +103,7 @@ class Graph:
         connectivity; pass ``require_connected=False`` to construct anyway
         (metric calls will still refuse to run).
         """
-        if n > max_vertices:
-            raise ValueError(f"n={n} exceeds the size cap {max_vertices}")
+        check_size(n, max_vertices)
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):

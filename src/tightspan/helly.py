@@ -53,6 +53,8 @@ def maximal_cliques(
 
     Pivoting Bron-Kerbosch; the pivot is the P|X vertex covering most of P,
     ties to the lowest id, so output is deterministic before sorting anyway.
+    Raises BudgetExceededError when ``max_nodes`` run out or a clique is
+    larger than the recursion limit allows.
     """
     out: list[int] = []
     nodes = 0
@@ -78,7 +80,14 @@ def maximal_cliques(
             p &= ~bv
             x |= bv
 
-    expand(0, (1 << n) - 1, 0)
+    try:
+        expand(0, (1 << n) - 1, 0)
+    except RecursionError:
+        # Recursion depth is the clique size; a clique deeper than the
+        # interpreter's stack allows is reported like an exhausted budget.
+        raise BudgetExceededError(
+            f"clique enumeration ran out of recursion depth after {nodes} nodes"
+        ) from None
     out.sort(key=lambda mask: tuple(bits(mask)))
     return out
 

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths under test: the extremal
 scan enumerates raw vectors with numpy, Helly checks go through exhaustive
 disk families, pseudo-modularity is a direct triple scan over the distance
-matrix, and induced-subgraph containment is a direct subset sweep.
+matrix, hyperbolicity is the plain quadruple sweep, and induced-subgraph
+containment is a direct subset sweep.
 """
 
 from itertools import combinations
@@ -12,6 +13,7 @@ from typing import Optional
 import numpy as np
 
 from tightspan import Graph, SplitMix64
+from tightspan.hyperbolicity import HyperbolicityReport
 from tightspan.isomorphism import are_isomorphic_small
 
 
@@ -81,25 +83,14 @@ def pseudo_modular_violation_scan(g: Graph) -> Optional[tuple[int, int, int]]:
     return None
 
 
-def exhaustive_helly(g: Graph) -> bool:
-    """Helly check straight from the definition, over all disk families.
+def disk_helly_by_definition(g: Graph, r: Optional[int] = None) -> bool:
+    """Helly check straight from the definition, over every family of
+    distinct disks of radius <= r (default: the diameter, i.e. all disks).
 
     Only usable on tiny graphs: iterates every subset of the distinct disks.
     """
-    dm = g.distances()
-    disks = sorted(
-        {frozenset(g.disk(v, r)) for v in range(g.n) for r in range(dm.diameter + 1)}
-    , key=sorted)
-    for size in range(2, len(disks) + 1):
-        for family in combinations(disks, size):
-            pairwise = all(a & b for a, b in combinations(family, 2))
-            if pairwise and not frozenset.intersection(*family):
-                return False
-    return True
-
-
-def bounded_disk_helly_by_definition(g: Graph, r: int) -> bool:
-    """Definition-level check over every family of distinct disks of radius <= r."""
+    if r is None:
+        r = g.distances().diameter
     disks = sorted(
         {frozenset(g.disk(v, i)) for v in range(g.n) for i in range(r + 1)},
         key=sorted,
@@ -110,6 +101,33 @@ def bounded_disk_helly_by_definition(g: Graph, r: int) -> bool:
             if pairwise and not frozenset.intersection(*family):
                 return False
     return True
+
+
+def hyperbolicity_scan(g: Graph) -> HyperbolicityReport:
+    """Plain O(n^4) four-point sweep over u < v < w < x in lexicographic order.
+
+    Keeps the first quadruple whose doubled defect strictly beats the best so
+    far; the library's pruned lane-parallel scan must return the same report.
+    """
+    dm = g.distances()
+    if g.n < 4:
+        return HyperbolicityReport(0, (0,) * 4)
+    d = dm.rows
+    best = 0
+    witness = (0, 1, 2, 3)
+    for u, v, w, x in combinations(range(g.n), 4):
+        s1 = d[u][v] + d[w][x]
+        s2 = d[u][x] + d[v][w]
+        s3 = d[u][w] + d[v][x]
+        if s1 < s2:
+            s1, s2 = s2, s1
+        if s1 < s3:
+            s1, s3 = s3, s1
+        defect = s1 - (s2 if s2 >= s3 else s3)
+        if defect > best:
+            best = defect
+            witness = (u, v, w, x)
+    return HyperbolicityReport(best, witness)
 
 
 def contains_induced(g: Graph, pattern: Graph) -> bool:
@@ -147,4 +165,15 @@ def random_connected_graph(seed: int, min_n: int = 4, max_n: int = 8) -> Graph:
         for v in range(u + 1, n):
             if rng.below(100) < 30:
                 edges.add((u, v))
+    return Graph.from_edge_list(n, sorted(edges))
+
+
+def tree_plus_chords(n: int, seed: int) -> Graph:
+    """Random spanning tree plus n // 4 chords: long cycles, many levels."""
+    rng = SplitMix64(seed)
+    edges = {(rng.below(v), v) for v in range(1, n)}
+    for _ in range(n // 4):
+        u, v = sorted((rng.below(n), rng.below(n)))
+        if u != v:
+            edges.add((u, v))
     return Graph.from_edge_list(n, sorted(edges))

@@ -186,6 +186,14 @@ def test_generate_missing_k_is_usage_error():
     assert code == 1
 
 
+@pytest.mark.parametrize("family", ["crown", "split", "cocomparability"])
+def test_generate_family_over_size_cap_fails_before_listing_edges(family, capsys):
+    # k = 10^8 would list about 10^16 edges if the cap were checked last.
+    code, out = _run(["generate", family, "--k", "100000000"])
+    assert code == 1 and out == ""
+    assert "exceeds the size cap 512" in capsys.readouterr().err
+
+
 def test_generate_unknown_fixture_is_usage_error():
     code, _ = _run(["generate", "fixture", "--name", "nope"])
     assert code == 1

@@ -210,6 +210,23 @@ def test_fixture_parametric():
     assert fixture("P4").m == 3
 
 
+@pytest.mark.parametrize("make", [
+    lambda: fixture("K100000000"),
+    lambda: fixture("W512"),
+    lambda: random_chordal(100_000_000, 1),
+    lambda: split_family(86),
+    lambda: crown_family(257),
+])
+def test_generators_check_size_cap_first(make):
+    with pytest.raises(ValueError, match="exceeds the size cap 512"):
+        make()
+
+
+def test_generators_at_size_cap():
+    assert fixture("W511").n == 512
+    assert crown_family(256).n == 512
+
+
 def test_fixture_unknown_name():
     with pytest.raises(ValueError, match="unknown fixture"):
         fixture("moebius")

@@ -4,16 +4,15 @@ import pytest
 from hypothesis import given, settings
 
 from oracles import (
-    bounded_disk_helly_by_definition,
-    exhaustive_helly,
+    disk_helly_by_definition,
     pseudo_modular_violation_scan,
+    tree_plus_chords,
     triple_disk_pseudo_modular,
 )
 from strategies import connected_graphs
 from tightspan import (
     BudgetExceededError,
     Graph,
-    SplitMix64,
     all_extended_squares_suspended,
     build_injective_hull,
     crown_family,
@@ -77,24 +76,13 @@ def test_pseudo_modular():
     assert d[u][v] == d[u][w] >= 2 and 1 <= d[v][w] <= 2
 
 
-def _sparse_graph(n: int, seed: int) -> Graph:
-    """Random spanning tree plus n // 4 chords: long cycles, many levels."""
-    rng = SplitMix64(seed)
-    edges = {(rng.below(v), v) for v in range(1, n)}
-    for _ in range(n // 4):
-        u, v = sorted((rng.below(n), rng.below(n)))
-        if u != v:
-            edges.add((u, v))
-    return Graph.from_edge_list(n, sorted(edges))
-
-
 @given(connected_graphs(max_n=10))
 @settings(max_examples=200, deadline=None)
 def test_pseudo_modular_violation_matches_scan(g):
     assert find_pseudo_modular_violation(g) == pseudo_modular_violation_scan(g)
 
 
-@pytest.mark.parametrize("make", [random_dh, random_chordal, _sparse_graph])
+@pytest.mark.parametrize("make", [random_dh, random_chordal, tree_plus_chords])
 def test_pseudo_modular_violation_matches_scan_seeded(make):
     found = 0
     for seed in range(40):
@@ -126,7 +114,7 @@ def test_hull_is_helly(name):
 
 @pytest.mark.parametrize("name", ["C4", "C5", "P4", "K4", "W4", "house"])
 def test_helly_matches_exhaustive_disk_oracle(name):
-    assert is_helly(fixture(name)) == exhaustive_helly(fixture(name))
+    assert is_helly(fixture(name)) == disk_helly_by_definition(fixture(name))
 
 
 @pytest.mark.parametrize("name", ["C4", "C5", "C6", "P5", "W5", "house", "gem"])
@@ -147,6 +135,15 @@ def test_disk_helly_c4():
 def test_disk_helly_c5_radius_two():
     # C5 is 1/2-hyperbolic and not Helly, so some family of radius <= 2 fails
     assert not disk_helly_up_to_radius(fixture("C5"), 2)
+
+
+def test_disk_helly_deep_clique_is_budget_error():
+    # All 1536 disks of K512 with radius <= 2 pairwise meet, so Bron-Kerbosch
+    # would recurse 1536 deep; that must surface as a budget error.
+    n = 512
+    k512 = Graph.from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    with pytest.raises(BudgetExceededError, match=r"recursion depth after \d+ nodes"):
+        disk_helly_up_to_radius(k512, 2)
 
 
 def test_disk_helly_radius_validation():
@@ -238,7 +235,7 @@ def test_pseudo_modular_triple_disk_consistency_corpus(corpus):
 def test_disk_helly_matches_definition(name):
     g = fixture(name)
     for r in range(1, g.distances().diameter + 1):
-        assert disk_helly_up_to_radius(g, r) == bounded_disk_helly_by_definition(g, r)
+        assert disk_helly_up_to_radius(g, r) == disk_helly_by_definition(g, r)
 
 
 def test_helly_matches_hull_oracle_nine_vertices():

@@ -1,11 +1,17 @@
-from itertools import permutations
+from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import hyperbolicity_scan, tree_plus_chords
 from strategies import connected_graphs
 from tightspan import (
+    BudgetExceededError,
+    DisconnectedGraphError,
+    Graph,
+    SplitMix64,
     build_injective_hull,
     find_alpha1_violation,
     fixture,
@@ -13,6 +19,7 @@ from tightspan import (
     hyperbolicity,
     is_alpha1_metric,
     random_chordal,
+    random_dh,
     split_family,
 )
 
@@ -110,3 +117,107 @@ def test_delta_block_graph_zero():
 
     bowtie = Graph.from_edge_list(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
     assert hyperbolicity(bowtie).delta2 == 0
+
+
+# -- the pruned lane-parallel scan against the plain quadruple sweep ----------
+
+
+def _relabelled_cycle(k: int, seed: int) -> Graph:
+    perm = SplitMix64(seed).shuffled(list(range(k)))
+    return Graph.from_edge_list(k, [(perm[i], perm[(i + 1) % k]) for i in range(k)])
+
+
+def _lollipop(cycle: int, tail: int) -> Graph:
+    """C_cycle with a path of ``tail`` extra vertices hanging off vertex 0."""
+    edges = [(i, (i + 1) % cycle) for i in range(cycle)]
+    edges += [(cycle + i - 1 if i else 0, cycle + i) for i in range(tail)]
+    return Graph.from_edge_list(cycle + tail, edges)
+
+
+def _improvements(g: Graph) -> list:
+    """The quadruples at which the lexicographic sweep raises its best defect."""
+    dm = g.distances()
+    best, out = 0, []
+    for quad in combinations(range(g.n), 4):
+        defect = four_point_hyp2(dm, *quad)
+        if defect > best:
+            best = defect
+            out.append(quad)
+    return out
+
+
+@given(connected_graphs(min_n=1, max_n=12))
+@settings(max_examples=200, deadline=None)
+def test_scan_matches_oracle(g):
+    assert hyperbolicity(g) == hyperbolicity_scan(g)
+
+
+@pytest.mark.parametrize("k", range(4, 41))
+def test_scan_matches_oracle_seeded_cycles(k):
+    g = _relabelled_cycle(k, k)
+    assert hyperbolicity(g) == hyperbolicity_scan(g)
+
+
+@pytest.mark.parametrize("make", [random_dh, random_chordal, tree_plus_chords])
+def test_scan_matches_oracle_seeded(make):
+    for seed in range(40):
+        g = make(4 + seed % 37, seed)
+        assert hyperbolicity(g) == hyperbolicity_scan(g), seed
+
+
+@pytest.mark.parametrize("cycle,tail", [(4, 62), (9, 50), (40, 24), (5, 3)])
+def test_scan_matches_oracle_long_diameter(cycle, tail):
+    # C4 plus a 62-vertex tail has diameter 64, so 4*diam+1 = 257 needs a
+    # 10-bit lane, the widest any graph under the 128-vertex cap needs.
+    g = _lollipop(cycle, tail)
+    assert hyperbolicity(g) == hyperbolicity_scan(g)
+
+
+def test_best_rises_several_times_in_one_lane_word():
+    # C24 with 0, 1, 2 at positions 0, 8, 16 and 3..6 at 17..20: the defect of
+    # (0, 1, 2, x) grows 2, 4, 6, 8 along x = 3..6.
+    positions = [0, 8, 16, 17, 18, 19, 20] + [p for p in range(24) if p % 8 and p < 17]
+    positions += [21, 22, 23]
+    label = {p: i for i, p in enumerate(positions)}
+    g = Graph.from_edge_list(24, [(label[p], label[(p + 1) % 24]) for p in range(24)])
+    rises = Counter(quad[:3] for quad in _improvements(g))
+    assert rises[(0, 1, 2)] == 4
+    assert hyperbolicity(g) == hyperbolicity_scan(g)
+
+
+def test_tied_maxima_give_least_witness():
+    edges = [(0, 1), (0, 2), (0, 4), (1, 2), (1, 5), (1, 6), (2, 3), (3, 6), (6, 7)]
+    g = Graph.from_edge_list(8, edges)
+    dm = g.distances()
+    report = hyperbolicity(g)
+    maximizers = [
+        quad for quad in combinations(range(g.n), 4)
+        if four_point_hyp2(dm, *quad) == report.delta2
+    ]
+    # (1, 2, 3, 7) ties the witness inside its own lane word.
+    assert maximizers == [(1, 2, 3, 6), (1, 2, 3, 7), (2, 3, 5, 6), (2, 3, 5, 7)]
+    assert report == hyperbolicity_scan(g)
+    assert report.witness == (1, 2, 3, 6)
+
+
+@pytest.mark.parametrize("g,delta2,witness", [
+    # Computed once with tests/oracles.py::hyperbolicity_scan (about 2.3 s each).
+    (fixture("C128"), 64, (0, 32, 64, 96)),
+    (_relabelled_cycle(128, 128), 64, (0, 6, 23, 97)),
+])
+def test_scan_at_vertex_cap(g, delta2, witness):
+    report = hyperbolicity(g)
+    assert (report.delta2, report.witness) == (delta2, witness)
+
+
+def test_scan_over_vertex_cap():
+    with pytest.raises(BudgetExceededError, match="capped at 128"):
+        hyperbolicity(fixture("C129"))
+
+
+def test_scan_small_and_disconnected():
+    assert hyperbolicity(fixture("P3")) == hyperbolicity_scan(fixture("P3"))
+    assert hyperbolicity(fixture("P3")).witness == (0, 0, 0, 0)
+    split = Graph.from_edge_list(4, [(0, 1), (2, 3)], require_connected=False)
+    with pytest.raises(DisconnectedGraphError):
+        hyperbolicity(split)
