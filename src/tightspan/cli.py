@@ -9,18 +9,17 @@ non-distance-hereditary input to ``hellify-dh``.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional, Sequence
 
 from . import detectors, generators, helly
-from .dh import hellify_dh, pruning_sequence
+from .dh import MAX_VERTICES as DH_MAX_VERTICES, hellify_dh, pruning_sequence
 from .errors import (
     BudgetExceededError,
     DisconnectedGraphError,
     NotDistanceHereditaryError,
 )
-from .graphs import Graph, format_edge_list, parse_edge_list, to_dot
+from .graphs import DEFAULT_MAX_VERTICES, Graph, format_edge_list, parse_edge_list, to_dot
 from .hulls import (
     EnumerationBudget,
     build_injective_hull,
@@ -45,11 +44,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _read_graph(path: str) -> Graph:
+def _read_graph(path: str, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
     if path == "-":
-        return parse_edge_list(sys.stdin.read())
+        return parse_edge_list(sys.stdin.read(), max_vertices=max_vertices)
     with open(path) as fh:
-        return parse_edge_list(fh.read())
+        return parse_edge_list(fh.read(), max_vertices=max_vertices)
 
 
 def _budget(args) -> EnumerationBudget:
@@ -77,17 +76,15 @@ def _cmd_hull(args, out) -> int:
 
 
 def _cmd_hellify_dh(args, out) -> int:
-    g = _read_graph(args.file)
+    g = _read_graph(args.file, DH_MAX_VERTICES)
     result = hellify_dh(g)
     hull = result.hull
     if args.format == "json":
-        doc = {
-            "n": hull.n,
-            "m": hull.m,
-            "added": [[v, anchor] for v, anchor in result.added],
-            "edges": [[u, v] for u, v in hull.edges()],
-        }
-        out.write(json.dumps(doc, indent=2) + "\n")
+        out.write(
+            f'{{\n  "n": {hull.n},\n  "m": {hull.m},\n'
+            f'  "added": {_json_pairs(result.added)},\n'
+            f'  "edges": {_json_pairs(hull.edges())}\n}}\n'
+        )
     elif args.format == "edgelist":
         out.write(format_edge_list(hull))
     else:
@@ -97,6 +94,14 @@ def _cmd_hellify_dh(args, out) -> int:
         out.write(f"hull_edges={hull.m} bound_4m={4 * g.m} within={ok_e}\n")
         out.write(f"added={len(result.added)}\n")
     return EXIT_OK
+
+
+def _json_pairs(pairs) -> str:
+    """A list of int pairs as ``json.dumps(..., indent=2)`` lays it out at depth 1."""
+    if not pairs:
+        return "[]"
+    items = ",\n".join(f"    [\n      {a},\n      {b}\n    ]" for a, b in pairs)
+    return f"[\n{items}\n  ]"
 
 
 def _cmd_recognize(args, out) -> int:

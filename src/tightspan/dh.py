@@ -11,14 +11,19 @@ dominator query is answered in O(1) by :class:`TwinClassPoset`, which keeps
 the true-twin classes of the host partitioned with directed edges for strict
 closed-neighborhood containment.
 
-The sequence builder itself rescans for a prunable vertex each round, which
-is O(n*(n+m)); the replay, poset, and Hellification core are linear in the
-size of the host.
+The sequence builder keeps the live vertices in buckets keyed by closed and
+open neighbourhood rows and a lazy min-heap of vertices whose status may have
+changed, after Hammer and Maffray (1990) and Damiand, Habib and Paul (2001).
+Removing a vertex re-keys only its neighbours, so a run makes O(n + m) bucket
+updates, each costing O(n / word size) on the bit-rows; the rows themselves
+stay the exact keys, so the result is deterministic. The replay, poset, and
+Hellification core are linear in the size of the host.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Optional
 
 from .errors import NotDistanceHereditaryError
@@ -28,6 +33,10 @@ PENDANT = "pendant"
 TRUE_TWIN = "true_twin"
 FALSE_TWIN = "false_twin"
 KINDS = (PENDANT, TRUE_TWIN, FALSE_TWIN)
+
+# Size cap of the DH path (``hellify-dh`` input, ``random_dh``); every other
+# reader keeps graphs.DEFAULT_MAX_VERTICES.
+MAX_VERTICES = 4096
 
 
 @dataclass(frozen=True)
@@ -95,43 +104,74 @@ def pruning_sequence(g: Graph) -> Optional[PruningSequence]:
 
     Deterministic: each round removes the lowest-id vertex that is a pendant,
     a true twin, or a false twin (preferred in that order), anchored to the
-    lowest-id valid partner.
+    lowest-id valid partner. Disconnected graphs give None.
     """
     n = g.n
+    if not g.is_connected():
+        return None
     adj = list(g.adj)
-    alive = list(range(n))
+    # Live vertices bucketed by closed row N[v] and by open row N(v), as masks.
+    closed: dict[int, int] = {}
+    open_: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        bit = 1 << v
+        closed[row | bit] = closed.get(row | bit, 0) | bit
+        open_[row] = open_.get(row, 0) | bit
+    # Every prunable live vertex has an entry; stale entries are re-checked.
+    heap = list(range(n))
+    alive = bytearray(b"\1") * n
+    live = n
     removed: list[PruningStep] = []
-    while len(alive) > 1:
-        true_groups: dict[int, list[int]] = {}
-        false_groups: dict[int, list[int]] = {}
-        for v in alive:
-            true_groups.setdefault(adj[v] | 1 << v, []).append(v)
-            false_groups.setdefault(adj[v], []).append(v)
-        chosen = None
-        for v in alive:
-            if adj[v].bit_count() == 1:
-                chosen = PruningStep(v, PENDANT, adj[v].bit_length() - 1)
-                break
-            group = true_groups[adj[v] | 1 << v]
-            if len(group) > 1:
-                anchor = group[0] if group[0] != v else group[1]
-                chosen = PruningStep(v, TRUE_TWIN, anchor)
-                break
-            group = false_groups[adj[v]]
-            if len(group) > 1:
-                anchor = group[0] if group[0] != v else group[1]
-                chosen = PruningStep(v, FALSE_TWIN, anchor)
-                break
-        if chosen is None:
+    while live > 1:
+        if not heap:
             return None
-        removed.append(chosen)
-        v = chosen.vertex
-        for u in bits(adj[v]):
-            adj[u] &= ~(1 << v)
-        adj[v] = 0
-        alive.remove(v)
-    order = [alive[0]] + [step.vertex for step in reversed(removed)]
+        v = heappop(heap)
+        if not alive[v]:
+            continue
+        row = adj[v]
+        bit = 1 << v
+        if row.bit_count() == 1:
+            step = PruningStep(v, PENDANT, row.bit_length() - 1)
+        else:
+            kind, partners = TRUE_TWIN, closed[row | bit] ^ bit
+            if not partners:
+                kind, partners = FALSE_TWIN, open_[row] ^ bit
+                if not partners:
+                    continue
+            step = PruningStep(v, kind, (partners & -partners).bit_length() - 1)
+        removed.append(step)
+        alive[v] = 0
+        live -= 1
+        _leave(closed, row | bit, bit)
+        _leave(open_, row, bit)
+        # Only v's neighbours change rows; a vertex elsewhere can become
+        # prunable only by gaining a bucket partner, which _join pushes.
+        for u in bits(row):
+            old = adj[u]
+            ubit = 1 << u
+            _leave(closed, old | ubit, ubit)
+            _leave(open_, old, ubit)
+            adj[u] = new = old ^ bit
+            _join(closed, new | ubit, ubit, heap)
+            _join(open_, new, ubit, heap)
+            heappush(heap, u)
+    order = [alive.index(1)] + [step.vertex for step in reversed(removed)]
     return PruningSequence(tuple(order), tuple(reversed(removed)))
+
+
+def _leave(buckets: dict[int, int], key: int, bit: int) -> None:
+    members = buckets[key] ^ bit
+    if members:
+        buckets[key] = members
+    else:
+        del buckets[key]
+
+
+def _join(buckets: dict[int, int], key: int, bit: int, heap: list[int]) -> None:
+    members = buckets.get(key, 0)
+    if members and not members & (members - 1):
+        heappush(heap, members.bit_length() - 1)  # a lone vertex gains a twin
+    buckets[key] = members | bit
 
 
 class TwinClassPoset:

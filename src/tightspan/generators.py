@@ -12,6 +12,7 @@ import re
 from typing import Sequence
 
 from .dh import FALSE_TWIN, PENDANT, TRUE_TWIN, PruningSequence, PruningStep, replay
+from .dh import MAX_VERTICES as DH_MAX_VERTICES
 from .graphs import Graph, check_size
 
 _MASK64 = (1 << 64) - 1
@@ -172,6 +173,7 @@ def random_pruning_sequence(n: int, seed: int) -> PruningSequence:
 
 def random_dh(n: int, seed: int) -> Graph:
     """Random connected distance-hereditary graph from a random pruning sequence."""
+    check_size(n, DH_MAX_VERTICES)
     return replay(random_pruning_sequence(n, seed))
 
 

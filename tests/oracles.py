@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths under test: the extremal
 scan enumerates raw vectors with numpy, Helly checks go through exhaustive
 disk families, pseudo-modularity is a direct triple scan over the distance
-matrix, hyperbolicity is the plain quadruple sweep, and induced-subgraph
-containment is a direct subset sweep.
+matrix, DH pruning sequences come from a per-round rescan, hyperbolicity is
+the plain quadruple sweep, and induced-subgraph containment is a direct
+subset sweep.
 """
 
 from itertools import combinations
@@ -13,6 +14,8 @@ from typing import Optional
 import numpy as np
 
 from tightspan import Graph, SplitMix64
+from tightspan.dh import FALSE_TWIN, PENDANT, TRUE_TWIN, PruningSequence, PruningStep
+from tightspan.graphs import bits
 from tightspan.hyperbolicity import HyperbolicityReport
 from tightspan.isomorphism import are_isomorphic_small
 
@@ -81,6 +84,52 @@ def pseudo_modular_violation_scan(g: Graph) -> Optional[tuple[int, int, int]]:
                 if not g.adj[v] & g.adj[w] & level[u][k - 1]:
                     return (u, v, w)
     return None
+
+
+def pruning_sequence_rescan(g: Graph) -> Optional[PruningSequence]:
+    """A pruning sequence of g, or None when g is not distance-hereditary.
+
+    Deterministic: each round removes the lowest-id vertex that is a pendant,
+    a true twin, or a false twin (preferred in that order), anchored to the
+    lowest-id valid partner. Regroups every live vertex by neighbourhood each
+    round, O(n*(n+m)); the library's worklist builder must return the same
+    sequence on connected graphs.
+    """
+    n = g.n
+    adj = list(g.adj)
+    alive = list(range(n))
+    removed: list[PruningStep] = []
+    while len(alive) > 1:
+        true_groups: dict[int, list[int]] = {}
+        false_groups: dict[int, list[int]] = {}
+        for v in alive:
+            true_groups.setdefault(adj[v] | 1 << v, []).append(v)
+            false_groups.setdefault(adj[v], []).append(v)
+        chosen = None
+        for v in alive:
+            if adj[v].bit_count() == 1:
+                chosen = PruningStep(v, PENDANT, adj[v].bit_length() - 1)
+                break
+            group = true_groups[adj[v] | 1 << v]
+            if len(group) > 1:
+                anchor = group[0] if group[0] != v else group[1]
+                chosen = PruningStep(v, TRUE_TWIN, anchor)
+                break
+            group = false_groups[adj[v]]
+            if len(group) > 1:
+                anchor = group[0] if group[0] != v else group[1]
+                chosen = PruningStep(v, FALSE_TWIN, anchor)
+                break
+        if chosen is None:
+            return None
+        removed.append(chosen)
+        v = chosen.vertex
+        for u in bits(adj[v]):
+            adj[u] &= ~(1 << v)
+        adj[v] = 0
+        alive.remove(v)
+    order = [alive[0]] + [step.vertex for step in reversed(removed)]
+    return PruningSequence(tuple(order), tuple(reversed(removed)))
 
 
 def disk_helly_by_definition(g: Graph, r: Optional[int] = None) -> bool:

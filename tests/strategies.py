@@ -20,6 +20,15 @@ def connected_graphs(draw, min_n=2, max_n=8):
 
 
 @st.composite
+def graphs(draw, min_n=1, max_n=8):
+    """Any graph, connected or not, isolated vertices included."""
+    n = draw(st.integers(min_n, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n) if pairs else st.just([]))
+    return Graph.from_edge_list(n, edges, require_connected=False)
+
+
+@st.composite
 def pruning_sequences(draw, min_n=1, max_n=12):
     """Structurally valid random build sequences (second vertex never a false twin)."""
     n = draw(st.integers(min_n, max_n))

@@ -1,9 +1,10 @@
-"""Replay the benchmark's default-seed hyperbolicity inputs against its reference.
+"""Replay the benchmark's default-seed inputs against its reference.
 
 ``perfbench/reference.json`` holds the exit code and stdout sha256 of every
-default-seed benchmark input. Replaying the ``hyperbolicity`` inputs through
-``tightspan.cli.run`` makes a byte change in that output fail pytest, not only
-the benchmark's gate. Files under ``perfbench/`` are only read.
+default-seed benchmark input. Replaying the ``hyperbolicity`` and ``hellify``
+inputs through ``tightspan.cli.run`` makes a byte change in that output fail
+pytest, not only the benchmark's gate. Files under ``perfbench/`` are only
+read.
 """
 
 import io
@@ -20,11 +21,11 @@ sys.path.insert(0, str(BENCH))
 import workloads  # noqa: E402
 
 
-def test_hyperbolicity_outputs_match_benchmark_reference(monkeypatch):
+def _replay(workload, monkeypatch):
     reference = json.loads((BENCH / "reference.json").read_text())
     assert reference["seed"] == workloads.DEFAULT_SEED
-    expected = reference["workloads"]["hyperbolicity"]
-    inputs, _ = workloads.build_inputs(tightspan, "hyperbolicity", workloads.DEFAULT_SEED)
+    expected = reference["workloads"][workload]
+    inputs, _ = workloads.build_inputs(tightspan, workload, workloads.DEFAULT_SEED)
     assert sorted(inp.label for inp in inputs) == sorted(expected)
     for inp in inputs:
         monkeypatch.setattr(sys, "stdin", io.StringIO(inp.text))
@@ -32,3 +33,11 @@ def test_hyperbolicity_outputs_match_benchmark_reference(monkeypatch):
         code = run(inp.argv, out)
         got = {"exit": code, "sha256": workloads.digest(out.getvalue())}
         assert got == expected[inp.label], inp.label
+
+
+def test_hyperbolicity_outputs_match_benchmark_reference(monkeypatch):
+    _replay("hyperbolicity", monkeypatch)
+
+
+def test_hellify_outputs_match_benchmark_reference(monkeypatch):
+    _replay("hellify", monkeypatch)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from tightspan import fixture, format_edge_list, helly
+from tightspan import fixture, format_edge_list, generators, hellify_dh, helly, random_dh
 from tightspan.cli import run
 
 
@@ -83,6 +83,44 @@ def test_hellify_json_added(c4_file):
     code, out = _run(["hellify-dh", c4_file, "--format", "json"])
     doc = json.loads(out)
     assert doc["added"] == [[4, 2]]
+
+
+@pytest.mark.parametrize("g", [fixture("P5"), fixture("C4"), fixture("K1")] + [
+    random_dh(n, seed) for seed, n in enumerate((6, 20, 45, 80))
+])
+def test_hellify_json_matches_json_dumps(tmp_path, g):
+    path = tmp_path / "g.txt"
+    path.write_text(format_edge_list(g))
+    result = hellify_dh(g)
+    doc = {
+        "n": result.hull.n,
+        "m": result.hull.m,
+        "added": [[v, anchor] for v, anchor in result.added],
+        "edges": [[u, v] for u, v in result.hull.edges()],
+    }
+    assert _run(["hellify-dh", str(path), "--format", "json"]) == (
+        0, json.dumps(doc, indent=2) + "\n"
+    )
+
+
+def _path_text(n):
+    return f"{n} {n - 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1))
+
+
+def test_hellify_reads_up_to_4096_vertices(tmp_path, capsys):
+    path = tmp_path / "p4096.txt"
+    path.write_text(_path_text(4096))
+    assert _run(["hellify-dh", str(path)]) == (0, (
+        "hull_vertices=4096 bound_2n=8192 within=yes\n"
+        "hull_edges=4095 bound_4m=16380 within=yes\n"
+        "added=0\n"
+    ))
+    path.write_text(_path_text(4097))
+    assert _run(["hellify-dh", str(path)]) == (1, "")
+    assert "exceeds the size cap 4096" in capsys.readouterr().err
+    # Every other command keeps the 512-vertex cap.
+    path.write_text(_path_text(513))
+    assert _run(["recognize", str(path)]) == (1, "")
 
 
 def test_hellify_non_dh_exit_code(house_file):
@@ -192,6 +230,15 @@ def test_generate_family_over_size_cap_fails_before_listing_edges(family, capsys
     code, out = _run(["generate", family, "--k", "100000000"])
     assert code == 1 and out == ""
     assert "exceeds the size cap 512" in capsys.readouterr().err
+
+
+def test_generate_random_dh_over_size_cap_builds_nothing(monkeypatch, capsys):
+    def fail(*args):
+        raise AssertionError("built a sequence over the cap")
+
+    monkeypatch.setattr(generators, "random_pruning_sequence", fail)
+    assert _run(["generate", "random-dh", "--n", "100000000"]) == (1, "")
+    assert "exceeds the size cap 4096" in capsys.readouterr().err
 
 
 def test_generate_unknown_fixture_is_usage_error():

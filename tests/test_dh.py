@@ -1,12 +1,13 @@
 import pytest
 from hypothesis import given, settings
 
-from oracles import contains_induced
-from strategies import connected_graphs, pruning_sequences
+from oracles import contains_induced, pruning_sequence_rescan, tree_plus_chords
+from strategies import connected_graphs, graphs, pruning_sequences
 from tightspan import (
     FALSE_TWIN,
     PENDANT,
     TRUE_TWIN,
+    Graph,
     NotDistanceHereditaryError,
     PruningSequence,
     PruningStep,
@@ -16,6 +17,7 @@ from tightspan import (
     hellify_dh,
     is_helly,
     pruning_sequence,
+    random_chordal,
     random_dh,
     replay,
 )
@@ -75,6 +77,78 @@ def test_c4_has_sequence():
     seq = pruning_sequence(fixture("C4"))
     assert seq is not None
     assert replay(seq) == fixture("C4")
+
+
+@given(connected_graphs(max_n=12))
+@settings(max_examples=200, deadline=None)
+def test_pruning_sequence_matches_rescan(g):
+    assert pruning_sequence(g) == pruning_sequence_rescan(g)
+
+
+@pytest.mark.parametrize("make", [random_dh, random_chordal, tree_plus_chords])
+def test_pruning_sequence_matches_rescan_seeded(make):
+    non_dh = 0
+    for seed in range(40):
+        g = make(5 + seed % 56, seed)
+        expected = pruning_sequence_rescan(g)
+        assert pruning_sequence(g) == expected, seed
+        non_dh += expected is None
+    assert (non_dh == 0) == (make is random_dh)
+
+
+def _sequence(order, steps):
+    """Pruning sequence from its build order and (kind, anchor) per step."""
+    return PruningSequence(
+        order, tuple(PruningStep(v, k, a) for v, (k, a) in zip(order[1:], steps))
+    )
+
+
+@pytest.mark.parametrize("g,expected", [
+    # Star with centre 5: every leaf is a pendant and a false twin; pendant wins.
+    (
+        Graph.from_edge_list(6, [(v, 5) for v in range(5)]),
+        _sequence((5, 4, 3, 2, 1, 0), [(PENDANT, 5)] * 5),
+    ),
+    # K5: true twins anchored to the next id, the last pair as a pendant.
+    (
+        fixture("K5"),
+        _sequence((4, 3, 2, 1, 0), [(PENDANT, 4), (TRUE_TWIN, 3), (TRUE_TWIN, 2), (TRUE_TWIN, 1)]),
+    ),
+    # K_{2,6}: the false-twin bucket {0..5} shrinks to the lone 5, which is
+    # then passed over until hub 6 has become a pendant.
+    (
+        Graph.from_edge_list(8, [(v, h) for v in range(6) for h in (6, 7)]),
+        _sequence(
+            (7, 5, 6, 4, 3, 2, 1, 0),
+            [(PENDANT, 7), (PENDANT, 5)] + [(FALSE_TWIN, v + 1) for v in range(4, -1, -1)],
+        ),
+    ),
+    # 0 is checked and passed over, then pairs with 2 once pendant 1 is gone.
+    (
+        Graph.from_edge_list(5, [(1, 2), (2, 3), (2, 4), (0, 3), (0, 4)]),
+        _sequence((4, 2, 3, 0, 1), [(PENDANT, 4), (PENDANT, 2), (FALSE_TWIN, 2), (PENDANT, 2)]),
+    ),
+])
+def test_pruning_sequence_lowest_id_rule(g, expected):
+    assert pruning_sequence_rescan(g) == expected
+    assert pruning_sequence(g) == expected
+
+
+@pytest.mark.parametrize("g", [
+    Graph.from_edge_list(4, [(0, 1), (2, 3)], require_connected=False),
+    Graph(3, [0, 0, 0]),
+])
+def test_disconnected_graph_has_no_sequence(g):
+    assert pruning_sequence(g) is None
+    with pytest.raises(NotDistanceHereditaryError):
+        hellify_dh(g)
+
+
+@given(graphs(max_n=9))
+@settings(max_examples=100, deadline=None)
+def test_pruning_sequence_replays_to_its_graph(g):
+    seq = pruning_sequence(g)
+    assert seq is None or replay(seq) == g
 
 
 def test_replay_empty_sequence():
