@@ -51,7 +51,9 @@ def measure_builder(sizes, seed):
 
 
 def loglog_slope(xs, ys):
-    """Least-squares slope of log(y) against log(x)."""
+    """Least-squares slope of log(y) against log(x); 0.0 without two distinct x."""
+    if len(set(xs)) < 2:
+        return 0.0
     lx = [math.log(x) for x in xs]
     ly = [math.log(max(y, 1e-9)) for y in ys]
     mx = sum(lx) / len(lx)

@@ -62,7 +62,6 @@ from .helly import (
     maximal_two_sets,
 )
 from .hulls import (
-    EnumerationBudget,
     InjectiveHull,
     build_injective_hull,
     disk_separates,

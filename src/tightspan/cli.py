@@ -20,13 +20,7 @@ from .errors import (
     NotDistanceHereditaryError,
 )
 from .graphs import DEFAULT_MAX_VERTICES, Graph, format_edge_list, parse_edge_list, to_dot
-from .hulls import (
-    EnumerationBudget,
-    build_injective_hull,
-    helly_gap,
-    hull_to_dot,
-    hull_to_json,
-)
+from .hulls import DEFAULT_MAX_NODES, build_injective_hull, helly_gap, hull_to_dot, hull_to_json
 from .hyperbolicity import hyperbolicity
 
 EXIT_OK = 0
@@ -51,19 +45,9 @@ def _read_graph(path: str, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
         return parse_edge_list(fh.read(), max_vertices=max_vertices)
 
 
-def _budget(args) -> EnumerationBudget:
-    if args.budget is None:
-        return EnumerationBudget()
-    return EnumerationBudget(max_nodes=args.budget)
-
-
-def _clique_budget(args) -> int:
-    return args.budget if args.budget is not None else helly.DEFAULT_CLIQUE_NODES
-
-
 def _cmd_hull(args, out) -> int:
     g = _read_graph(args.file)
-    h = build_injective_hull(g, _budget(args))
+    h = build_injective_hull(g, args.budget)
     if args.format == "json":
         out.write(hull_to_json(h))
     elif args.format == "dot":
@@ -167,7 +151,7 @@ def _cmd_recognize(args, out) -> int:
 
 
 def _first_unsuspended(g: Graph, args) -> Optional[helly.TwoSet]:
-    two_sets = helly.maximal_two_sets(g, _clique_budget(args))
+    two_sets = helly.maximal_two_sets(g, args.budget)
     return next((ts for ts in two_sets if not ts.suspended), None)
 
 
@@ -181,7 +165,7 @@ def _cmd_hyperbolicity(args, out) -> int:
 
 def _cmd_two_sets(args, out) -> int:
     g = _read_graph(args.file)
-    for ts in helly.maximal_two_sets(g, _clique_budget(args)):
+    for ts in helly.maximal_two_sets(g, args.budget):
         members = " ".join(map(str, ts.members))
         if ts.suspended:
             out.write(f"{members} suspended_by={ts.suspended_by}\n")
@@ -248,21 +232,24 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="tightspan", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def graph_command(name, func, with_format=None):
+    def graph_command(name, func, with_format=None, budget=None):
         p = sub.add_parser(name)
         p.add_argument("file", help="edge-list file, or - for stdin")
-        p.add_argument("--budget", type=int, default=None, help="search node budget")
+        if budget is not None:
+            p.add_argument("--budget", type=int, default=budget, help="search node budget")
         if with_format:
             p.add_argument("--format", choices=with_format, default=with_format[0])
         p.set_defaults(func=func)
         return p
 
-    graph_command("hull", _cmd_hull, with_format=["summary", "json", "dot"])
+    graph_command(
+        "hull", _cmd_hull, with_format=["summary", "json", "dot"], budget=DEFAULT_MAX_NODES
+    )
     graph_command("hellify-dh", _cmd_hellify_dh, with_format=["summary", "edgelist", "json"])
-    p = graph_command("recognize", _cmd_recognize)
+    p = graph_command("recognize", _cmd_recognize, budget=helly.DEFAULT_CLIQUE_NODES)
     p.add_argument("--witness", action="store_true")
     graph_command("hyperbolicity", _cmd_hyperbolicity)
-    graph_command("two-sets", _cmd_two_sets)
+    graph_command("two-sets", _cmd_two_sets, budget=helly.DEFAULT_CLIQUE_NODES)
     graph_command("export-dot", _cmd_export_dot)
 
     p = sub.add_parser("generate")

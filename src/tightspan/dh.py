@@ -64,7 +64,7 @@ class PruningSequence:
         return len(self.order)
 
 
-def replay(seq: PruningSequence, labels=None) -> Graph:
+def replay(seq: PruningSequence) -> Graph:
     """Rebuild the exact graph a pruning sequence describes.
 
     Raises ValueError with the step position when a step is structurally
@@ -96,7 +96,7 @@ def replay(seq: PruningSequence, labels=None) -> Graph:
         for u in bits(new_row):
             adj[u] |= 1 << v
         placed |= 1 << v
-    return Graph(n, adj, labels)
+    return Graph(n, adj)
 
 
 def pruning_sequence(g: Graph) -> Optional[PruningSequence]:
@@ -272,14 +272,13 @@ class TwinClassPoset:
 class HellificationResult:
     """Hull of a distance-hereditary graph plus provenance of added vertices.
 
-    The source keeps its vertex ids inside the hull (``real_map`` is the
-    identity); each added Helly vertex appears in ``added`` with the anchor
-    whose false twin forced it. ``sequence`` is a pruning sequence of the
-    hull itself, certifying that the hull is distance-hereditary.
+    Source vertex z is hull vertex z; each added Helly vertex appears in
+    ``added`` with the anchor whose false twin forced it. ``sequence`` is a
+    pruning sequence of the hull itself, certifying that the hull is
+    distance-hereditary.
     """
 
     hull: Graph
-    real_map: tuple[int, ...]
     added: tuple[tuple[int, int], ...]
     sequence: PruningSequence
 
@@ -355,4 +354,4 @@ def hellify_dh(g: Graph) -> HellificationResult:
 
     if hull.n > 2 * g.n or hull.m > 4 * g.m:
         raise RuntimeError("internal consistency failure: hull exceeds 2n/4m bounds")
-    return HellificationResult(hull, tuple(range(g.n)), tuple(added), host_seq)
+    return HellificationResult(hull, tuple(added), host_seq)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from typing import Sequence
 
-from .dh import FALSE_TWIN, PENDANT, TRUE_TWIN, PruningSequence, PruningStep, replay
+from .dh import FALSE_TWIN, KINDS, TRUE_TWIN, PruningSequence, PruningStep, replay
 from .dh import MAX_VERTICES as DH_MAX_VERTICES
 from .graphs import Graph, check_size
 
@@ -148,9 +148,6 @@ def random_chordal(n: int, seed: int) -> Graph:
     return Graph.from_edge_list(n, edges)
 
 
-KIND_CHOICES = (PENDANT, TRUE_TWIN, FALSE_TWIN)
-
-
 def random_pruning_sequence(n: int, seed: int) -> PruningSequence:
     """Random build order of pendant/true-twin/false-twin extensions.
 
@@ -163,7 +160,7 @@ def random_pruning_sequence(n: int, seed: int) -> PruningSequence:
     rng = SplitMix64(seed)
     steps = []
     for v in range(1, n):
-        kind = KIND_CHOICES[rng.below(3)]
+        kind = KINDS[rng.below(3)]
         if v == 1 and kind == FALSE_TWIN:
             kind = TRUE_TWIN
         anchor = rng.below(v)

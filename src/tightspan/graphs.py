@@ -305,12 +305,8 @@ def is_isometric_subgraph(sub: Graph, host: Graph, embed: Sequence[int]) -> bool
 # input to every CLI command.
 
 
-def parse_edge_list(
-    text: str,
-    require_connected: bool = True,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-) -> Graph:
-    """Parse the edge-list text format into a Graph."""
+def parse_edge_list(text: str, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
+    """Parse the edge-list text format into a connected Graph."""
     tokens = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -329,9 +325,7 @@ def parse_edge_list(
         if len(tok) != 2:
             raise ValueError(f"bad edge line: {' '.join(tok)}")
         edges.append((int(tok[0]), int(tok[1])))
-    return Graph.from_edge_list(
-        n, edges, require_connected=require_connected, max_vertices=max_vertices
-    )
+    return Graph.from_edge_list(n, edges, max_vertices=max_vertices)
 
 
 def format_edge_list(g: Graph) -> str:
@@ -340,9 +334,9 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_dot(g: Graph, name: str = "G") -> str:
+def to_dot(g: Graph) -> str:
     """Render the graph in DOT format with display labels."""
-    lines = [f"graph {name} {{"]
+    lines = ["graph G {"]
     for v in range(g.n):
         lines.append(f'  {v} [label="{g.label(v)}"];')
     for u, v in g.edges():

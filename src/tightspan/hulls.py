@@ -10,8 +10,12 @@ Enumeration is a depth-first assignment of f in vertex order with interval
 pruning: the running lower bound max(d(x,y) - f(y)) over assigned y, the
 eccentricity upper bound, and a watch on coordinates whose tightness can no
 longer be realised by any unassigned vertex. The search is exact and the
-returned list is canonically sorted, but hulls can be exponential, so both a
-vertex cap and a node budget apply.
+returned list is canonically sorted, but hulls can be exponential, so inputs
+above ``MAX_VERTICES`` are refused and the search stops after ``max_nodes``
+nodes (default ``DEFAULT_MAX_NODES``), raising BudgetExceededError either way.
+
+Source vertex z is hull vertex z: the hull lists the n real vertices first,
+in source order, then the Helly vertices in lexicographic vector order.
 """
 
 from __future__ import annotations
@@ -20,20 +24,12 @@ import json
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
-from .graphs import Graph, bits, is_isometric_subgraph
+from .graphs import Graph, is_isometric_subgraph
 
 Vector = tuple[int, ...]
 
-
-@dataclass(frozen=True)
-class EnumerationBudget:
-    """Caps for the extremal-function search."""
-
-    max_vertices: int = 14
-    max_nodes: int = 10_000_000
-
-
-DEFAULT_BUDGET = EnumerationBudget()
+MAX_VERTICES = 14
+DEFAULT_MAX_NODES = 10_000_000
 
 
 def is_feasible(vector: Vector, dist_rows) -> bool:
@@ -60,17 +56,17 @@ def is_extremal(vector: Vector, dist_rows) -> bool:
 
 
 def enumerate_extremal_functions(
-    g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET
+    g: Graph, max_nodes: int = DEFAULT_MAX_NODES
 ) -> list[Vector]:
     """All extremal integer vectors of g, sorted lexicographically.
 
     The output always contains the n distance vectors. Raises
-    BudgetExceededError when the vertex cap or the node budget runs out;
-    results are never silently truncated.
+    BudgetExceededError above ``MAX_VERTICES`` vertices or after
+    ``max_nodes`` search nodes; results are never silently truncated.
     """
-    if g.n > budget.max_vertices:
+    if g.n > MAX_VERTICES:
         raise BudgetExceededError(
-            f"hull enumeration capped at {budget.max_vertices} vertices (n={g.n})"
+            f"hull enumeration capped at {MAX_VERTICES} vertices (n={g.n})"
         )
     dm = g.distances()
     d = [list(row) for row in dm.rows]
@@ -94,9 +90,9 @@ def enumerate_extremal_functions(
         di = d[i]
         for value in range(cur[i], ecc[i] + 1):
             nodes += 1
-            if nodes > budget.max_nodes:
+            if nodes > max_nodes:
                 raise BudgetExceededError(
-                    f"hull enumeration exceeded {budget.max_nodes} search nodes"
+                    f"hull enumeration exceeded {max_nodes} search nodes"
                 )
             f[i] = value
             newly = []
@@ -137,18 +133,18 @@ def enumerate_extremal_functions(
 
 @dataclass(frozen=True)
 class InjectiveHull:
-    """The hull graph plus per-vertex vectors and the real-vertex embedding.
+    """The hull graph plus per-vertex vectors, in the module's canonical order.
 
-    Hull vertices are canonically ordered: real vertices first, in original
-    id order, then Helly vertices in lexicographic vector order. ``real_map``
-    sends each source vertex z to the hull vertex carrying d_z.
+    Hull vertex z < ``n_real`` is source vertex z and carries d_z.
     """
 
     source: Graph
     hull: Graph
     vectors: tuple[Vector, ...]
-    real_map: tuple[int, ...]
-    n_real: int
+
+    @property
+    def n_real(self) -> int:
+        return self.source.n
 
     @property
     def n_helly(self) -> int:
@@ -161,11 +157,9 @@ class InjectiveHull:
         return range(self.n_real, self.hull.n)
 
 
-def build_injective_hull(
-    g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET
-) -> InjectiveHull:
+def build_injective_hull(g: Graph, max_nodes: int = DEFAULT_MAX_NODES) -> InjectiveHull:
     """Construct H(g), verify the isometric embedding, and return it."""
-    vectors = enumerate_extremal_functions(g, budget)
+    vectors = enumerate_extremal_functions(g, max_nodes)
     dm = g.distances()
     real = {tuple(dm.rows[z]): z for z in range(g.n)}
     real_vectors = [tuple(dm.rows[z]) for z in range(g.n)]
@@ -186,10 +180,9 @@ def build_injective_hull(
     labels += [f"h{k}" for k in range(1, len(helly_vectors) + 1)]
     hull = Graph(n, rows, labels)
 
-    real_map = tuple(range(g.n))
-    if not is_isometric_subgraph(g, hull, real_map):
+    if not is_isometric_subgraph(g, hull, range(g.n)):
         raise RuntimeError("internal consistency failure: hull embedding is not isometric")
-    return InjectiveHull(g, hull, tuple(ordered), real_map, g.n)
+    return InjectiveHull(g, hull, tuple(ordered))
 
 
 def helly_gap(h: InjectiveHull) -> int:
@@ -198,23 +191,11 @@ def helly_gap(h: InjectiveHull) -> int:
     Computed by multi-source BFS on the hull graph rather than from the
     Chebyshev formula, so the vector metric stays an independent cross-check.
     """
-    if h.n_helly == 0:
-        return 0
-    start = (1 << h.n_real) - 1
-    dist = 0
-    seen = start
-    frontier = start
-    gap = 0
-    while frontier:
-        dist += 1
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= h.hull.adj[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-        if frontier:
-            gap = dist
-    if seen != (1 << h.hull.n) - 1:
+    full = (1 << h.hull.n) - 1
+    seen = 0
+    for gap, layer in enumerate(h.hull._frontiers((1 << h.n_real) - 1, full)):
+        seen |= layer
+    if seen != full:
         raise RuntimeError("internal consistency failure: hull is disconnected")
     return gap
 
@@ -282,9 +263,9 @@ def hull_to_json(h: InjectiveHull) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def hull_to_dot(h: InjectiveHull, name: str = "H") -> str:
+def hull_to_dot(h: InjectiveHull) -> str:
     """DOT rendering with real vertices as circles and Helly vertices as squares."""
-    lines = [f"graph {name} {{"]
+    lines = ["graph H {"]
     for v in range(h.hull.n):
         shape = "circle" if h.is_real(v) else "square"
         lines.append(f'  {v} [label="{h.hull.label(v)}", shape={shape}];')

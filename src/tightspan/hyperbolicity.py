@@ -37,6 +37,8 @@ from dataclasses import dataclass
 from .errors import BudgetExceededError
 from .graphs import DistanceMatrix, Graph
 
+MAX_VERTICES = 128
+
 
 @dataclass(frozen=True)
 class HyperbolicityReport:
@@ -60,11 +62,14 @@ def four_point_hyp2(dm: DistanceMatrix, u: int, v: int, w: int, x: int) -> int:
     return sums[2] - sums[1]
 
 
-def hyperbolicity(g: Graph, max_vertices: int = 128) -> HyperbolicityReport:
-    """Exact hyperbolicity with the least maximizing quadruple as witness."""
-    if g.n > max_vertices:
+def hyperbolicity(g: Graph) -> HyperbolicityReport:
+    """Exact hyperbolicity with the least maximizing quadruple as witness.
+
+    Raises BudgetExceededError above ``MAX_VERTICES`` vertices.
+    """
+    if g.n > MAX_VERTICES:
         raise BudgetExceededError(
-            f"quadruple scan capped at {max_vertices} vertices (n={g.n})"
+            f"quadruple scan capped at {MAX_VERTICES} vertices (n={g.n})"
         )
     dm = g.distances()
     n = g.n

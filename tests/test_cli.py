@@ -1,10 +1,14 @@
+import contextlib
 import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from strategies import graphs
 from tightspan import fixture, format_edge_list, generators, hellify_dh, helly, random_dh
 from tightspan.cli import run
 
@@ -53,7 +57,7 @@ def test_hull_json(c4_file):
 def test_hull_dot(c4_file):
     code, out = _run(["hull", c4_file, "--format", "dot"])
     assert code == 0
-    assert out.startswith("graph") and "shape=square" in out
+    assert out.startswith("graph H {\n") and "shape=square" in out
 
 
 def test_hull_budget_exit_code(tmp_path):
@@ -61,6 +65,16 @@ def test_hull_budget_exit_code(tmp_path):
     path.write_text(format_edge_list(fixture("C8")))
     code, _ = _run(["hull", str(path), "--budget", "4"])
     assert code == 2
+
+
+def test_two_sets_budget_exit_code(c4_file):
+    assert _run(["two-sets", c4_file, "--budget", "1"]) == (2, "")
+
+
+@pytest.mark.parametrize("command", ["hellify-dh", "hyperbolicity", "export-dot"])
+def test_budget_is_usage_error_where_nothing_searches(c4_file, command, capsys):
+    assert _run([command, c4_file, "--budget", "5"]) == (1, "")
+    assert "unrecognized arguments: --budget" in capsys.readouterr().err
 
 
 def test_hellify_summary(c4_file):
@@ -297,3 +311,60 @@ def test_pipe_generate_into_hull():
     assert hull.returncode == 0
     n_helly = int(dict(l.split("=") for l in hull.stdout.splitlines())["n_helly"])
     assert n_helly >= 6
+
+
+FORMATS = {
+    "hull": ["summary", "json", "dot"],
+    "hellify-dh": ["summary", "edgelist", "json"],
+    "recognize": [],
+    "hyperbolicity": [],
+    "two-sets": [],
+    "export-dot": [],
+}
+MALFORMED = [
+    "",
+    "# only a comment\n",
+    "2\n",
+    "a b\n",
+    "0 0\n",
+    "-3 0\n",
+    "2 1\n0 0\n",
+    "3 1\n0 7\n",
+    "3 2\n0 1\n",
+    "2 1\n0 1 1\n",
+    "600 0\n",
+]
+
+
+@st.composite
+def cli_calls(draw):
+    command = draw(st.sampled_from(sorted(FORMATS)))
+    argv = [command, "-"]
+    fmt = draw(st.sampled_from([None] + FORMATS[command]))
+    if fmt is not None:
+        argv += ["--format", fmt]
+    if draw(st.booleans()):
+        argv.append("--witness")
+    budget = draw(st.none() | st.integers(-2, 50))
+    if budget is not None:
+        argv += ["--budget", str(budget)]
+    text = draw(st.sampled_from(MALFORMED) | graphs(max_n=7).map(format_edge_list))
+    return argv, text
+
+
+@given(cli_calls())
+@settings(max_examples=60, deadline=None)
+def test_cli_fuzz_exit_codes(call):
+    argv, text = call
+    err = io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stderr(err):
+            code = run(argv, out=io.StringIO())
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if "--budget" in argv and argv[0] in ("hellify-dh", "hyperbolicity", "export-dot"):
+        assert code == 1

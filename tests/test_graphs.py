@@ -200,6 +200,7 @@ def test_edge_list_malformed(text):
 def test_to_dot_contains_labels():
     g = Graph.from_edge_list(2, [(0, 1)], labels=["left", "right"])
     dot = to_dot(g)
+    assert dot.startswith("graph G {\n")
     assert 'label="left"' in dot and "0 -- 1;" in dot
 
 

@@ -7,7 +7,6 @@ from oracles import brute_force_extremal
 from strategies import connected_graphs
 from tightspan import (
     BudgetExceededError,
-    EnumerationBudget,
     build_injective_hull,
     cocomparability_family,
     disk_separates,
@@ -72,13 +71,13 @@ def test_enumeration_contains_all_distance_vectors():
 
 
 def test_vertex_cap():
-    with pytest.raises(BudgetExceededError):
-        enumerate_extremal_functions(split_family(3))  # n=18 > default cap 14
+    with pytest.raises(BudgetExceededError, match="capped at 14"):
+        enumerate_extremal_functions(split_family(3))  # n=18 > MAX_VERTICES = 14
 
 
 def test_node_budget_reported():
     with pytest.raises(BudgetExceededError, match="nodes"):
-        enumerate_extremal_functions(fixture("C8"), EnumerationBudget(max_nodes=5))
+        enumerate_extremal_functions(fixture("C8"), max_nodes=5)
 
 
 def test_hull_of_tree_is_tree():
@@ -110,7 +109,8 @@ def test_hull_canonical_order():
         assert h.vectors[z] == tuple(d[z])
     helly = [h.vectors[i] for i in h.helly_vertices()]
     assert helly == sorted(helly)
-    assert h.real_map == tuple(range(6))
+    # source vertex z is hull vertex z
+    assert h.hull.induced(range(6)) == h.source
 
 
 def test_hull_embedding_is_isometric():
@@ -196,6 +196,7 @@ def test_hull_json_schema():
 def test_hull_dot_shapes():
     h = build_injective_hull(fixture("C4"))
     dot = hull_to_dot(h)
+    assert dot.startswith("graph H {\n")
     assert "shape=circle" in dot and "shape=square" in dot
 
 
@@ -209,3 +210,11 @@ def test_hull_invariants_random(g):
     ecc = g.distances().ecc
     for vec in h.vectors:
         assert all(0 <= vec[x] <= ecc[x] for x in range(g.n))
+    # the BFS gap equals the Chebyshev distance to the nearest real vector
+    assert helly_gap(h) == max(
+        (
+            min(max(abs(a - b) for a, b in zip(h.vectors[i], h.vectors[z])) for z in range(g.n))
+            for i in h.helly_vertices()
+        ),
+        default=0,
+    )

@@ -1,0 +1,35 @@
+"""Smoke runs of the experiment scripts' ``main()`` at tiny sizes."""
+
+import runpy
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _main(name, argv, monkeypatch):
+    monkeypatch.setattr(sys, "argv", [name, *argv])
+    runpy.run_path(str(SCRIPTS / name), run_name="script")["main"]()
+
+
+def test_scripts_run_at_tiny_sizes(monkeypatch, capsys):
+    # One size per table: each growth exponent is reported as 0.00.
+    _main(
+        "scaling_hellify.py",
+        ["--sizes", "300", "--with-builder", "--builder-sizes", "300"],
+        monkeypatch,
+    )
+    out = capsys.readouterr().out
+    assert "core time growth exponent ~ 0.00" in out
+    assert "builder time growth exponent ~ 0.00" in out
+
+    _main("family_counts.py", ["--max-k", "3"], monkeypatch)
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [(r[0], r[1]) for r in rows] == [
+        ("split", "2"), ("split", "3"),
+        ("cocomparability", "2"), ("cocomparability", "3"),
+        ("crown", "3"),
+    ]
+    # 2^k maximal 2-sets; split k=3 has 18 vertices, over the hull cap
+    assert all(int(r[3]) == 2 ** int(r[1]) for r in rows)
+    assert rows[1][5] == "-"
