@@ -19,7 +19,14 @@ from .errors import (
     DisconnectedGraphError,
     NotDistanceHereditaryError,
 )
-from .graphs import DEFAULT_MAX_VERTICES, Graph, format_edge_list, parse_edge_list, to_dot
+from .graphs import (
+    DEFAULT_MAX_VERTICES,
+    Graph,
+    format_edge_list,
+    json_pairs,
+    parse_edge_list,
+    to_dot,
+)
 from .hulls import DEFAULT_MAX_NODES, build_injective_hull, helly_gap, hull_to_dot, hull_to_json
 from .hyperbolicity import hyperbolicity
 
@@ -36,6 +43,16 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _read_graph(path: str, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
@@ -66,8 +83,8 @@ def _cmd_hellify_dh(args, out) -> int:
     if args.format == "json":
         out.write(
             f'{{\n  "n": {hull.n},\n  "m": {hull.m},\n'
-            f'  "added": {_json_pairs(result.added)},\n'
-            f'  "edges": {_json_pairs(hull.edges())}\n}}\n'
+            f'  "added": {json_pairs(result.added)},\n'
+            f'  "edges": {json_pairs(hull.edges())}\n}}\n'
         )
     elif args.format == "edgelist":
         out.write(format_edge_list(hull))
@@ -78,14 +95,6 @@ def _cmd_hellify_dh(args, out) -> int:
         out.write(f"hull_edges={hull.m} bound_4m={4 * g.m} within={ok_e}\n")
         out.write(f"added={len(result.added)}\n")
     return EXIT_OK
-
-
-def _json_pairs(pairs) -> str:
-    """A list of int pairs as ``json.dumps(..., indent=2)`` lays it out at depth 1."""
-    if not pairs:
-        return "[]"
-    items = ",\n".join(f"    [\n      {a},\n      {b}\n    ]" for a, b in pairs)
-    return f"[\n{items}\n  ]"
 
 
 def _cmd_recognize(args, out) -> int:
@@ -236,7 +245,9 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name)
         p.add_argument("file", help="edge-list file, or - for stdin")
         if budget is not None:
-            p.add_argument("--budget", type=int, default=budget, help="search node budget")
+            p.add_argument(
+                "--budget", type=_positive_int, default=budget, help="search node budget"
+            )
         if with_format:
             p.add_argument("--format", choices=with_format, default=with_format[0])
         p.set_defaults(func=func)

@@ -283,19 +283,46 @@ class Graph:
 
 
 def is_isometric_subgraph(sub: Graph, host: Graph, embed: Sequence[int]) -> bool:
-    """True iff ``embed`` maps ``sub`` onto host vertices preserving all distances."""
+    """True iff ``embed`` maps ``sub`` onto host vertices preserving all distances.
+
+    Runs one BFS in ``host`` from each embedded vertex and stops it once every
+    embedded vertex has been reached, comparing BFS layers with ``sub``'s
+    distances. The host's distance matrix is never built, so checking a small
+    graph inside its large hull costs ``sub.n`` BFS runs, not the hull's
+    all-pairs distances. Raises DisconnectedGraphError when either graph is
+    disconnected.
+    """
     if len(embed) != sub.n:
         raise ValueError("embedding must cover every vertex of the subgraph")
     if len(set(embed)) != len(embed):
         raise ValueError("embedding is not injective")
-    ds = sub.distances().rows
-    dh = host.distances().rows
+    dm = sub.distances()
+    host._require_connected("distances")
+    full = (1 << host.n) - 1
+    target = 0
+    for v in embed:
+        target |= 1 << v
     for u in range(sub.n):
-        eu = embed[u]
-        for v in range(u + 1, sub.n):
-            if ds[u][v] != dh[eu][embed[v]]:
+        # expected[k]: the embedded vertices at distance k from embed[u]
+        expected = [0] * (dm.ecc[u] + 1)
+        for v, d in enumerate(dm.rows[u]):
+            expected[d] |= 1 << embed[v]
+        left = target
+        for want, layer in zip(expected, host._frontiers(1 << embed[u], full)):
+            if layer & target != want:
                 return False
+            left ^= want
+        if left:
+            return False
     return True
+
+
+def json_pairs(pairs) -> str:
+    """A list of int pairs as ``json.dumps(..., indent=2)`` lays it out at depth 1."""
+    if not pairs:
+        return "[]"
+    items = ",\n".join(f"    [\n      {a},\n      {b}\n    ]" for a, b in pairs)
+    return f"[\n{items}\n  ]"
 
 
 # -- edge-list text format -----------------------------------------------

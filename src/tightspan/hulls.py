@@ -14,45 +14,30 @@ returned list is canonically sorted, but hulls can be exponential, so inputs
 above ``MAX_VERTICES`` are refused and the search stops after ``max_nodes``
 nodes (default ``DEFAULT_MAX_NODES``), raising BudgetExceededError either way.
 
+Adjacency packs each vector into one int, a lane per coordinate, and tests a
+pair with one subtraction and two masks (``_chebyshev_pairs``); since the
+vectors are sorted, the candidates for a vector form one contiguous window
+of the list. The isometry check runs BFS in the hull from the real vertices
+only, so the hull's all-pairs distances are never built. ``hull_to_json``
+writes the document directly, with the bytes ``json.dumps(doc, indent=2)``
+would give.
+
 Source vertex z is hull vertex z: the hull lists the n real vertices first,
 in source order, then the Helly vertices in lexicographic vector order.
 """
 
 from __future__ import annotations
 
-import json
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
-from .graphs import Graph, is_isometric_subgraph
+from .graphs import Graph, is_isometric_subgraph, json_pairs
 
 Vector = tuple[int, ...]
 
 MAX_VERTICES = 14
 DEFAULT_MAX_NODES = 10_000_000
-
-
-def is_feasible(vector: Vector, dist_rows) -> bool:
-    """Pairwise check of f(x) + f(y) >= d(x,y)."""
-    n = len(vector)
-    for x in range(n):
-        if vector[x] < 0:
-            return False
-        for y in range(x + 1, n):
-            if vector[x] + vector[y] < dist_rows[x][y]:
-                return False
-    return True
-
-
-def is_extremal(vector: Vector, dist_rows) -> bool:
-    """Feasible and every coordinate tight against some vertex (possibly itself)."""
-    if not is_feasible(vector, dist_rows):
-        return False
-    n = len(vector)
-    for x in range(n):
-        if not any(vector[x] + vector[y] == dist_rows[x][y] for y in range(n)):
-            return False
-    return True
 
 
 def enumerate_extremal_functions(
@@ -157,32 +142,63 @@ class InjectiveHull:
         return range(self.n_real, self.hull.n)
 
 
+def _chebyshev_pairs(vectors: list[Vector]) -> list[tuple[int, int]]:
+    """Index pairs i < j of the sorted, distinct ``vectors`` at Chebyshev distance 1.
+
+    Vector f is packed into P = sum f[k] << (width * k). A lane holds up to
+    ``top + 1`` below its guard bit, so ``(P_i + ONES) | GUARD`` minus P_j
+    neither carries nor borrows across lanes and leaves ``f_i[k] - f_j[k] + 1``
+    under each guard. Every guard survives and no lane exceeds 2 exactly when
+    every coordinate differs by at most 1, which for distinct vectors is
+    Chebyshev distance 1. A neighbour of f has first coordinate f[0] - 1,
+    f[0] or f[0] + 1, so the later ones form the window up to f[0] + 1.
+    """
+    top = max(max(v) for v in vectors)
+    width = (top + 1).bit_length() + 1
+    half = 1 << (width - 1)
+    ones = sum(1 << (width * k) for k in range(len(vectors[0])))
+    guard = ones * half
+    spill = ones * (half - 3)  # lifts a lane of 3 or more into its guard bit
+    packed = [sum(x << (width * k) for k, x in enumerate(v)) for v in vectors]
+    firsts = [v[0] for v in vectors]
+    pairs = []
+    for i, p in enumerate(packed):
+        lifted = (p + ones) | guard
+        for j in range(i + 1, bisect_right(firsts, firsts[i] + 1, i + 1)):
+            d = lifted - packed[j]
+            if d & guard == guard and not ((d ^ guard) + spill) & guard:
+                pairs.append((i, j))
+    return pairs
+
+
 def build_injective_hull(g: Graph, max_nodes: int = DEFAULT_MAX_NODES) -> InjectiveHull:
     """Construct H(g), verify the isometric embedding, and return it."""
     vectors = enumerate_extremal_functions(g, max_nodes)
-    dm = g.distances()
-    real = {tuple(dm.rows[z]): z for z in range(g.n)}
-    real_vectors = [tuple(dm.rows[z]) for z in range(g.n)]
-    helly_vectors = sorted(v for v in vectors if v not in real)
-    ordered = real_vectors + helly_vectors
+    real_vectors = g.distances().rows
+    index = {v: k for k, v in enumerate(vectors)}
+    # pos[k] is the canonical hull vertex of vectors[k]: reals in source order,
+    # then the Helly vectors in their sorted order
+    pos = [-1] * len(vectors)
+    for z, row in enumerate(real_vectors):
+        pos[index[row]] = z
+    helly_vectors = []
+    for k, v in enumerate(vectors):
+        if pos[k] < 0:
+            pos[k] = g.n + len(helly_vectors)
+            helly_vectors.append(v)
 
-    n = len(ordered)
-    rows = [0] * n
-    for i in range(n):
-        vi = ordered[i]
-        for j in range(i + 1, n):
-            vj = ordered[j]
-            cheb = max(abs(a - b) for a, b in zip(vi, vj))
-            if cheb == 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+    rows = [0] * len(vectors)
+    for i, j in _chebyshev_pairs(vectors):
+        a, b = pos[i], pos[j]
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
     labels = [g.label(z) for z in range(g.n)]
     labels += [f"h{k}" for k in range(1, len(helly_vectors) + 1)]
-    hull = Graph(n, rows, labels)
+    hull = Graph(len(vectors), rows, labels)
 
     if not is_isometric_subgraph(g, hull, range(g.n)):
         raise RuntimeError("internal consistency failure: hull embedding is not isometric")
-    return InjectiveHull(g, hull, tuple(ordered))
+    return InjectiveHull(g, hull, real_vectors + tuple(helly_vectors))
 
 
 def helly_gap(h: InjectiveHull) -> int:
@@ -251,16 +267,23 @@ def disk_separates(g: Graph, z: int, k: int, x: int, y: int) -> bool:
 
 
 def hull_to_json(h: InjectiveHull) -> str:
-    doc = {
-        "n_real": h.n_real,
-        "n_helly": h.n_helly,
-        "vertices": [
-            {"id": i, "real": h.is_real(i), "vector": list(h.vectors[i])}
-            for i in range(h.hull.n)
-        ],
-        "edges": [[u, v] for u, v in h.hull.edges()],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The hull as JSON: ``n_real``, ``n_helly``, ``vertices`` and ``edges``.
+
+    The bytes are those of ``json.dumps(doc, indent=2) + "\\n"``, written
+    directly: each vertex is ``{"id", "real", "vector"}`` and each edge a
+    ``[u, v]`` pair with u < v.
+    """
+    sep = ",\n        "
+    vertices = ",\n".join(
+        f'    {{\n      "id": {i},\n      "real": {"true" if h.is_real(i) else "false"},\n'
+        f'      "vector": [\n        {sep.join(map(str, vec))}\n      ]\n    }}'
+        for i, vec in enumerate(h.vectors)
+    )
+    return (
+        f'{{\n  "n_real": {h.n_real},\n  "n_helly": {h.n_helly},\n'
+        f'  "vertices": [\n{vertices}\n  ],\n'
+        f'  "edges": {json_pairs(h.hull.edges())}\n}}\n'
+    )
 
 
 def hull_to_dot(h: InjectiveHull) -> str:

@@ -1,13 +1,17 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here deliberately avoids the code paths under test: the extremal
-scan enumerates raw vectors with numpy, Helly checks go through exhaustive
-disk families, pseudo-modularity is a direct triple scan over the distance
-matrix, DH pruning sequences come from a per-round rescan, hyperbolicity is
-the plain quadruple sweep, and induced-subgraph containment is a direct
-subset sweep.
+scan enumerates raw vectors with numpy, feasibility and extremality are
+direct pairwise checks, hull adjacency compares every pair of vectors
+coordinate by coordinate, the isometry check reads both all-pairs distance
+matrices, the hull document goes through ``json.dumps``, Helly checks go
+through exhaustive disk families, pseudo-modularity is a direct triple scan
+over the distance matrix, DH pruning sequences come from a per-round rescan,
+hyperbolicity is the plain quadruple sweep, and induced-subgraph containment
+is a direct subset sweep.
 """
 
+import json
 from itertools import combinations
 from typing import Optional
 
@@ -38,6 +42,69 @@ def brute_force_extremal(g: Graph) -> list[tuple[int, ...]]:
             tight |= F[:, x] + F[:, y] == d[x][y]
         ext &= tight
     return sorted(tuple(int(v) for v in row) for row in F[ext])
+
+
+def is_feasible(vector: tuple[int, ...], dist_rows) -> bool:
+    """Pairwise check of f(x) + f(y) >= d(x,y)."""
+    n = len(vector)
+    for x in range(n):
+        if vector[x] < 0:
+            return False
+        for y in range(x + 1, n):
+            if vector[x] + vector[y] < dist_rows[x][y]:
+                return False
+    return True
+
+
+def is_extremal(vector: tuple[int, ...], dist_rows) -> bool:
+    """Feasible and every coordinate tight against some vertex (possibly itself)."""
+    if not is_feasible(vector, dist_rows):
+        return False
+    n = len(vector)
+    for x in range(n):
+        if not any(vector[x] + vector[y] == dist_rows[x][y] for y in range(n)):
+            return False
+    return True
+
+
+def chebyshev_rows_pairwise(vectors) -> list[int]:
+    """Adjacency rows joining every two vectors at Chebyshev distance 1.
+
+    Plain O(N^2 * n) pair loop in the given order; the hull's packed-lane
+    window scan must give the same rows.
+    """
+    n = len(vectors)
+    rows = [0] * n
+    for i in range(n):
+        vi = vectors[i]
+        for j in range(i + 1, n):
+            if max(abs(a - b) for a, b in zip(vi, vectors[j])) == 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
+
+
+def hull_json_dumps(h) -> str:
+    """The hull document through ``json.dumps``; the direct writer must match it."""
+    doc = {
+        "n_real": h.n_real,
+        "n_helly": h.n_helly,
+        "vertices": [
+            {"id": i, "real": h.is_real(i), "vector": list(h.vectors[i])}
+            for i in range(h.hull.n)
+        ],
+        "edges": [[u, v] for u, v in h.hull.edges()],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def is_isometric_subgraph_apsp(sub: Graph, host: Graph, embed) -> bool:
+    """Compare every embedded pair's distance with both all-pairs matrices."""
+    ds = sub.distances().rows
+    dh = host.distances().rows
+    return all(
+        ds[u][v] == dh[embed[u]][embed[v]] for u in range(sub.n) for v in range(u + 1, sub.n)
+    )
 
 
 def triple_disk_pseudo_modular(g: Graph) -> bool:

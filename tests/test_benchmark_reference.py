@@ -1,9 +1,9 @@
 """Replay the benchmark's default-seed inputs against its reference.
 
 ``perfbench/reference.json`` holds the exit code and stdout sha256 of every
-default-seed benchmark input. Replaying the ``hyperbolicity`` and ``hellify``
-inputs through ``tightspan.cli.run`` makes a byte change in that output fail
-pytest, not only the benchmark's gate. Files under ``perfbench/`` are only
+default-seed benchmark input. Replaying the ``hyperbolicity``, ``hellify``
+and ``hull`` inputs through ``tightspan.cli.run`` makes a byte change in
+that output fail pytest, not only the benchmark's gate. Files under ``perfbench/`` are only
 read.
 """
 
@@ -41,3 +41,7 @@ def test_hyperbolicity_outputs_match_benchmark_reference(monkeypatch):
 
 def test_hellify_outputs_match_benchmark_reference(monkeypatch):
     _replay("hellify", monkeypatch)
+
+
+def test_hull_outputs_match_benchmark_reference(monkeypatch):
+    _replay("hull", monkeypatch)

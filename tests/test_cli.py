@@ -71,6 +71,18 @@ def test_two_sets_budget_exit_code(c4_file):
     assert _run(["two-sets", c4_file, "--budget", "1"]) == (2, "")
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+@pytest.mark.parametrize("command", ["hull", "recognize", "two-sets"])
+def test_budget_below_one_is_usage_error(c4_file, command, budget, capsys):
+    assert _run([command, c4_file, "--budget", budget]) == (1, "")
+    assert "usage error:" in capsys.readouterr().err
+
+
+def test_hull_budget_of_one_runs_out(c4_file, capsys):
+    assert _run(["hull", c4_file, "--budget", "1"]) == (2, "")
+    assert "exceeded 1 search nodes" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["hellify-dh", "hyperbolicity", "export-dot"])
 def test_budget_is_usage_error_where_nothing_searches(c4_file, command, capsys):
     assert _run([command, c4_file, "--budget", "5"]) == (1, "")
@@ -367,4 +379,6 @@ def test_cli_fuzz_exit_codes(call):
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
     if "--budget" in argv and argv[0] in ("hellify-dh", "hyperbolicity", "export-dot"):
+        assert code == 1
+    if "--budget" in argv and int(argv[argv.index("--budget") + 1]) < 1:
         assert code == 1

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
+from oracles import is_isometric_subgraph_apsp
 from strategies import connected_graphs
 from tightspan import (
     DisconnectedGraphError,
@@ -158,7 +159,42 @@ def test_isometric_identity():
 
 
 def test_c4_in_k4_not_isometric():
-    assert not is_isometric_subgraph(fixture("C4"), fixture("K4"), (0, 1, 2, 3))
+    args = (fixture("C4"), fixture("K4"), (0, 1, 2, 3))
+    assert not is_isometric_subgraph(*args)
+    assert not is_isometric_subgraph_apsp(*args)
+
+
+def test_shortcut_edge_breaks_isometry():
+    # P4 inside C6 is isometric; a chord from 0 to 3 shortcuts its ends
+    p4, c6 = fixture("P4"), fixture("C6")
+    chorded = Graph.from_edge_list(6, c6.edges() + [(0, 3)])
+    for host, expected in ((c6, True), (chorded, False)):
+        assert is_isometric_subgraph(p4, host, (0, 1, 2, 3)) is expected
+        assert is_isometric_subgraph_apsp(p4, host, (0, 1, 2, 3)) is expected
+
+
+@pytest.mark.parametrize("name", ["C4", "C5", "C6", "house", "domino"])
+def test_hull_with_deleted_edge_not_isometric(name):
+    # deleting the hull edge between real vertices 0 and 1 makes them 2 apart,
+    # while the hull stays connected through the rest of the cycle
+    g = fixture(name)
+    hull = build_injective_hull(g).hull
+    assert hull.has_edge(0, 1)
+    edges = [e for e in hull.edges() if e != (0, 1)]
+    cut = Graph.from_edge_list(hull.n, edges)
+    assert not is_isometric_subgraph(g, cut, range(g.n))
+    assert not is_isometric_subgraph_apsp(g, cut, range(g.n))
+
+
+def test_isometric_needs_connected_host():
+    host = Graph.from_edge_list(5, fixture("C4").edges(), require_connected=False)
+    with pytest.raises(DisconnectedGraphError):
+        is_isometric_subgraph(fixture("C4"), host, (0, 1, 2, 3))
+
+
+def test_isometric_rejects_partial_embedding():
+    with pytest.raises(ValueError, match="cover every vertex"):
+        is_isometric_subgraph(fixture("C4"), fixture("C4"), (0, 1, 2))
 
 
 def test_c4_isometric_in_its_hull():

@@ -1,14 +1,23 @@
 import json
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 
-from oracles import brute_force_extremal
+from oracles import (
+    brute_force_extremal,
+    chebyshev_rows_pairwise,
+    hull_json_dumps,
+    is_extremal,
+    is_feasible,
+    is_isometric_subgraph_apsp,
+)
 from strategies import connected_graphs
 from tightspan import (
     BudgetExceededError,
     build_injective_hull,
     cocomparability_family,
+    crown_family,
     disk_separates,
     enumerate_extremal_functions,
     fixture,
@@ -18,7 +27,7 @@ from tightspan import (
     peripheral_vertices,
     split_family,
 )
-from tightspan.hulls import is_extremal, is_feasible
+from tightspan.hulls import _chebyshev_pairs
 from tightspan.isomorphism import are_isomorphic_small
 
 
@@ -218,3 +227,60 @@ def test_hull_invariants_random(g):
         ),
         default=0,
     )
+
+
+# -- fast paths against their oracles -----------------------------------------
+
+FAMILY_HULLS = {
+    **{f"C{k}": lambda k=k: fixture(f"C{k}") for k in range(4, 15)},
+    **{f"crown{k}": lambda k=k: crown_family(k) for k in range(4, 8)},
+    "split2": lambda: split_family(2),
+    "cocomparability2": lambda: cocomparability_family(2)[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_HULLS))
+def test_hull_rows_match_pairwise_oracle(name):
+    h = build_injective_hull(FAMILY_HULLS[name]())
+    assert list(h.hull.adj) == chebyshev_rows_pairwise(h.vectors)
+
+
+def test_corpus_hulls_match_oracles(corpus_hulls):
+    for name, h in corpus_hulls.items():
+        assert list(h.hull.adj) == chebyshev_rows_pairwise(h.vectors), name
+        assert is_isometric_subgraph_apsp(h.source, h.hull, range(h.n_real)), name
+        assert hull_to_json(h) == hull_json_dumps(h), name
+
+
+@pytest.mark.parametrize("top, dim", [(1, 5), (2, 4), (3, 3), (4, 3), (7, 2)])
+def test_chebyshev_pairs_on_full_grids(top, dim):
+    # Every vector of {0..top}^dim, sorted. top + 1 = 2, 4 and 8 are powers of
+    # two, where the lane width steps up: the largest lane value, top + 1,
+    # sets the highest bit below the guard.
+    vectors = list(product(range(top + 1), repeat=dim))
+    rows = [0] * len(vectors)
+    for i, j in _chebyshev_pairs(vectors):
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    assert rows == chebyshev_rows_pairwise(vectors)
+
+
+def test_hull_never_builds_hull_distances():
+    h = build_injective_hull(fixture("C10"))
+    assert h.hull._dm is None
+
+
+@pytest.mark.parametrize("name", ["K1", "K2", "C4", "C5", "crown4", "C10"])
+def test_hull_json_matches_json_dumps(name):
+    g = crown_family(4) if name == "crown4" else fixture(name)
+    h = build_injective_hull(g)
+    assert hull_to_json(h) == hull_json_dumps(h)
+
+
+@given(connected_graphs(max_n=8))
+@settings(max_examples=100, deadline=None)
+def test_hull_fast_paths_match_oracles_random(g):
+    h = build_injective_hull(g)
+    assert list(h.hull.adj) == chebyshev_rows_pairwise(h.vectors)
+    assert is_isometric_subgraph_apsp(g, h.hull, range(g.n))
+    assert hull_to_json(h) == hull_json_dumps(h)
