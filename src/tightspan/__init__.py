@@ -78,6 +78,5 @@ from .hyperbolicity import (
     hyperbolicity,
     is_alpha1_metric,
 )
-from .isomorphism import are_isomorphic_small
 
 __version__ = "0.1.0"

@@ -3,13 +3,14 @@
 A graph is distance-hereditary exactly when it can be grown from a single
 vertex by pendant, true-twin, and false-twin extensions. Recognition prunes
 such a vertex per round and reverses the removals into a
-:class:`PruningSequence`. Hellification replays that sequence into a growing
-host: pendant and true-twin steps copy over verbatim, while a false twin of
-an anchor whose closed neighborhood is not contained in any other vertex's
-first gets a fresh true twin of the anchor (the new Helly vertex). The
-dominator query is answered in O(1) by :class:`TwinClassPoset`, which keeps
-the true-twin classes of the host partitioned with directed edges for strict
-closed-neighborhood containment.
+:class:`PruningSequence`, and :func:`replay` rebuilds the graph from one.
+Hellification walks the sequence and emits the host's sequence: every step
+is copied, and a false twin of an anchor whose closed neighborhood is not
+contained in any other vertex's is preceded by a fresh true twin of the
+anchor (the new Helly vertex). The dominator query is answered in O(1) by
+:class:`TwinClassPoset`, which keeps the true-twin classes of the host
+partitioned with directed edges for strict closed-neighborhood containment.
+The host is then built from its sequence by the same code as :func:`replay`.
 
 The sequence builder keeps the live vertices in buckets keyed by closed and
 open neighbourhood rows and a lazy min-heap of vertices whose status may have
@@ -71,32 +72,49 @@ def replay(seq: PruningSequence) -> Graph:
     invalid (unknown kind, anchor not yet placed, or a false twin of an
     isolated vertex, which would disconnect the graph).
     """
+    return Graph(len(seq.order), _rows(_neighbour_lists(seq)))
+
+
+def _neighbour_lists(seq: PruningSequence) -> list[list[int]]:
+    """Apply every step of ``seq``; the one place a step kind meets adjacency."""
     n = len(seq.order)
     if sorted(seq.order) != list(range(n)):
         raise ValueError("order must be a permutation of 0..n-1")
-    adj = [0] * n
-    placed = 1 << seq.order[0]
+    adj: list[list[int]] = [[] for _ in range(n)]
+    placed = bytearray(n)
+    placed[seq.order[0]] = 1
     for i, step in enumerate(seq.steps):
         v, kind, a = step.vertex, step.kind, step.anchor
-        if placed >> v & 1:
+        if placed[v]:
             raise ValueError(f"step {i}: vertex {v} already placed")
-        if not placed >> a & 1:
+        if not (0 <= a < n and placed[a]):
             raise ValueError(f"step {i}: anchor {a} not yet placed")
         if kind == PENDANT:
-            new_row = 1 << a
+            row = [a]
         elif kind == TRUE_TWIN:
-            new_row = adj[a] | 1 << a
+            row = adj[a] + [a]
         elif kind == FALSE_TWIN:
-            if adj[a] == 0:
+            if not adj[a]:
                 raise ValueError(f"step {i}: false twin of isolated vertex {a}")
-            new_row = adj[a]
+            row = adj[a][:]
         else:
             raise ValueError(f"step {i}: unknown kind {kind!r}")
-        adj[v] = new_row
-        for u in bits(new_row):
-            adj[u] |= 1 << v
-        placed |= 1 << v
-    return Graph(n, adj)
+        adj[v] = row
+        for u in row:
+            adj[u].append(v)
+        placed[v] = 1
+    return adj
+
+
+def _rows(adj: list[list[int]]) -> list[int]:
+    """Bit-rows of neighbour lists."""
+    rows = []
+    for nbrs in adj:
+        row = 0
+        for u in nbrs:
+            row |= 1 << u
+        rows.append(row)
+    return rows
 
 
 def pruning_sequence(g: Graph) -> Optional[PruningSequence]:
@@ -258,15 +276,6 @@ class TwinClassPoset:
         s = self.set_of[v]
         return len(self.members[s]) > 1 or bool(self.succ[s])
 
-    def snapshot(self) -> tuple[list[frozenset[int]], set[tuple[frozenset, frozenset]]]:
-        """Classes and containment edges as value objects, for verification."""
-        classes = [frozenset(m) for m in self.members.values() if m]
-        edges = set()
-        for a, targets in self.succ.items():
-            for b in targets:
-                edges.add((frozenset(self.members[a]), frozenset(self.members[b])))
-        return classes, edges
-
 
 @dataclass(frozen=True)
 class HellificationResult:
@@ -286,47 +295,28 @@ class HellificationResult:
 def hellify_adjacency(
     seq: PruningSequence,
 ) -> tuple[list[list[int]], list[tuple[int, int]], PruningSequence]:
-    """Core Hellification on adjacency lists; takes a pruning sequence.
+    """Core Hellification: the poset pass over a pruning sequence.
 
-    Returns (host adjacency lists, added (vertex, anchor) pairs, host
-    pruning sequence). Kept free of the bitset Graph type so it can run on
-    inputs far beyond the metric size cap.
+    Emits the host's pruning sequence, in which each added Helly vertex is a
+    true twin of its anchor placed just before the false twin that forced
+    it, and builds the host from that sequence. Returns (host adjacency
+    lists, added (vertex, anchor) pairs, host pruning sequence).
     """
     n = len(seq.order)
-    adj: list[list[int]] = [[] for _ in range(2 * n)]
     poset = TwinClassPoset(seq.order[0])
-    order = [seq.order[0]]
     steps: list[PruningStep] = []
     added: list[tuple[int, int]] = []
-    next_extra = n
-
-    def attach(vertex: int, kind: str, anchor: int) -> None:
-        if kind == PENDANT:
-            adj[vertex] = [anchor]
-            adj[anchor].append(vertex)
-        else:
-            adj[vertex] = list(adj[anchor])
-            for u in adj[anchor]:
-                adj[u].append(vertex)
-            if kind == TRUE_TWIN:
-                adj[vertex].append(anchor)
-                adj[anchor].append(vertex)
-        step = PruningStep(vertex, kind, anchor)
-        poset.apply(step)
-        order.append(vertex)
-        steps.append(step)
-
     for step in seq.steps:
         if step.kind == FALSE_TWIN and not poset.has_dominator(step.anchor):
-            helly = next_extra
-            next_extra += 1
-            attach(helly, TRUE_TWIN, step.anchor)
-            added.append((helly, step.anchor))
-        attach(step.vertex, step.kind, step.anchor)
-
-    total = n + len(added)
-    host_seq = PruningSequence(tuple(order), tuple(steps))
-    return adj[:total], added, host_seq
+            helly = PruningStep(n + len(added), TRUE_TWIN, step.anchor)
+            added.append((helly.vertex, step.anchor))
+            poset.apply(helly)
+            steps.append(helly)
+        poset.apply(step)
+        steps.append(step)
+    order = (seq.order[0],) + tuple(step.vertex for step in steps)
+    host_seq = PruningSequence(order, tuple(steps))
+    return _neighbour_lists(host_seq), added, host_seq
 
 
 def hellify_dh(g: Graph) -> HellificationResult:
@@ -339,18 +329,10 @@ def hellify_dh(g: Graph) -> HellificationResult:
     if seq is None:
         raise NotDistanceHereditaryError("input graph is not distance-hereditary")
     adj, added, host_seq = hellify_adjacency(seq)
-
-    total = len(adj)
-    # Hull vertex ids must be a contiguous permutation; they already are:
-    # source ids 0..n-1, added ids n..total-1.
-    rows = [0] * total
-    for v, nbrs in enumerate(adj):
-        for u in nbrs:
-            rows[v] |= 1 << u
     labels = [g.label(v) for v in range(g.n)]
     for k, (vertex, anchor) in enumerate(added, start=1):
         labels.append(f"h{k}({g.label(anchor)})")
-    hull = Graph(total, rows, labels)
+    hull = Graph(len(adj), _rows(adj), labels)
 
     if hull.n > 2 * g.n or hull.m > 4 * g.m:
         raise RuntimeError("internal consistency failure: hull exceeds 2n/4m bounds")

@@ -5,8 +5,9 @@ source on the graph's cached BFS level masks with one bitset scan per vertex,
 and the neighborhood-Helly property, tested through maximal 2-sets. Maximal
 2-sets are exactly the maximal cliques of the square graph, so they are
 enumerated with pivoting Bron-Kerbosch on bit rows. A bounded
-disk-Helly check and the extended-square characterization used for
-distance-hereditary inputs live here too.
+disk-Helly check, which reads the disk intersection graph off the level
+masks without comparing disks pairwise, and the extended-square
+characterization used for distance-hereditary inputs live here too.
 """
 
 from __future__ import annotations
@@ -169,20 +170,32 @@ def disk_helly_up_to_radius(
 
     Enumerates maximal cliques of the intersection graph over the n*(r+1)
     disks D(v, i) and intersects each clique's members. Redundant nested disks
-    are kept; supersets never change the answer.
+    are kept; supersets never change the answer. D(u, i) meets D(v, j) iff
+    d(u, v) <= i + j, so with disk (v, i) at index i*n + v the row of D(u, i)
+    is the OR over j of D(u, i + j) shifted by j*n, without its own bit; the
+    disks D(u, k) are prefix ORs of u's BFS level masks.
     """
     if r < 1:
         raise ValueError("radius bound must be >= 1")
-    disks = [g.disk_mask(v, i) for v in range(g.n) for i in range(r + 1)]
-    k = len(disks)
-    rows = [0] * k
-    for a in range(k):
-        for b in range(a + 1, k):
-            if disks[a] & disks[b]:
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
-    for clique in maximal_cliques(tuple(rows), k, max_nodes):
-        common = (1 << g.n) - 1
+    n = g.n
+    balls = []  # balls[u][k] = D(u, k) for k = 0..2r
+    for layers in g.level_masks():
+        ball, prefix = 0, []
+        for k in range(2 * r + 1):
+            if k < len(layers):
+                ball |= layers[k]
+            prefix.append(ball)
+        balls.append(prefix)
+    disks = [balls[v][i] for i in range(r + 1) for v in range(n)]
+    rows = []
+    for i in range(r + 1):
+        for u in range(n):
+            row = 0
+            for j in range(r + 1):
+                row |= balls[u][i + j] << (j * n)
+            rows.append(row & ~(1 << (i * n + u)))
+    for clique in maximal_cliques(tuple(rows), len(disks), max_nodes):
+        common = (1 << n) - 1
         for i in bits(clique):
             common &= disks[i]
         if common == 0:

@@ -5,10 +5,13 @@ scan enumerates raw vectors with numpy, feasibility and extremality are
 direct pairwise checks, hull adjacency compares every pair of vectors
 coordinate by coordinate, the isometry check reads both all-pairs distance
 matrices, the hull document goes through ``json.dumps``, Helly checks go
-through exhaustive disk families, pseudo-modularity is a direct triple scan
-over the distance matrix, DH pruning sequences come from a per-round rescan,
-hyperbolicity is the plain quadruple sweep, and induced-subgraph containment
-is a direct subset sweep.
+through exhaustive disk families, bounded disk-Helly intersects every pair
+of disks, pseudo-modularity is a direct triple scan over the distance
+matrix, DH pruning sequences come from a per-round rescan, DH recognition
+checks every connected induced subgraph for isometry, and hyperbolicity is
+the plain quadruple sweep. ``canonical_hull`` puts a Hellification hull into
+the enumeration hull's order, so the two compare exactly, and
+``poset_snapshot`` reads a twin-class poset as value objects.
 """
 
 import json
@@ -20,8 +23,8 @@ import numpy as np
 from tightspan import Graph, SplitMix64
 from tightspan.dh import FALSE_TWIN, PENDANT, TRUE_TWIN, PruningSequence, PruningStep
 from tightspan.graphs import bits
+from tightspan.helly import maximal_cliques
 from tightspan.hyperbolicity import HyperbolicityReport
-from tightspan.isomorphism import are_isomorphic_small
 
 
 def brute_force_extremal(g: Graph) -> list[tuple[int, ...]]:
@@ -219,6 +222,30 @@ def disk_helly_by_definition(g: Graph, r: Optional[int] = None) -> bool:
     return True
 
 
+def disk_helly_pairwise(g: Graph, r: int) -> bool:
+    """Disk-Helly up to radius r with the intersection rows built pair by pair.
+
+    Intersects the masks of every two of the n*(r+1) disks D(v, i), then
+    intersects the members of each maximal clique; the library builds the
+    same rows from distance bounds and must give the same answer.
+    """
+    disks = [g.disk_mask(v, i) for v in range(g.n) for i in range(r + 1)]
+    k = len(disks)
+    rows = [0] * k
+    for a in range(k):
+        for b in range(a + 1, k):
+            if disks[a] & disks[b]:
+                rows[a] |= 1 << b
+                rows[b] |= 1 << a
+    for clique in maximal_cliques(tuple(rows), k):
+        common = (1 << g.n) - 1
+        for i in bits(clique):
+            common &= disks[i]
+        if common == 0:
+            return False
+    return True
+
+
 def hyperbolicity_scan(g: Graph) -> HyperbolicityReport:
     """Plain O(n^4) four-point sweep over u < v < w < x in lexicographic order.
 
@@ -246,17 +273,45 @@ def hyperbolicity_scan(g: Graph) -> HyperbolicityReport:
     return HyperbolicityReport(best, witness)
 
 
-def contains_induced(g: Graph, pattern: Graph) -> bool:
-    """Does g contain an induced subgraph isomorphic to a connected pattern?"""
-    if pattern.n > g.n:
+def is_dh_by_definition(g: Graph) -> bool:
+    """Distance-hereditary by definition: connected, and every connected
+    induced subgraph keeps the distances of g. Direct subset sweep."""
+    if not g.is_connected():
         return False
-    for verts in combinations(range(g.n), pattern.n):
-        sub = g.induced(verts)
-        if not sub.is_connected():
-            continue
-        if are_isomorphic_small(sub, pattern) is not None:
-            return True
-    return False
+    d = g.distances().rows
+    for size in range(3, g.n + 1):
+        for verts in combinations(range(g.n), size):
+            sub = g.induced(verts)
+            if not sub.is_connected():
+                continue
+            ds = sub.distances().rows
+            if any(ds[i][j] != d[u][v] for i, u in enumerate(verts) for j, v in enumerate(verts)):
+                return False
+    return True
+
+
+def canonical_hull(hull: Graph, n_real: int) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
+    """A hull relabelled into canonical order, with its vectors.
+
+    The real vertices 0..n_real-1 keep their ids; the other vertices follow,
+    sorted by their vector of hull distances to the real vertices. Both are
+    read off ``hull.distances()``, so a hull whose real vertices come first
+    can be compared with ``==`` against the enumeration hull.
+    """
+    d = hull.distances().rows
+    vector = [tuple(d[h][:n_real]) for h in range(hull.n)]
+    order = list(range(n_real)) + sorted(range(n_real, hull.n), key=vector.__getitem__)
+    return hull.induced(order), tuple(vector[h] for h in order)
+
+
+def poset_snapshot(poset) -> tuple[list[frozenset[int]], set[tuple[frozenset, frozenset]]]:
+    """A twin-class poset's classes and containment edges as value objects."""
+    classes = [frozenset(m) for m in poset.members.values() if m]
+    edges = set()
+    for a, targets in poset.succ.items():
+        for b in targets:
+            edges.add((frozenset(poset.members[a]), frozenset(poset.members[b])))
+    return classes, edges
 
 
 def brute_force_chordal(g: Graph) -> bool:

@@ -1,10 +1,12 @@
 """Replay the benchmark's default-seed inputs against its reference.
 
 ``perfbench/reference.json`` holds the exit code and stdout sha256 of every
-default-seed benchmark input. Replaying the ``hyperbolicity``, ``hellify``
-and ``hull`` inputs through ``tightspan.cli.run`` makes a byte change in
-that output fail pytest, not only the benchmark's gate. Files under ``perfbench/`` are only
-read.
+default-seed benchmark input. Replaying the inputs of all four workloads
+through ``tightspan.cli.run`` makes a byte change in that output fail
+pytest, not only the benchmark's gate. The traced run's wrappers are
+installed and removed once, so a renamed or deleted function that
+``perfbench/spans.py`` wraps fails here too. Files under ``perfbench/`` are
+only read.
 """
 
 import io
@@ -18,6 +20,7 @@ from tightspan.cli import run
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(BENCH))
 
+import spans  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -45,3 +48,17 @@ def test_hellify_outputs_match_benchmark_reference(monkeypatch):
 
 def test_hull_outputs_match_benchmark_reference(monkeypatch):
     _replay("hull", monkeypatch)
+
+
+def test_recognize_outputs_match_benchmark_reference(monkeypatch):
+    _replay("recognize", monkeypatch)
+
+
+def test_traced_run_installs_and_uninstalls():
+    cli = sys.modules["tightspan.cli"]
+    uninstall = spans.install(spans.Tracer())
+    try:
+        assert cli.run is not run
+    finally:
+        uninstall()
+    assert cli.run is run

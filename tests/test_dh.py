@@ -1,7 +1,13 @@
 import pytest
 from hypothesis import given, settings
 
-from oracles import contains_induced, pruning_sequence_rescan, tree_plus_chords
+from oracles import (
+    canonical_hull,
+    is_dh_by_definition,
+    poset_snapshot,
+    pruning_sequence_rescan,
+    tree_plus_chords,
+)
 from strategies import connected_graphs, graphs, pruning_sequences
 from tightspan import (
     FALSE_TWIN,
@@ -21,21 +27,11 @@ from tightspan import (
     random_dh,
     replay,
 )
-from tightspan.isomorphism import are_isomorphic_small
-
-DH_OBSTRUCTIONS = [fixture(name) for name in ("house", "domino", "gem")] + [
-    fixture(f"C{k}") for k in range(5, 9)
-]
-
-
-def brute_force_is_dh(g):
-    return not any(contains_induced(g, bad) for bad in DH_OBSTRUCTIONS)
-
 
 def poset_matches_graph(poset, g):
     """Check the twin-class partition and containment edges against N[.]"""
     closed = [g.adj[v] | 1 << v for v in range(g.n)]
-    classes, edges = poset.snapshot()
+    classes, edges = poset_snapshot(poset)
     seen = set()
     for cls in classes:
         seen |= cls
@@ -191,14 +187,18 @@ def test_round_trip_random_dh(seed):
 
 
 def test_recognition_matches_forbidden_subgraphs(corpus):
-    for name, g in corpus[:60]:
-        assert (pruning_sequence(g) is not None) == brute_force_is_dh(g), name
+    dh = 0
+    for name, g in corpus:
+        expected = is_dh_by_definition(g)
+        assert (pruning_sequence(g) is not None) == expected, name
+        dh += expected
+    assert dh == 109
 
 
 def test_poset_true_twin_pair():
     poset = TwinClassPoset(0)
     poset.apply(PruningStep(1, TRUE_TWIN, 0))
-    classes, edges = poset.snapshot()
+    classes, edges = poset_snapshot(poset)
     assert classes == [frozenset({0, 1})]
     assert edges == set()
 
@@ -206,7 +206,7 @@ def test_poset_true_twin_pair():
 def test_poset_second_vertex_pendant_becomes_twin():
     poset = TwinClassPoset(0)
     poset.apply(PruningStep(1, PENDANT, 0))
-    classes, _ = poset.snapshot()
+    classes, _ = poset_snapshot(poset)
     assert classes == [frozenset({0, 1})]
 
 
@@ -215,7 +215,7 @@ def test_poset_k2_plus_pendant():
     poset = TwinClassPoset(0)
     poset.apply(PruningStep(1, TRUE_TWIN, 0))
     poset.apply(PruningStep(2, PENDANT, 1))
-    classes, edges = poset.snapshot()
+    classes, edges = poset_snapshot(poset)
     assert sorted(classes, key=sorted) == [frozenset({0}), frozenset({1}), frozenset({2})]
     assert edges == {
         (frozenset({0}), frozenset({1})),
@@ -261,7 +261,7 @@ def test_hellify_c4():
     result = hellify_dh(fixture("C4"))
     assert (result.hull.n, result.hull.m) == (5, 8)
     assert len(result.added) == 1
-    assert are_isomorphic_small(result.hull, fixture("W4")) is not None
+    assert result.hull == fixture("W4")
 
 
 def test_hellify_rejects_non_dh():
@@ -281,7 +281,7 @@ def test_hellify_matches_tight_span_oracle(seed):
     result = hellify_dh(g)
     oracle = build_injective_hull(g)
     assert result.hull.n == oracle.hull.n  # minimality
-    assert are_isomorphic_small(result.hull, oracle.hull, max_vertices=20) is not None
+    assert canonical_hull(result.hull, g.n) == (oracle.hull, oracle.vectors)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -335,4 +335,4 @@ def test_hellify_size_bounds_property(seq):
 @given(connected_graphs(max_n=7))
 @settings(max_examples=30, deadline=None)
 def test_recognition_matches_brute_force_property(g):
-    assert (pruning_sequence(g) is not None) == brute_force_is_dh(g)
+    assert (pruning_sequence(g) is not None) == is_dh_by_definition(g)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from oracles import (
     disk_helly_by_definition,
+    disk_helly_pairwise,
     pseudo_modular_violation_scan,
     tree_plus_chords,
     triple_disk_pseudo_modular,
@@ -236,6 +237,16 @@ def test_disk_helly_matches_definition(name):
     g = fixture(name)
     for r in range(1, g.distances().diameter + 1):
         assert disk_helly_up_to_radius(g, r) == disk_helly_by_definition(g, r)
+
+
+def test_disk_helly_matches_pairwise_rows(corpus):
+    answers = set()
+    for name, g in corpus:
+        for r in (1, 2, 3):
+            got = disk_helly_up_to_radius(g, r)
+            assert got == disk_helly_pairwise(g, r), (name, r)
+            answers.add((r, got))
+    assert answers == {(r, ok) for r in (1, 2, 3) for ok in (False, True)}
 
 
 def test_helly_matches_hull_oracle_nine_vertices():
