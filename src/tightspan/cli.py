@@ -9,6 +9,7 @@ non-distance-hereditary input to ``hellify-dh``.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -237,7 +238,9 @@ def _cmd_export_dot(args, out) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process; parsing keeps no state in it."""
     parser = _Parser(prog="tightspan", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

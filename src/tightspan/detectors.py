@@ -1,10 +1,13 @@
 """Recognizers for the graph classes the library quantifies over.
 
 Chordality goes through maximum cardinality search with a perfect
-elimination check; bipartiteness and splitness return explicit partitions;
-AT-freeness decomposes the graph around each closed neighborhood. Full
+elimination check; bipartiteness and splitness return explicit partitions,
+the colouring from one BFS forest and the split from the degree sequence;
+AT-freeness decomposes the graph around each closed neighborhood into
+component masks and scans candidate triples on bit rows. Full
 cocomparability recognition is deliberately out of scope: generators supply
-orderings and this module only verifies them.
+orderings and this module only verifies them, on rows relabelled to order
+positions.
 """
 
 from __future__ import annotations
@@ -15,18 +18,16 @@ from .graphs import Graph, bits
 
 
 def _mcs_order(g: Graph) -> list[int]:
-    """Maximum cardinality search order, ties broken by lowest id."""
-    n = g.n
-    weight = [0] * n
+    """Maximum cardinality search order, ties broken by lowest id (``remaining`` stays sorted)."""
+    weight = [0] * g.n
     order = []
-    remaining = set(range(n))
+    remaining = list(range(g.n))
     while remaining:
-        v = max(sorted(remaining), key=lambda u: weight[u])
+        v = max(remaining, key=weight.__getitem__)
         order.append(v)
         remaining.remove(v)
         for u in bits(g.adj[v]):
-            if u in remaining:
-                weight[u] += 1
+            weight[u] += 1
     return order
 
 
@@ -97,104 +98,81 @@ def is_square_chordal(g: Graph) -> bool:
     return is_chordal(g.power(2))
 
 
-def is_bipartite(g: Graph) -> Optional[tuple[int, ...]]:
-    """A BFS 2-coloring (tuple of 0/1 per vertex), or None on an odd cycle."""
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in bits(g.adj[v]):
-                    if color[u] == -1:
-                        color[u] = 1 - color[v]
-                        nxt.append(u)
-                    elif color[u] == color[v]:
-                        return None
-            frontier = nxt
-    return tuple(color)
-
-
-def find_odd_cycle(g: Graph) -> Optional[tuple[int, ...]]:
-    """An odd closed walk witnessing non-bipartiteness (not necessarily induced)."""
-    parent = [-1] * g.n
+def _bfs_forest(g: Graph) -> tuple[list[int], list[int], Optional[tuple[int, int]]]:
+    """BFS from each unseen vertex in id order: depth, parent, and the first
+    edge (v, u) with u > v inside one layer, where the search stops."""
     depth = [-1] * g.n
+    parent = [-1] * g.n
     for start in range(g.n):
         if depth[start] != -1:
             continue
         depth[start] = 0
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in bits(g.adj[v]):
-                    if depth[u] == -1:
-                        depth[u] = depth[v] + 1
-                        parent[u] = v
-                        nxt.append(u)
-                    elif depth[u] == depth[v] and u > v:
-                        left, right = [v], [u]
-                        while left[-1] != right[-1]:
-                            left.append(parent[left[-1]])
-                            right.append(parent[right[-1]])
-                        return tuple(left[:-1] + list(reversed(right)))
-            frontier = nxt
-    return None
+        queue = [start]
+        for v in queue:  # the queue grows while it is read: BFS layer by layer
+            for u in bits(g.adj[v]):
+                if depth[u] == -1:
+                    depth[u] = depth[v] + 1
+                    parent[u] = v
+                    queue.append(u)
+                elif depth[u] == depth[v] and u > v:
+                    return depth, parent, (v, u)
+    return depth, parent, None
+
+
+def is_bipartite(g: Graph) -> Optional[tuple[int, ...]]:
+    """A BFS 2-coloring (tuple of 0/1 per vertex), or None on an odd cycle."""
+    depth, _, odd = _bfs_forest(g)
+    return None if odd else tuple(d & 1 for d in depth)
+
+
+def find_odd_cycle(g: Graph) -> Optional[tuple[int, ...]]:
+    """An odd closed walk witnessing non-bipartiteness (not necessarily induced)."""
+    _, parent, odd = _bfs_forest(g)
+    if odd is None:
+        return None
+    left, right = [odd[0]], [odd[1]]
+    while left[-1] != right[-1]:
+        left.append(parent[left[-1]])
+        right.append(parent[right[-1]])
+    return tuple(left[:-1] + right[::-1])
 
 
 def is_split(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """A (clique, independent set) partition, or None.
 
-    Works down the degree sequence: in any split graph some prefix of the
-    vertices sorted by descending degree is a valid clique side, so each
-    prefix is tried and verified explicitly.
+    Hammer and Simeone (1981): for degrees d_1 >= ... >= d_n and m the last i
+    with d_i >= i - 1, the graph is split iff d_1 + ... + d_m = m(m - 1) +
+    d_{m+1} + ... + d_n, with the first m vertices as the clique. No longer
+    prefix of the degree order can be a clique.
     """
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    for size in range(g.n, -1, -1):
-        clique = order[:size]
-        rest = order[size:]
-        if not all(g.has_edge(u, v) for i, u in enumerate(clique) for v in clique[i + 1 :]):
-            continue
-        if any(g.has_edge(u, v) for i, u in enumerate(rest) for v in rest[i + 1 :]):
-            continue
-        return tuple(sorted(clique)), tuple(sorted(rest))
-    return None
-
-
-def _component_labels(g: Graph, removed_mask: int) -> list[int]:
-    """Connected component id per vertex of g minus ``removed_mask`` (-1 inside)."""
-    labels = [-1] * g.n
-    allowed = ((1 << g.n) - 1) & ~removed_mask
-    comp = 0
-    for v in range(g.n):
-        if labels[v] != -1 or not allowed >> v & 1:
-            continue
-        reach = g._bfs_reach(1 << v, allowed)
-        for u in bits(reach):
-            labels[u] = comp
-        comp += 1
-    return labels
+    deg = [g.degree(v) for v in order]
+    m = max(i for i, d in enumerate(deg, 1) if d >= i - 1)
+    if sum(deg[:m]) != m * (m - 1) + sum(deg[m:]):
+        return None
+    return tuple(sorted(order[:m])), tuple(sorted(order[m:]))
 
 
 def find_asteroidal_triple(g: Graph) -> Optional[tuple[int, int, int]]:
-    """Lexicographically least asteroidal triple, or None."""
+    """Lexicographically least asteroidal triple, or None.
+
+    ``comp[v][u]`` is the component of G - N[v] holding u, as a mask (0 for
+    u in N[v]); a < b < c is asteroidal iff each pair shares a component
+    around the third.
+    """
     n = g.n
-    comp = [_component_labels(g, g.adj[v] | 1 << v) for v in range(n)]
+    comp = [[0] * n for _ in range(n)]
+    for v, row in enumerate(comp):
+        allowed = rest = ((1 << n) - 1) & ~(g.adj[v] | 1 << v)
+        while rest:
+            reach = g._bfs_reach(rest & -rest, allowed)
+            for u in bits(reach):
+                row[u] = reach
+            rest ^= reach
     for a in range(n):
         for b in range(a + 1, n):
-            if g.has_edge(a, b):
-                continue
-            for c in range(b + 1, n):
-                if g.has_edge(a, c) or g.has_edge(b, c):
-                    continue
-                if (
-                    comp[c][a] == comp[c][b] != -1
-                    and comp[b][a] == comp[b][c] != -1
-                    and comp[a][b] == comp[a][c] != -1
-                ):
+            for c in bits(comp[a][b] & comp[b][a] >> (b + 1) << (b + 1)):
+                if comp[c][a] >> b & 1:
                     return (a, b, c)
     return None
 
@@ -206,20 +184,20 @@ def is_at_free(g: Graph) -> bool:
 def find_cocomparability_violation(
     g: Graph, order: Sequence[int]
 ) -> Optional[tuple[int, int, int]]:
-    """First (x, y, z) with x < y < z in ``order``, xz an edge, but neither xy nor yz."""
+    """First (x, y, z) with x < y < z in ``order``, xz an edge, but neither xy nor yz.
+
+    On rows relabelled to order positions, y is the lowest position between
+    x and z that neither row holds.
+    """
     if sorted(order) != list(range(g.n)):
         raise ValueError("order is not a permutation of the vertices")
-    n = g.n
-    for i in range(n):
-        x = order[i]
-        for k in range(i + 2, n):
-            z = order[k]
-            if not g.has_edge(x, z):
-                continue
-            for j in range(i + 1, k):
-                y = order[j]
-                if not g.has_edge(x, y) and not g.has_edge(y, z):
-                    return (x, y, z)
+    pos = {v: i for i, v in enumerate(order)}
+    rows = [sum(1 << pos[u] for u in bits(g.adj[v])) for v in order]
+    for i, row in enumerate(rows):
+        for k in bits(row >> (i + 2) << (i + 2)):
+            gap = ((1 << k) - 1) >> (i + 1) << (i + 1) & ~row & ~rows[k]
+            if gap:
+                return order[i], order[(gap & -gap).bit_length() - 1], order[k]
     return None
 
 

@@ -46,20 +46,37 @@ class PruningStep:
     kind: str
     anchor: int
 
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown kind {self.kind!r}")
+
 
 @dataclass(frozen=True)
 class PruningSequence:
-    """Build order from a single vertex: ``steps[i]`` attaches ``order[i+1]``."""
+    """Build order from a single vertex: ``steps[i]`` attaches ``order[i+1]``.
+
+    Construction rejects a sequence that does not build a connected graph on
+    0..n-1: the order must be a permutation, each anchor placed before its
+    step, and step 0 no false twin of the isolated first vertex.
+    """
 
     order: tuple[int, ...]
     steps: tuple[PruningStep, ...]
 
     def __post_init__(self):
-        if len(self.steps) != len(self.order) - 1:
+        n = len(self.order)
+        if len(self.steps) != n - 1:
             raise ValueError("step count must be len(order) - 1")
+        if sorted(self.order) != list(range(n)):
+            raise ValueError("order must be a permutation of 0..n-1")
+        pos = {v: i for i, v in enumerate(self.order)}
         for i, step in enumerate(self.steps):
             if step.vertex != self.order[i + 1]:
                 raise ValueError(f"step {i} vertex does not match order")
+            if pos.get(step.anchor, n) > i:
+                raise ValueError(f"step {i}: anchor {step.anchor} not yet placed")
+            if i == 0 and step.kind == FALSE_TWIN:
+                raise ValueError(f"step 0: false twin of isolated vertex {step.anchor}")
 
     def __len__(self) -> int:
         return len(self.order)
@@ -68,41 +85,26 @@ class PruningSequence:
 def replay(seq: PruningSequence) -> Graph:
     """Rebuild the exact graph a pruning sequence describes.
 
-    Raises ValueError with the step position when a step is structurally
-    invalid (unknown kind, anchor not yet placed, or a false twin of an
-    isolated vertex, which would disconnect the graph).
+    A :class:`PruningSequence` rejects invalid steps when it is built, so
+    every sequence replays to a connected graph.
     """
     return Graph(len(seq.order), _rows(_neighbour_lists(seq)))
 
 
 def _neighbour_lists(seq: PruningSequence) -> list[list[int]]:
     """Apply every step of ``seq``; the one place a step kind meets adjacency."""
-    n = len(seq.order)
-    if sorted(seq.order) != list(range(n)):
-        raise ValueError("order must be a permutation of 0..n-1")
-    adj: list[list[int]] = [[] for _ in range(n)]
-    placed = bytearray(n)
-    placed[seq.order[0]] = 1
-    for i, step in enumerate(seq.steps):
-        v, kind, a = step.vertex, step.kind, step.anchor
-        if placed[v]:
-            raise ValueError(f"step {i}: vertex {v} already placed")
-        if not (0 <= a < n and placed[a]):
-            raise ValueError(f"step {i}: anchor {a} not yet placed")
-        if kind == PENDANT:
+    adj: list[list[int]] = [[] for _ in seq.order]
+    for step in seq.steps:
+        a = step.anchor
+        if step.kind == PENDANT:
             row = [a]
-        elif kind == TRUE_TWIN:
+        elif step.kind == TRUE_TWIN:
             row = adj[a] + [a]
-        elif kind == FALSE_TWIN:
-            if not adj[a]:
-                raise ValueError(f"step {i}: false twin of isolated vertex {a}")
-            row = adj[a][:]
         else:
-            raise ValueError(f"step {i}: unknown kind {kind!r}")
-        adj[v] = row
+            row = adj[a][:]
+        adj[step.vertex] = row
         for u in row:
-            adj[u].append(v)
-        placed[v] = 1
+            adj[u].append(step.vertex)
     return adj
 
 
@@ -247,7 +249,7 @@ class TwinClassPoset:
                 self._add_edge(s, s_v)
             s_w = self._new_set(w)
             self._add_edge(s_w, s_v)
-        elif kind == FALSE_TWIN:
+        else:  # FALSE_TWIN
             old_succ = list(self.succ[s])
             if len(self.members[s]) == 1:
                 # S becomes S_v in place, dropping incoming edges.
@@ -267,8 +269,6 @@ class TwinClassPoset:
                 self._add_edge(s_w, s)
                 for y in old_succ:
                     self._add_edge(s_w, y)
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
         self._vertex_count += 1
 
     def has_dominator(self, v: int) -> bool:

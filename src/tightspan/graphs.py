@@ -215,37 +215,36 @@ class Graph:
         return self._levels
 
     def distances(self) -> DistanceMatrix:
-        """All-pairs distances via n BFS runs, cached on first use.
+        """All-pairs distances, cached on first use.
 
-        The matrix keeps no BFS layers, so a large hull graph's distances
-        stay small; :meth:`level_masks` caches the layers when they are needed.
+        The rows are read off :meth:`level_masks`, so a graph that needs both
+        runs its n BFS searches once; the layers stay cached beside the matrix.
         """
         if self._dm is None:
-            self._require_connected("distances")
-            full = (1 << self.n) - 1
-            rows = tuple(
-                _distance_row(self.n, self._frontiers(1 << v, full))
-                for v in range(self.n)
-            )
+            if self._levels is None:
+                self._require_connected("distances")
+            rows = tuple(_distance_row(self.n, layers) for layers in self.level_masks())
             ecc = tuple(max(row) for row in rows)
             self._dm = DistanceMatrix(rows, ecc, min(ecc), max(ecc))
         return self._dm
 
+    def interval_mask(self, x: int, y: int) -> int:
+        """Mask of the vertices on some shortest (x, y)-path: with d = d(x, y), the
+        sum over k of ``L_k(x) & L_{d-k}(y)``, disjoint parts of the level masks L."""
+        d = self.distances().rows[x][y]
+        lx, ly = self.level_masks()[x], self.level_masks()[y]
+        return sum(lx[k] & ly[d - k] for k in range(d + 1))
+
     def interval(self, x: int, y: int) -> frozenset[int]:
         """Vertices on some shortest (x, y)-path."""
-        d = self.distances().rows
-        dxy = d[x][y]
-        return frozenset(v for v in range(self.n) if d[x][v] + d[v][y] == dxy)
+        return frozenset(bits(self.interval_mask(x, y)))
 
     def interval_slice(self, x: int, y: int, k: int) -> frozenset[int]:
         """Vertices of the (x, y) interval at distance exactly k from x."""
-        d = self.distances().rows
-        dxy = d[x][y]
+        dxy = self.distances().rows[x][y]
         if not 0 <= k <= dxy:
             raise ValueError(f"slice index {k} outside 0..{dxy}")
-        return frozenset(
-            v for v in range(self.n) if d[x][v] == k and d[x][v] + d[v][y] == dxy
-        )
+        return frozenset(bits(self.interval_mask(x, y) & self.level_masks()[x][k]))
 
     def disk(self, v: int, r: int) -> frozenset[int]:
         """All vertices within distance r of v."""
@@ -254,12 +253,9 @@ class Graph:
         return frozenset(bits(self.disk_mask(v, r)))
 
     def disk_mask(self, v: int, r: int) -> int:
-        d = self.distances().rows[v]
-        mask = 0
-        for u in range(self.n):
-            if d[u] <= r:
-                mask |= 1 << u
-        return mask
+        """Mask of the vertices within distance r of v: the sum of its first
+        r + 1 level masks, which are disjoint (none for r < 0)."""
+        return sum(self.level_masks()[v][: max(r + 1, 0)])
 
     def power(self, k: int) -> "Graph":
         """Graph on the same vertices with edges between all pairs at distance <= k.

@@ -117,9 +117,9 @@ def maximal_two_sets(
     ]
 
 
-def is_neighborhood_helly(g: Graph, max_nodes: int = DEFAULT_CLIQUE_NODES) -> bool:
+def is_neighborhood_helly(g: Graph) -> bool:
     """True iff every maximal 2-set is suspended."""
-    return all(ts.suspended for ts in maximal_two_sets(g, max_nodes))
+    return all(ts.suspended for ts in maximal_two_sets(g))
 
 
 def find_pseudo_modular_violation(g: Graph) -> Optional[tuple[int, int, int]]:
@@ -158,14 +158,12 @@ def is_pseudo_modular(g: Graph) -> bool:
     return find_pseudo_modular_violation(g) is None
 
 
-def is_helly(g: Graph, max_nodes: int = DEFAULT_CLIQUE_NODES) -> bool:
+def is_helly(g: Graph) -> bool:
     """Helly iff pseudo-modular and neighborhood-Helly."""
-    return is_pseudo_modular(g) and is_neighborhood_helly(g, max_nodes)
+    return is_pseudo_modular(g) and is_neighborhood_helly(g)
 
 
-def disk_helly_up_to_radius(
-    g: Graph, r: int, max_nodes: int = DEFAULT_CLIQUE_NODES
-) -> bool:
+def disk_helly_up_to_radius(g: Graph, r: int) -> bool:
     """Do all families of pairwise intersecting disks of radius <= r intersect?
 
     Enumerates maximal cliques of the intersection graph over the n*(r+1)
@@ -194,7 +192,7 @@ def disk_helly_up_to_radius(
             for j in range(r + 1):
                 row |= balls[u][i + j] << (j * n)
             rows.append(row & ~(1 << (i * n + u)))
-    for clique in maximal_cliques(tuple(rows), len(disks), max_nodes):
+    for clique in maximal_cliques(tuple(rows), len(disks)):
         common = (1 << n) - 1
         for i in bits(clique):
             common &= disks[i]
@@ -204,26 +202,28 @@ def disk_helly_up_to_radius(
 
 
 def extended_squares(g: Graph) -> list[ExtendedSquare]:
-    """One record per induced 4-cycle, with its extension and witness."""
-    n = g.n
+    """One record per induced 4-cycle, with its extension and witness.
+
+    An induced C4 on a < b < c < e meets {a, b, c} in an induced path p-m-q,
+    so e runs over the common neighbours of p and q outside N[m] above c.
+    The members are the vertices in at least 3 of the four closed
+    neighbourhoods, taken as one majority mask.
+    """
+    adj = g.adj
+    closed = [row | 1 << v for v, row in enumerate(adj)]
     out = []
-    closed = [g.adj[v] | 1 << v for v in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                for e in range(c + 1, n):
-                    quad = (a, b, c, e)
-                    mask = (1 << a) | (1 << b) | (1 << c) | (1 << e)
-                    if all((g.adj[v] & mask).bit_count() == 2 for v in quad):
-                        members = tuple(
-                            v for v in range(n) if (closed[v] & mask).bit_count() >= 3
-                        )
-                        mmask = 0
-                        for v in members:
-                            mmask |= 1 << v
-                        out.append(
-                            ExtendedSquare(quad, members, _suspension_witness(g, mmask))
-                        )
+    for a in range(g.n):
+        for b in range(a + 1, g.n):
+            ab = adj[a] >> b & 1
+            # c makes {a, b, c} a path p-m-q: two of its three pairs are edges.
+            # The middle m is c when a and b are apart, else whichever sees c.
+            for c in bits((adj[a] ^ adj[b] if ab else adj[a] & adj[b]) >> (b + 1) << (b + 1)):
+                p, m, q = (a, c, b) if not ab else (b, a, c) if adj[a] >> c & 1 else (a, b, c)
+                for e in bits((adj[p] & adj[q] & ~closed[m]) >> (c + 1) << (c + 1)):
+                    w, x, y, z = closed[a], closed[b], closed[c], closed[e]
+                    members = w & x & (y | z) | y & z & (w | x)
+                    witness = _suspension_witness(g, members)
+                    out.append(ExtendedSquare((a, b, c, e), tuple(bits(members)), witness))
     return out
 
 
@@ -231,6 +231,6 @@ def all_extended_squares_suspended(g: Graph) -> bool:
     return all(sq.suspended for sq in extended_squares(g))
 
 
-def is_dually_chordal(g: Graph, max_nodes: int = DEFAULT_CLIQUE_NODES) -> bool:
+def is_dually_chordal(g: Graph) -> bool:
     """Neighborhood-Helly with a chordal square."""
-    return is_neighborhood_helly(g, max_nodes) and is_chordal(g.power(2))
+    return is_neighborhood_helly(g) and is_chordal(g.power(2))

@@ -222,32 +222,13 @@ def peripheral_vertices(g: Graph) -> dict[int, int]:
     Returns {x: least witness y}. Subset comparison is proper: equality of
     intervals does not disqualify a witness.
     """
-    dm = g.distances()
-    d = dm.rows
-    n = g.n
-    imask = [[0] * n for _ in range(n)]
-    for y in range(n):
-        for x in range(n):
-            dxy = d[y][x]
-            mask = 0
-            for v in range(n):
-                if d[y][v] + d[v][x] == dxy:
-                    mask |= 1 << v
-            imask[y][x] = mask
+    imask = [[g.interval_mask(y, x) for x in range(g.n)] for y in range(g.n)]
     out: dict[int, int] = {}
-    for x in range(n):
-        for y in range(n):
-            iyx = imask[y][x]
-            row = imask[y]
-            dominated = False
-            for z in range(n):
-                if z == x:
-                    continue
-                iyz = row[z]
-                if iyx != iyz and iyx & ~iyz == 0:
-                    dominated = True
-                    break
-            if not dominated:
+    for x in range(g.n):
+        for y, row in enumerate(imask):
+            # I(y, x) < I(y, z) already implies z != x
+            iyx = row[x]
+            if not any(iyx != iyz and iyx & ~iyz == 0 for iyz in row):
                 out[x] = y
                 break
     return out

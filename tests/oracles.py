@@ -9,21 +9,24 @@ through exhaustive disk families, bounded disk-Helly intersects every pair
 of disks, pseudo-modularity is a direct triple scan over the distance
 matrix, DH pruning sequences come from a per-round rescan, DH recognition
 checks every connected induced subgraph for isometry, and hyperbolicity is
-the plain quadruple sweep. ``canonical_hull`` puts a Hellification hull into
-the enumeration hull's order, so the two compare exactly, and
-``poset_snapshot`` reads a twin-class poset as value objects.
+the plain quadruple sweep. The class recognizers, extended squares,
+intervals, disks and peripheral vertices are the direct vertex scans the
+library used before its bit-row rewrites, and the disk oracles build their
+disks with that scan. ``canonical_hull`` puts a Hellification hull into the
+enumeration hull's order, so the two compare exactly, and ``poset_snapshot``
+reads a twin-class poset as value objects.
 """
 
 import json
 from itertools import combinations
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from tightspan import Graph, SplitMix64
 from tightspan.dh import FALSE_TWIN, PENDANT, TRUE_TWIN, PruningSequence, PruningStep
-from tightspan.graphs import bits
-from tightspan.helly import maximal_cliques
+from tightspan.graphs import DistanceMatrix, _distance_row, bits
+from tightspan.helly import ExtendedSquare, _suspension_witness, maximal_cliques
 from tightspan.hyperbolicity import HyperbolicityReport
 
 
@@ -117,7 +120,7 @@ def triple_disk_pseudo_modular(g: Graph) -> bool:
     """
     dm = g.distances()
     disks = [
-        frozenset(g.disk(v, r))
+        frozenset(bits(disk_mask_scan(g, v, r)))
         for v in range(g.n)
         for r in range(dm.diameter + 1)
     ]
@@ -211,7 +214,7 @@ def disk_helly_by_definition(g: Graph, r: Optional[int] = None) -> bool:
     if r is None:
         r = g.distances().diameter
     disks = sorted(
-        {frozenset(g.disk(v, i)) for v in range(g.n) for i in range(r + 1)},
+        {frozenset(bits(disk_mask_scan(g, v, i))) for v in range(g.n) for i in range(r + 1)},
         key=sorted,
     )
     for size in range(2, len(disks) + 1):
@@ -229,7 +232,7 @@ def disk_helly_pairwise(g: Graph, r: int) -> bool:
     intersects the members of each maximal clique; the library builds the
     same rows from distance bounds and must give the same answer.
     """
-    disks = [g.disk_mask(v, i) for v in range(g.n) for i in range(r + 1)]
+    disks = [disk_mask_scan(g, v, i) for v in range(g.n) for i in range(r + 1)]
     k = len(disks)
     rows = [0] * k
     for a in range(k):
@@ -348,3 +351,250 @@ def tree_plus_chords(n: int, seed: int) -> Graph:
         if u != v:
             edges.add((u, v))
     return Graph.from_edge_list(n, sorted(edges))
+
+
+# -- the class recognizers and metric queries before their bit-row rewrites --
+
+
+def mcs_order_sorted(g: Graph) -> list[int]:
+    """Maximum cardinality search order, ties broken by lowest id.
+
+    Sorts the remaining vertices on every step; ``detectors._mcs_order`` must
+    give the same order.
+    """
+    n = g.n
+    weight = [0] * n
+    order = []
+    remaining = set(range(n))
+    while remaining:
+        v = max(sorted(remaining), key=lambda u: weight[u])
+        order.append(v)
+        remaining.remove(v)
+        for u in bits(g.adj[v]):
+            if u in remaining:
+                weight[u] += 1
+    return order
+
+
+def is_bipartite_bfs(g: Graph) -> Optional[tuple[int, ...]]:
+    """A BFS 2-coloring (tuple of 0/1 per vertex), or None on an odd cycle."""
+    color = [-1] * g.n
+    for start in range(g.n):
+        if color[start] != -1:
+            continue
+        color[start] = 0
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for u in bits(g.adj[v]):
+                    if color[u] == -1:
+                        color[u] = 1 - color[v]
+                        nxt.append(u)
+                    elif color[u] == color[v]:
+                        return None
+            frontier = nxt
+    return tuple(color)
+
+
+def find_odd_cycle_bfs(g: Graph) -> Optional[tuple[int, ...]]:
+    """An odd closed walk witnessing non-bipartiteness (not necessarily induced)."""
+    parent = [-1] * g.n
+    depth = [-1] * g.n
+    for start in range(g.n):
+        if depth[start] != -1:
+            continue
+        depth[start] = 0
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for u in bits(g.adj[v]):
+                    if depth[u] == -1:
+                        depth[u] = depth[v] + 1
+                        parent[u] = v
+                        nxt.append(u)
+                    elif depth[u] == depth[v] and u > v:
+                        left, right = [v], [u]
+                        while left[-1] != right[-1]:
+                            left.append(parent[left[-1]])
+                            right.append(parent[right[-1]])
+                        return tuple(left[:-1] + list(reversed(right)))
+            frontier = nxt
+    return None
+
+
+def is_split_by_prefixes(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """A (clique, independent set) partition, or None.
+
+    Works down the degree sequence: in any split graph some prefix of the
+    vertices sorted by descending degree is a valid clique side, so each
+    prefix is tried and verified explicitly.
+    """
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    for size in range(g.n, -1, -1):
+        clique = order[:size]
+        rest = order[size:]
+        if not all(g.has_edge(u, v) for i, u in enumerate(clique) for v in clique[i + 1 :]):
+            continue
+        if any(g.has_edge(u, v) for i, u in enumerate(rest) for v in rest[i + 1 :]):
+            continue
+        return tuple(sorted(clique)), tuple(sorted(rest))
+    return None
+
+
+def component_labels(g: Graph, removed_mask: int) -> list[int]:
+    """Connected component id per vertex of g minus ``removed_mask`` (-1 inside)."""
+    labels = [-1] * g.n
+    allowed = ((1 << g.n) - 1) & ~removed_mask
+    comp = 0
+    for v in range(g.n):
+        if labels[v] != -1 or not allowed >> v & 1:
+            continue
+        reach = g._bfs_reach(1 << v, allowed)
+        for u in bits(reach):
+            labels[u] = comp
+        comp += 1
+    return labels
+
+
+def asteroidal_triple_by_labels(g: Graph) -> Optional[tuple[int, int, int]]:
+    """Lexicographically least asteroidal triple, or None."""
+    n = g.n
+    comp = [component_labels(g, g.adj[v] | 1 << v) for v in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            if g.has_edge(a, b):
+                continue
+            for c in range(b + 1, n):
+                if g.has_edge(a, c) or g.has_edge(b, c):
+                    continue
+                if (
+                    comp[c][a] == comp[c][b] != -1
+                    and comp[b][a] == comp[b][c] != -1
+                    and comp[a][b] == comp[a][c] != -1
+                ):
+                    return (a, b, c)
+    return None
+
+
+def cocomparability_violation_scan(
+    g: Graph, order: Sequence[int]
+) -> Optional[tuple[int, int, int]]:
+    """First (x, y, z) with x < y < z in ``order``, xz an edge, but neither xy nor yz."""
+    if sorted(order) != list(range(g.n)):
+        raise ValueError("order is not a permutation of the vertices")
+    n = g.n
+    for i in range(n):
+        x = order[i]
+        for k in range(i + 2, n):
+            z = order[k]
+            if not g.has_edge(x, z):
+                continue
+            for j in range(i + 1, k):
+                y = order[j]
+                if not g.has_edge(x, y) and not g.has_edge(y, z):
+                    return (x, y, z)
+    return None
+
+
+def extended_squares_scan(g: Graph) -> list[ExtendedSquare]:
+    """One record per induced 4-cycle, with its extension and witness."""
+    n = g.n
+    out = []
+    closed = [g.adj[v] | 1 << v for v in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(b + 1, n):
+                for e in range(c + 1, n):
+                    quad = (a, b, c, e)
+                    mask = (1 << a) | (1 << b) | (1 << c) | (1 << e)
+                    if all((g.adj[v] & mask).bit_count() == 2 for v in quad):
+                        members = tuple(
+                            v for v in range(n) if (closed[v] & mask).bit_count() >= 3
+                        )
+                        mmask = 0
+                        for v in members:
+                            mmask |= 1 << v
+                        out.append(
+                            ExtendedSquare(quad, members, _suspension_witness(g, mmask))
+                        )
+    return out
+
+
+def peripheral_vertices_scan(g: Graph) -> dict[int, int]:
+    """Vertices x admitting a witness y with no z != x giving I(y,x) < I(y,z).
+
+    Returns {x: least witness y}. Subset comparison is proper: equality of
+    intervals does not disqualify a witness.
+    """
+    dm = g.distances()
+    d = dm.rows
+    n = g.n
+    imask = [[0] * n for _ in range(n)]
+    for y in range(n):
+        for x in range(n):
+            dxy = d[y][x]
+            mask = 0
+            for v in range(n):
+                if d[y][v] + d[v][x] == dxy:
+                    mask |= 1 << v
+            imask[y][x] = mask
+    out: dict[int, int] = {}
+    for x in range(n):
+        for y in range(n):
+            iyx = imask[y][x]
+            row = imask[y]
+            dominated = False
+            for z in range(n):
+                if z == x:
+                    continue
+                iyz = row[z]
+                if iyx != iyz and iyx & ~iyz == 0:
+                    dominated = True
+                    break
+            if not dominated:
+                out[x] = y
+                break
+    return out
+
+
+def distances_bfs(g: Graph) -> DistanceMatrix:
+    """All-pairs distances via n BFS runs of their own, with no cache read or
+    written; ``Graph.distances`` reads the same rows off the level masks."""
+    g._require_connected("distances")
+    full = (1 << g.n) - 1
+    rows = tuple(
+        _distance_row(g.n, g._frontiers(1 << v, full))
+        for v in range(g.n)
+    )
+    ecc = tuple(max(row) for row in rows)
+    return DistanceMatrix(rows, ecc, min(ecc), max(ecc))
+
+
+def interval_scan(g: Graph, x: int, y: int) -> frozenset[int]:
+    """Vertices on some shortest (x, y)-path."""
+    d = g.distances().rows
+    dxy = d[x][y]
+    return frozenset(v for v in range(g.n) if d[x][v] + d[v][y] == dxy)
+
+
+def interval_slice_scan(g: Graph, x: int, y: int, k: int) -> frozenset[int]:
+    """Vertices of the (x, y) interval at distance exactly k from x."""
+    d = g.distances().rows
+    dxy = d[x][y]
+    if not 0 <= k <= dxy:
+        raise ValueError(f"slice index {k} outside 0..{dxy}")
+    return frozenset(
+        v for v in range(g.n) if d[x][v] == k and d[x][v] + d[v][y] == dxy
+    )
+
+
+def disk_mask_scan(g: Graph, v: int, r: int) -> int:
+    """Disk D(v, r) as a mask, one distance comparison per vertex."""
+    d = g.distances().rows[v]
+    mask = 0
+    for u in range(g.n):
+        if d[u] <= r:
+            mask |= 1 << u
+    return mask

@@ -382,3 +382,36 @@ def test_cli_fuzz_exit_codes(call):
         assert code == 1
     if "--budget" in argv and int(argv[argv.index("--budget") + 1]) < 1:
         assert code == 1
+
+
+def test_parser_is_built_once_and_reuse_keeps_bytes(c4_file, house_file):
+    from tightspan import cli
+
+    argvs = [
+        ["recognize", c4_file, "--witness"],
+        ["hull", c4_file, "--format", "json"],
+        ["hellify-dh", house_file],  # exit 3
+        ["hull", c4_file, "--budget", "1"],  # exit 2
+        ["hull", c4_file],  # the default budget again
+        ["two-sets", house_file, "--budget", "0"],  # exit 1
+        ["hyperbolicity", c4_file],
+        ["generate", "fixture", "--name", "C5"],
+        ["export-dot", house_file],
+        ["recognize", house_file],  # no --witness after a run with it
+    ]
+
+    def run_captured(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = _run(argv)
+        return code, out, err.getvalue()
+
+    alone = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        alone.append(run_captured(argv))
+    cli._build_parser.cache_clear()
+    together = [run_captured(argv) for argv in argvs]
+    assert together == alone
+    assert [code for code, _, _ in alone] == [0, 0, 3, 2, 0, 1, 0, 0, 0, 0]
+    assert cli._build_parser.cache_info().misses == 1

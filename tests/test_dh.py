@@ -27,6 +27,7 @@ from tightspan import (
     random_dh,
     replay,
 )
+from tightspan.dh import hellify_adjacency
 
 def poset_matches_graph(poset, g):
     """Check the twin-class partition and containment edges against N[.]"""
@@ -160,12 +161,29 @@ def test_replay_pendant_chain():
 
 
 def test_replay_rejects_bad_anchor():
-    seq = PruningSequence(
-        (0, 1, 2),
-        (PruningStep(1, PENDANT, 2), PruningStep(2, PENDANT, 0)),
-    )
     with pytest.raises(ValueError, match="step 0"):
+        seq = PruningSequence(
+            (0, 1, 2),
+            (PruningStep(1, PENDANT, 2), PruningStep(2, PENDANT, 0)),
+        )
         replay(seq)
+
+
+def test_hellify_adjacency_rejects_bad_anchor_like_replay():
+    # the sequence checks itself, so both readers fail with one message
+    for reader in (replay, hellify_adjacency):
+        with pytest.raises(ValueError, match="step 0: anchor 5 not yet placed"):
+            reader(PruningSequence((0, 1), (PruningStep(1, PENDANT, 5),)))
+
+
+@pytest.mark.parametrize("order,steps,message", [
+    ((0, 0), ((0, PENDANT, 0),), "permutation"),
+    ((1, 2), ((2, PENDANT, 1),), "permutation"),
+    ((0, 1, 2), ((1, PENDANT, 0), (2, TRUE_TWIN, -1)), "step 1: anchor -1 not yet placed"),
+])
+def test_sequence_rejects_bad_order_and_anchor(order, steps, message):
+    with pytest.raises(ValueError, match=message):
+        PruningSequence(order, tuple(PruningStep(*step) for step in steps))
 
 
 def test_replay_rejects_unknown_kind():
