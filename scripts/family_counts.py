@@ -2,8 +2,16 @@
 """Desk-scale reproduction of the exponential-hull family counts.
 
 For each family and k, prints the number of maximal 2-sets (always 2^k), how
-many are unsuspended (at least 2^k - 2k - 2), and, where the enumeration cap
-allows, the exact injective hull size with the matching lower bound.
+many are unsuspended (at least 2^k - 2k - 2), the exact injective hull size
+where the enumeration cap allows (``-`` above it), and a bound column whose
+meaning depends on the family:
+
+* split and cocomparability: 2^k + 4k - 2, which is n plus the floor
+  2^k - 2k - 2 on unsuspended maximal 2-sets. It is a lower bound on the
+  hull size, since no hull vertex suspends two maximal 2-sets.
+* crown: 2^k - 2, a lower bound on the new (Helly) vertices only. Compare
+  it with hull_n - n: the crown's hull has 2k + 2^k vertices, 2^k of them
+  new.
 
 Usage: python scripts/family_counts.py [--max-k 5]
 """

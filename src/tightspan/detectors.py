@@ -12,6 +12,7 @@ positions.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Optional, Sequence
 
 from .graphs import Graph, bits
@@ -156,24 +157,31 @@ def is_split(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
 def find_asteroidal_triple(g: Graph) -> Optional[tuple[int, int, int]]:
     """Lexicographically least asteroidal triple, or None.
 
-    ``comp[v][u]`` is the component of G - N[v] holding u, as a mask (0 for
+    ``comp(v)[u]`` is the component of G - N[v] holding u, as a mask (0 for
     u in N[v]); a < b < c is asteroidal iff each pair shares a component
-    around the third.
+    around the third. Row v is built the first time the scan reads it,
+    since the least triple is usually found after a few rows.
     """
     n = g.n
-    comp = [[0] * n for _ in range(n)]
-    for v, row in enumerate(comp):
+
+    @cache
+    def comp(v: int) -> list[int]:
+        row = [0] * n
         allowed = rest = ((1 << n) - 1) & ~(g.adj[v] | 1 << v)
         while rest:
             reach = g._bfs_reach(rest & -rest, allowed)
             for u in bits(reach):
                 row[u] = reach
             rest ^= reach
+        return row
+
     for a in range(n):
         for b in range(a + 1, n):
-            for c in bits(comp[a][b] & comp[b][a] >> (b + 1) << (b + 1)):
-                if comp[c][a] >> b & 1:
-                    return (a, b, c)
+            above = comp(a)[b] >> (b + 1) << (b + 1)
+            if above:
+                for c in bits(above & comp(b)[a]):
+                    if comp(c)[a] >> b & 1:
+                        return (a, b, c)
     return None
 
 

@@ -48,39 +48,26 @@ class SplitMix64:
         return out
 
 
-def _family_vertices(k: int):
-    """Shared id layout: x_i = i-1, y_i = k+i-1, M block i at 2k+4(i-1)."""
-    xs = list(range(k))
-    ys = list(range(k, 2 * k))
-    us = [2 * k + 4 * i for i in range(k)]
-    vs = [2 * k + 4 * i + 1 for i in range(k)]
-    ws = [2 * k + 4 * i + 2 for i in range(k)]
-    zs = [2 * k + 4 * i + 3 for i in range(k)]
+def _family(k: int, xy_cliques: bool) -> Graph:
+    """Both families on one id layout: x_i = i, y_i = k + i, and block j is
+    u_j, v_j, w_j, z_j at 2k + 4j. Neighbourhoods are as in :func:`split_family`,
+    and X and Y are cliques when ``xy_cliques`` is set."""
+    n = 6 * k
+    check_size(n)
     labels = [f"x{i + 1}" for i in range(k)] + [f"y{i + 1}" for i in range(k)]
+    edges = [(a, b) for a in range(2 * k, n) for b in range(a + 1, n)]
     for i in range(k):
         labels += [f"u{i + 1}", f"v{i + 1}", f"w{i + 1}", f"z{i + 1}"]
-    return xs, ys, us, vs, ws, zs, labels
-
-
-def _family_edges(k: int, xs, ys, us, vs, ws, zs) -> list[tuple[int, int]]:
-    edges = []
-    m_all = us + vs + ws + zs
-    m_sorted = sorted(m_all)
-    for i, a in enumerate(m_sorted):
-        for b in m_sorted[i + 1 :]:
-            edges.append((a, b))
-    for i in range(k):
-        edges.append((xs[i], us[i]))
-        edges.append((xs[i], vs[i]))
-        edges.append((ys[i], ws[i]))
-        edges.append((ys[i], zs[i]))
+        x, y = i, k + i
+        edges += [(x, 2 * k + 4 * i + 1), (y, 2 * k + 4 * i + 3)]  # v_i, z_i
         for j in range(k):
+            u = 2 * k + 4 * j
+            edges += [(x, u), (y, u + 2)]  # every u_j, w_j
             if j != i:
-                edges.append((xs[i], us[j]))
-                edges.append((xs[i], zs[j]))
-                edges.append((ys[i], ws[j]))
-                edges.append((ys[i], vs[j]))
-    return edges
+                edges += [(x, u + 3), (y, u + 1)]  # z_j, v_j
+                if xy_cliques:
+                    edges += [(x, j), (y, k + j)]
+    return Graph.from_edge_list(n, edges, labels)
 
 
 def split_family(k: int) -> Graph:
@@ -93,10 +80,7 @@ def split_family(k: int) -> Graph:
     """
     if k < 2:
         raise ValueError("split family needs k >= 2")
-    check_size(6 * k)
-    xs, ys, us, vs, ws, zs, labels = _family_vertices(k)
-    edges = _family_edges(k, xs, ys, us, vs, ws, zs)
-    return Graph.from_edge_list(6 * k, edges, labels)
+    return _family(k, xy_cliques=False)
 
 
 def cocomparability_family(k: int) -> tuple[Graph, tuple[int, ...]]:
@@ -104,16 +88,8 @@ def cocomparability_family(k: int) -> tuple[Graph, tuple[int, ...]]:
     X-then-M-then-Y vertex ordering, which is a cocomparability ordering."""
     if k < 2:
         raise ValueError("cocomparability family needs k >= 2")
-    check_size(6 * k)
-    xs, ys, us, vs, ws, zs, labels = _family_vertices(k)
-    edges = _family_edges(k, xs, ys, us, vs, ws, zs)
-    for block in (xs, ys):
-        for i, a in enumerate(block):
-            for b in block[i + 1 :]:
-                edges.append((a, b))
-    g = Graph.from_edge_list(6 * k, edges, labels)
-    order = tuple(xs) + tuple(sorted(us + vs + ws + zs)) + tuple(ys)
-    return g, order
+    g = _family(k, xy_cliques=True)  # the size check precedes listing the order
+    return g, (*range(k), *range(2 * k, 6 * k), *range(k, 2 * k))
 
 
 def crown_family(k: int) -> Graph:

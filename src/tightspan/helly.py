@@ -94,11 +94,12 @@ def maximal_cliques(
 
 
 def _suspension_witness(g: Graph, mask: int) -> Optional[int]:
-    """Least vertex adjacent to every member of ``mask`` except itself."""
-    for v in range(g.n):
-        if mask & ~(g.adj[v] | 1 << v) == 0:
-            return v
-    return None
+    """Least vertex adjacent to every member of ``mask`` except itself: the
+    lowest bit of the AND of N[u] over the members u (0 for an empty mask)."""
+    common = (1 << g.n) - 1
+    for u in bits(mask):
+        common &= g.adj[u] | 1 << u
+    return (common & -common).bit_length() - 1 if common else None
 
 
 def maximal_two_sets(

@@ -9,12 +9,12 @@ through exhaustive disk families, bounded disk-Helly intersects every pair
 of disks, pseudo-modularity is a direct triple scan over the distance
 matrix, DH pruning sequences come from a per-round rescan, DH recognition
 checks every connected induced subgraph for isometry, and hyperbolicity is
-the plain quadruple sweep. The class recognizers, extended squares,
-intervals, disks and peripheral vertices are the direct vertex scans the
-library used before its bit-row rewrites, and the disk oracles build their
-disks with that scan. ``canonical_hull`` puts a Hellification hull into the
-enumeration hull's order, so the two compare exactly, and ``poset_snapshot``
-reads a twin-class poset as value objects.
+the plain quadruple sweep. The class recognizers, suspension witnesses,
+extended squares, intervals, disks and peripheral vertices are the direct
+vertex scans the library used before its bit-row rewrites, and the disk
+oracles build their disks with that scan. ``canonical_hull`` puts a
+Hellification hull into the enumeration hull's order, so the two compare
+exactly, and ``poset_snapshot`` reads a twin-class poset as value objects.
 """
 
 import json
@@ -26,7 +26,7 @@ import numpy as np
 from tightspan import Graph, SplitMix64
 from tightspan.dh import FALSE_TWIN, PENDANT, TRUE_TWIN, PruningSequence, PruningStep
 from tightspan.graphs import DistanceMatrix, _distance_row, bits
-from tightspan.helly import ExtendedSquare, _suspension_witness, maximal_cliques
+from tightspan.helly import ExtendedSquare, maximal_cliques
 from tightspan.hyperbolicity import HyperbolicityReport
 
 
@@ -498,6 +498,14 @@ def cocomparability_violation_scan(
     return None
 
 
+def suspension_witness_scan(g: Graph, mask: int) -> Optional[int]:
+    """Least vertex adjacent to every member of ``mask`` except itself."""
+    for v in range(g.n):
+        if mask & ~(g.adj[v] | 1 << v) == 0:
+            return v
+    return None
+
+
 def extended_squares_scan(g: Graph) -> list[ExtendedSquare]:
     """One record per induced 4-cycle, with its extension and witness."""
     n = g.n
@@ -517,7 +525,7 @@ def extended_squares_scan(g: Graph) -> list[ExtendedSquare]:
                         for v in members:
                             mmask |= 1 << v
                         out.append(
-                            ExtendedSquare(quad, members, _suspension_witness(g, mmask))
+                            ExtendedSquare(quad, members, suspension_witness_scan(g, mmask))
                         )
     return out
 

@@ -104,16 +104,18 @@ def test_criterion_5_exponential_family_counts():
     start = time.monotonic()
     split_sets = maximal_two_sets(split_family(4))
     cocomp_sets = maximal_two_sets(cocomparability_family(4)[0])
-    crown_hull = build_injective_hull(crown_family(4))
+    # the bipartite case: the k-crown's hull gains exactly 2^k Helly vertices
+    crown_helly = [build_injective_hull(crown_family(k)).n_helly for k in range(3, 8)]
     ok = (
         len(split_sets) == 16
         and sum(1 for s in split_sets if not s.suspended) == 6
         and len(cocomp_sets) == 16
         and sum(1 for s in cocomp_sets if not s.suspended) == 6
-        and crown_hull.hull.n >= 14
+        and crown_helly == [2**k for k in range(3, 8)]
     )
     elapsed = time.monotonic() - start
-    report(5, ok and elapsed < 60.0, f"16/6 two-sets, crown hull n={crown_hull.hull.n}, {elapsed:.1f}s")
+    detail = f"16/6 two-sets, crown Helly counts {crown_helly}, {elapsed:.1f}s"
+    report(5, ok and elapsed < 60.0, detail)
 
 
 def test_criterion_6_hyperbolicity_preserved(corpus, corpus_hulls):

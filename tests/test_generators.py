@@ -26,6 +26,43 @@ def _ids(k):
     return xs, ys, ms
 
 
+def _family_by_rules(k, xy_cliques):
+    """Rows and labels read vertex by vertex off the split-family docstring:
+    x_i = i, y_i = k + i, block j = u_j, v_j, w_j, z_j at 2k + 4j."""
+    layout = [("x", i) for i in range(k)] + [("y", i) for i in range(k)]
+    layout += [(role, j) for j in range(k) for role in "uvwz"]
+
+    def sees(a, b):
+        (r, i), (s, j) = layout[a], layout[b]
+        if r not in "xy" and s not in "xy":
+            return True  # M is a clique
+        if r in "xy" and s in "xy":
+            return xy_cliques and r == s
+        if r not in "xy":  # the X or Y end first
+            (r, i), (s, j) = (s, j), (r, i)
+        if r == "x":
+            return s == "u" or (s == "v" and j == i) or (s == "z" and j != i)
+        return s == "w" or (s == "z" and j == i) or (s == "v" and j != i)
+
+    n = 6 * k
+    rows = [sum(1 << b for b in range(n) if b != a and sees(a, b)) for a in range(n)]
+    return tuple(rows), tuple(f"{r}{i + 1}" for r, i in layout), layout
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_families_follow_the_docstring_rules(k):
+    rows, labels, layout = _family_by_rules(k, xy_cliques=False)
+    g = split_family(k)
+    assert (g.adj, g.labels) == (rows, labels)
+    rows, labels, layout = _family_by_rules(k, xy_cliques=True)
+    g, order = cocomparability_family(k)
+    assert (g.adj, g.labels) == (rows, labels)
+    x_then_m_then_y = []
+    for roles in ("x", "uvwz", "y"):
+        x_then_m_then_y += [a for a, (r, _) in enumerate(layout) if r in roles]
+    assert order == tuple(x_then_m_then_y)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_split_family_distance_properties(k):
     g = split_family(k)

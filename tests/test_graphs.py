@@ -60,6 +60,23 @@ def test_disconnected_construction_defers_failure_to_metric_ops():
         g.distances()
 
 
+@pytest.mark.parametrize(
+    "n, rows, labels, message",
+    [
+        (0, [], None, "graph needs at least one vertex"),
+        (2, [0b10], None, "adjacency row count does not match n"),
+        (2, [0b100, 0b000], None, "row 0 has bits outside 0..1"),
+        (1, [0b1], None, "loop at vertex 0"),
+        (2, [0b10, 0b00], None, "asymmetric edge 0-1"),
+        (2, [0b10, 0b01], ["a"], "label count does not match n"),
+    ],
+)
+def test_raw_constructor_errors(n, rows, labels, message):
+    with pytest.raises(ValueError) as info:
+        Graph(n, rows, labels)
+    assert str(info.value) == message
+
+
 def test_size_cap():
     with pytest.raises(ValueError, match="size cap"):
         Graph.from_edge_list(1000, [], max_vertices=512)

@@ -1,8 +1,10 @@
-"""The bit-row class recognizers and metric queries against the vertex scans
-they replaced (``tests/oracles.py``): same answers, witnesses and order."""
+"""The bit-row class recognizers, metric queries and suspension witnesses
+against the vertex scans they replaced (``tests/oracles.py``): same answers,
+witnesses and order."""
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     asteroidal_triple_by_labels,
@@ -17,6 +19,7 @@ from oracles import (
     is_split_by_prefixes,
     mcs_order_sorted,
     peripheral_vertices_scan,
+    suspension_witness_scan,
     tree_plus_chords,
 )
 from strategies import connected_graphs, graphs
@@ -31,11 +34,13 @@ from tightspan import (
     fixture,
     is_bipartite,
     is_split,
+    maximal_two_sets,
     peripheral_vertices,
     random_chordal,
     random_dh,
 )
 from tightspan.detectors import _mcs_order
+from tightspan.helly import _suspension_witness
 
 FAMILIES = (random_dh, random_chordal, tree_plus_chords)
 
@@ -168,3 +173,35 @@ def test_distances_keep_their_disconnected_message():
 def test_split_of_one_vertex_and_of_an_edgeless_pair():
     assert is_split(fixture("K1")) == is_split_by_prefixes(fixture("K1")) == ((0,), ())
     assert is_split(Graph(2, [0, 0])) == is_split_by_prefixes(Graph(2, [0, 0])) == ((0,), (1,))
+
+
+def witness_outcomes(g: Graph) -> set[bool]:
+    """Compare the suspension witness of every maximal 2-set and extended
+    square of g with the n-vertex scan; returns which of suspended and
+    unsuspended occurred."""
+    outcomes = set()
+    sets = [s.members for s in maximal_two_sets(g)]
+    for members in sets + [sq.members for sq in extended_squares(g)]:
+        mask = sum(1 << v for v in members)
+        witness = _suspension_witness(g, mask)
+        assert witness == suspension_witness_scan(g, mask)
+        outcomes.add(witness is not None)
+    return outcomes
+
+
+def test_suspension_witness_matches_scan_on_corpus_and_families(corpus):
+    outcomes = set()
+    for name, g in corpus:
+        outcomes |= witness_outcomes(g)
+    for make in FAMILIES:
+        for seed in range(3):
+            outcomes |= witness_outcomes(make(30, seed))
+    assert outcomes == {True, False}
+
+
+@given(graphs(max_n=12), st.data())
+@settings(max_examples=200, deadline=None)
+def test_hypothesis_suspension_witness_matches_scan(g, data):
+    mask = data.draw(st.integers(0, (1 << g.n) - 1))
+    assert _suspension_witness(g, mask) == suspension_witness_scan(g, mask)
+    assert _suspension_witness(g, 0) == suspension_witness_scan(g, 0) == 0

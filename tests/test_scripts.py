@@ -33,3 +33,5 @@ def test_scripts_run_at_tiny_sizes(monkeypatch, capsys):
     # 2^k maximal 2-sets; split k=3 has 18 vertices, over the hull cap
     assert all(int(r[3]) == 2 ** int(r[1]) for r in rows)
     assert rows[1][5] == "-"
+    # the crown's hull: its 2k real vertices and 2^k Helly vertices
+    assert int(rows[4][5]) == 2 * 3 + 2**3
