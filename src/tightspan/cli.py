@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import detectors, generators, helly
 from .dh import MAX_VERTICES as DH_MAX_VERTICES, hellify_dh, pruning_sequence
@@ -98,71 +98,63 @@ def _cmd_hellify_dh(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_recognize(args, out) -> int:
-    g = _read_graph(args.file)
-    witness = args.witness
+def _ids(vertices) -> str:
+    return ",".join(map(str, vertices))
 
+
+def _recognize_lines(
+    g: Graph, budget: int
+) -> Iterator[tuple[str, bool, Optional[Callable[[], str]]]]:
+    """Yield ``(name, answer, witness)`` for the eight recognize lines in order.
+
+    ``witness`` is None or a function returning the witness text; it is called
+    only under ``--witness``, so the witness searches cost nothing otherwise.
+    """
     chordal = detectors.is_chordal(g)
-    line = f"chordal={'yes' if chordal else 'no'}"
-    if witness and not chordal:
-        cycle = detectors.find_long_induced_cycle(g)
-        line += " witness=cycle:" + ",".join(map(str, cycle))
-    out.write(line + "\n")
-
+    yield "chordal", chordal, None if chordal else (
+        lambda: "cycle:" + _ids(detectors.find_long_induced_cycle(g))
+    )
     coloring = detectors.is_bipartite(g)
-    line = f"bipartite={'yes' if coloring else 'no'}"
-    if witness:
-        if coloring:
-            side = [v for v in range(g.n) if coloring[v] == 0]
-            line += " witness=side:" + ",".join(map(str, side))
-        else:
-            odd = detectors.find_odd_cycle(g)
-            line += " witness=odd-cycle:" + ",".join(map(str, odd))
-    out.write(line + "\n")
-
+    if coloring is not None:
+        yield "bipartite", True, lambda: "side:" + _ids(v for v in range(g.n) if coloring[v] == 0)
+    else:
+        yield "bipartite", False, lambda: "odd-cycle:" + _ids(detectors.find_odd_cycle(g))
     split = detectors.is_split(g)
-    line = f"split={'yes' if split else 'no'}"
-    if witness and split:
-        clique, independent = split
-        line += " witness=clique:" + ",".join(map(str, clique))
-        line += "+independent:" + ",".join(map(str, independent))
-    out.write(line + "\n")
-
+    yield "split", split is not None, None if split is None else (
+        lambda: "clique:" + _ids(split[0]) + "+independent:" + _ids(split[1])
+    )
     triple = detectors.find_asteroidal_triple(g)
-    line = f"at-free={'yes' if triple is None else 'no'}"
-    if witness and triple is not None:
-        line += " witness=triple:" + ",".join(map(str, triple))
-    out.write(line + "\n")
-
-    seq = pruning_sequence(g)
-    out.write(f"distance-hereditary={'yes' if seq is not None else 'no'}\n")
+    yield "at-free", triple is None, None if triple is None else (lambda: "triple:" + _ids(triple))
+    yield "distance-hereditary", pruning_sequence(g) is not None, None
     square_chordal = detectors.is_chordal(g.power(2))
-    out.write(f"square-chordal={'yes' if square_chordal else 'no'}\n")
+    yield "square-chordal", square_chordal, None
 
     # Helly = pseudo-modular + neighborhood-Helly; dually chordal =
     # neighborhood-Helly + chordal square. The 2-sets are enumerated once, at
     # the first line that needs them, so a budget error cuts the same output.
+    @functools.cache
+    def unsuspended() -> Optional[helly.TwoSet]:
+        return next((ts for ts in helly.maximal_two_sets(g, budget) if not ts.suspended), None)
+
     violation = helly.find_pseudo_modular_violation(g)
-    unsuspended = None
-    if violation is None:
-        unsuspended = _first_unsuspended(g, args)
-    line = f"helly={'yes' if violation is None and unsuspended is None else 'no'}"
-    if witness and violation is not None:
-        line += " witness=non-pseudo-modular:" + ",".join(map(str, violation))
-    elif witness and unsuspended is not None:
-        line += " witness=unsuspended:" + ",".join(map(str, unsuspended.members))
-    out.write(line + "\n")
-
     if violation is not None:
-        unsuspended = _first_unsuspended(g, args)
-    dually = unsuspended is None and square_chordal
-    out.write(f"dually-chordal={'yes' if dually else 'no'}\n")
+        yield "helly", False, lambda: "non-pseudo-modular:" + _ids(violation)
+    else:
+        ts = unsuspended()
+        yield "helly", ts is None, None if ts is None else (
+            lambda: "unsuspended:" + _ids(ts.members)
+        )
+    yield "dually-chordal", unsuspended() is None and square_chordal, None
+
+
+def _cmd_recognize(args, out) -> int:
+    g = _read_graph(args.file)
+    for name, answer, witness in _recognize_lines(g, args.budget):
+        line = f"{name}={'yes' if answer else 'no'}"
+        if args.witness and witness is not None:
+            line += " witness=" + witness()
+        out.write(line + "\n")
     return EXIT_OK
-
-
-def _first_unsuspended(g: Graph, args) -> Optional[helly.TwoSet]:
-    two_sets = helly.maximal_two_sets(g, args.budget)
-    return next((ts for ts in two_sets if not ts.suspended), None)
 
 
 def _cmd_hyperbolicity(args, out) -> int:
@@ -184,33 +176,30 @@ def _cmd_two_sets(args, out) -> int:
     return EXIT_OK
 
 
+# generate: family -> (the option it needs, its builder, the preamble heading);
+# the keys are the argparse choices, and the random families also take --seed
+_FAMILIES = {
+    "split": ("k", generators.split_family, "# split k={k}"),
+    "cocomparability": ("k", generators.cocomparability_family, "# cocomparability k={k}"),
+    "crown": ("k", generators.crown_family, "# crown k={k}"),
+    "random-chordal": ("n", generators.random_chordal, "# random-chordal n={n} seed={seed}"),
+    "random-dh": ("n", generators.random_dh, "# random-dh n={n} seed={seed}"),
+    "fixture": ("name", generators.fixture, "# fixture {name}"),
+}
+
+
 def _cmd_generate(args, out) -> int:
-    family = args.family
-    if family == "split":
-        g = generators.split_family(_require_k(args))
-        preamble = [f"# split k={args.k}"]
-    elif family == "cocomparability":
-        g, order = generators.cocomparability_family(_require_k(args))
-        preamble = [
-            f"# cocomparability k={args.k}",
-            "# order: " + " ".join(map(str, order)),
-        ]
-    elif family == "crown":
-        g = generators.crown_family(_require_k(args))
-        preamble = [f"# crown k={args.k}"]
-    elif family == "random-chordal":
-        g = generators.random_chordal(_require_n(args), args.seed)
-        preamble = [f"# random-chordal n={args.n} seed={args.seed}"]
-    elif family == "random-dh":
-        g = generators.random_dh(_require_n(args), args.seed)
-        preamble = [f"# random-dh n={args.n} seed={args.seed}"]
-    elif family == "fixture":
-        if not args.name:
-            raise _UsageError("generate fixture needs --name")
-        g = generators.fixture(args.name)
-        preamble = [f"# fixture {args.name}"]
-    else:
-        raise _UsageError(f"unknown family {family!r}")
+    option, build, heading = _FAMILIES[args.family]
+    value = getattr(args, option)
+    if option == "name" and not value:
+        raise _UsageError("generate fixture needs --name")
+    if value is None:
+        raise _UsageError(f"this family needs --{option}")
+    g = build(value, args.seed) if option == "n" else build(value)
+    preamble = [heading.format_map(vars(args))]
+    if args.family == "cocomparability":
+        g, order = g
+        preamble.append("# order: " + " ".join(map(str, order)))
     text = "\n".join(preamble) + "\n" + format_edge_list(g)
     if args.output:
         with open(args.output, "w") as fh:
@@ -218,18 +207,6 @@ def _cmd_generate(args, out) -> int:
     else:
         out.write(text)
     return EXIT_OK
-
-
-def _require_k(args) -> int:
-    if args.k is None:
-        raise _UsageError("this family needs --k")
-    return args.k
-
-
-def _require_n(args) -> int:
-    if args.n is None:
-        raise _UsageError("this family needs --n")
-    return args.n
 
 
 def _cmd_export_dot(args, out) -> int:
@@ -267,10 +244,7 @@ def _build_parser() -> _Parser:
     graph_command("export-dot", _cmd_export_dot)
 
     p = sub.add_parser("generate")
-    p.add_argument(
-        "family",
-        choices=["split", "cocomparability", "crown", "random-chordal", "random-dh", "fixture"],
-    )
+    p.add_argument("family", choices=list(_FAMILIES))
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)

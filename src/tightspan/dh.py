@@ -88,7 +88,7 @@ def replay(seq: PruningSequence) -> Graph:
     A :class:`PruningSequence` rejects invalid steps when it is built, so
     every sequence replays to a connected graph.
     """
-    return Graph(len(seq.order), _rows(_neighbour_lists(seq)))
+    return Graph._of(len(seq.order), _rows(_neighbour_lists(seq)))
 
 
 def _neighbour_lists(seq: PruningSequence) -> list[list[int]]:
@@ -332,7 +332,7 @@ def hellify_dh(g: Graph) -> HellificationResult:
     labels = [g.label(v) for v in range(g.n)]
     for k, (vertex, anchor) in enumerate(added, start=1):
         labels.append(f"h{k}({g.label(anchor)})")
-    hull = Graph(len(adj), _rows(adj), labels)
+    hull = Graph._of(len(adj), _rows(adj), labels)
 
     if hull.n > 2 * g.n or hull.m > 4 * g.m:
         raise RuntimeError("internal consistency failure: hull exceeds 2n/4m bounds")

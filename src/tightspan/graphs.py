@@ -78,6 +78,9 @@ class Graph:
             for u in bits(row):
                 if not adj[u] >> v & 1:
                     raise ValueError(f"asymmetric edge {v}-{u}")
+        self._fill(n, adj, labels)
+
+    def _fill(self, n: int, adj: Sequence[int], labels: Optional[Sequence[str]]) -> None:
         self.n = n
         self.adj = tuple(adj)
         self.labels = tuple(labels) if labels is not None else None
@@ -86,6 +89,14 @@ class Graph:
         self._dm: Optional[DistanceMatrix] = None
         self._levels: Optional[list[list[int]]] = None
         self._square: Optional[Graph] = None
+
+    @classmethod
+    def _of(cls, n: int, adj: Sequence[int], labels: Optional[Sequence[str]] = None) -> "Graph":
+        """A graph on rows the library built itself, symmetric and loop-free on
+        n >= 1 vertices, so only the label count is checked."""
+        g = cls.__new__(cls)
+        g._fill(n, adj, labels)
+        return g
 
     @classmethod
     def from_edge_list(
@@ -104,7 +115,7 @@ class Graph:
         (metric calls will still refuse to run).
         """
         check_size(n, max_vertices)
-        rows = [0] * n
+        rows = [0] * max(n, 0)
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
@@ -112,7 +123,9 @@ class Graph:
                 raise ValueError(f"loop edge at {u}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        g = cls(n, rows, labels)
+        if n < 1:
+            raise ValueError("graph needs at least one vertex")
+        g = cls._of(n, rows, labels)
         if require_connected and not g.is_connected():
             raise DisconnectedGraphError("graph is disconnected")
         return g
@@ -157,6 +170,10 @@ class Graph:
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph on ``vertices``; vertex i of the result is vertices[i]."""
         verts = list(vertices)
+        if not verts:
+            raise ValueError("graph needs at least one vertex")
+        if not 0 <= min(verts) <= max(verts) < self.n:
+            raise ValueError(f"vertices outside 0..{self.n - 1}")
         if len(set(verts)) != len(verts):
             raise ValueError("duplicate vertices")
         index = {v: i for i, v in enumerate(verts)}
@@ -169,7 +186,7 @@ class Graph:
         labels = None
         if self.labels is not None:
             labels = [self.labels[v] for v in verts]
-        return Graph(len(verts), rows, labels)
+        return Graph._of(len(verts), rows, labels)
 
     # -- metric operations ----------------------------------------------
 
@@ -272,7 +289,7 @@ class Graph:
             for layer in layers[1 : k + 1]:
                 row |= layer
             rows.append(row)
-        g = Graph(self.n, rows, self.labels)
+        g = Graph._of(self.n, rows, self.labels)
         if k == 2:
             self._square = g
         return g

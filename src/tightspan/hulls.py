@@ -194,7 +194,7 @@ def build_injective_hull(g: Graph, max_nodes: int = DEFAULT_MAX_NODES) -> Inject
         rows[b] |= 1 << a
     labels = [g.label(z) for z in range(g.n)]
     labels += [f"h{k}" for k in range(1, len(helly_vectors) + 1)]
-    hull = Graph(len(vectors), rows, labels)
+    hull = Graph._of(len(vectors), rows, labels)
 
     if not is_isometric_subgraph(g, hull, range(g.n)):
         raise RuntimeError("internal consistency failure: hull embedding is not isometric")

@@ -9,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strategies import graphs
-from tightspan import fixture, format_edge_list, generators, hellify_dh, helly, random_dh
+from tightspan import (
+    detectors,
+    fixture,
+    format_edge_list,
+    generators,
+    hellify_dh,
+    helly,
+    random_dh,
+)
 from tightspan.cli import run
 
 
@@ -201,6 +209,57 @@ def test_recognize_budget_error_keeps_earlier_lines(c4_file):
     )
 
 
+@pytest.mark.parametrize("witness", [False, True])
+def test_recognize_budget_error_after_the_helly_line(house_file, witness):
+    # The house is not pseudo-modular, so the helly line needs no 2-sets and
+    # the budget cut falls before dually-chordal.
+    argv = ["recognize", house_file, "--budget", "1"] + (["--witness"] if witness else [])
+    code, out = _run(argv)
+    assert code == 2
+    assert "dually-chordal" not in out
+    assert out.splitlines()[2:] == [
+        "split=no",
+        "at-free=yes",
+        "distance-hereditary=no",
+        "square-chordal=yes",
+        "helly=no witness=non-pseudo-modular:4,2,3" if witness else "helly=no",
+    ]
+
+
+@pytest.mark.parametrize("name", ["house", "C5"])
+def test_recognize_searches_witnesses_only_under_witness(tmp_path, monkeypatch, name):
+    path = tmp_path / "g.txt"
+    path.write_text(format_edge_list(fixture(name)))
+
+    def fail(g):
+        raise AssertionError("witness search without --witness")
+
+    monkeypatch.setattr(detectors, "find_long_induced_cycle", fail)
+    monkeypatch.setattr(detectors, "find_odd_cycle", fail)
+    code, out = _run(["recognize", str(path)])
+    assert code == 0 and len(out.splitlines()) == 8 and "witness" not in out
+    with pytest.raises(AssertionError, match="witness search"):
+        _run(["recognize", str(path), "--witness"])
+
+
+@pytest.mark.parametrize("witness", [[], ["--witness"]])
+@pytest.mark.parametrize("name", ["C4", "house"])
+def test_recognize_lists_two_sets_once(tmp_path, monkeypatch, name, witness):
+    path = tmp_path / "g.txt"
+    path.write_text(format_edge_list(fixture(name)))
+    calls = []
+    original = helly.maximal_two_sets
+
+    def spy(g, max_nodes=helly.DEFAULT_CLIQUE_NODES):
+        calls.append(g)
+        return original(g, max_nodes)
+
+    monkeypatch.setattr(helly, "maximal_two_sets", spy)
+    code, out = _run(["recognize", str(path), *witness])
+    assert code == 0 and out.endswith("dually-chordal=no\n")
+    assert len(calls) == 1
+
+
 def test_hyperbolicity_output(c4_file):
     code, out = _run(["hyperbolicity", c4_file])
     assert code == 0
@@ -345,6 +404,8 @@ MALFORMED = [
     "3 2\n0 1\n",
     "2 1\n0 1 1\n",
     "600 0\n",
+    "-99999999999999999999 0\n",
+    "-99999999999999999999 1\n0 1\n",
 ]
 
 
@@ -382,6 +443,20 @@ def test_cli_fuzz_exit_codes(call):
         assert code == 1
     if "--budget" in argv and int(argv[argv.index("--budget") + 1]) < 1:
         assert code == 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("-99999999999999999999 0\n", "graph needs at least one vertex"),
+        ("-99999999999999999999 1\n0 1\n", "edge (0,1) out of range for n=-99999999999999999999"),
+    ],
+)
+@pytest.mark.parametrize("command", sorted(FORMATS))
+def test_huge_negative_vertex_count_is_an_input_error(monkeypatch, capsys, command, text, message):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert _run([command, "-"]) == (1, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_parser_is_built_once_and_reuse_keeps_bytes(c4_file, house_file):

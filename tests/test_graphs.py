@@ -1,5 +1,6 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import is_isometric_subgraph_apsp
 from strategies import connected_graphs
@@ -9,11 +10,14 @@ from tightspan import (
     build_injective_hull,
     fixture,
     format_edge_list,
+    hellify_dh,
     is_isometric_subgraph,
     parse_edge_list,
+    random_dh,
     split_family,
     to_dot,
 )
+from tightspan.dh import pruning_sequence, replay
 
 
 def test_single_vertex():
@@ -232,6 +236,56 @@ def test_induced_subgraph():
     assert sub == fixture("K3")
 
 
+@pytest.mark.parametrize(
+    "vertices, message",
+    [
+        ([], "graph needs at least one vertex"),
+        ([0, 5], "vertices outside 0..4"),
+        ([-1, 0], "vertices outside 0..4"),
+        ([0, 1, 0], "duplicate vertices"),
+    ],
+)
+def test_induced_rejects_bad_vertex_lists(vertices, message):
+    with pytest.raises(ValueError) as info:
+        fixture("house").induced(vertices)
+    assert str(info.value) == message
+
+
+def test_internal_builders_skip_the_public_checks(monkeypatch):
+    dh_inputs = [random_dh(60, seed) for seed in range(3)]
+    c6, c7 = fixture("C6"), fixture("C7")
+    seq = pruning_sequence(random_dh(40, 7))
+    calls = []
+    checked = Graph.__init__
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        checked(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", spy)
+    for g in dh_inputs:
+        hellify_dh(g)
+    build_injective_hull(c6)
+    c7.power(2)
+    replay(seq)
+    assert calls == []
+    Graph(1, [0])  # the spy does see the public constructor
+    assert len(calls) == 1
+
+
+def test_internal_builders_output_passes_the_public_checks(corpus, corpus_hulls):
+    built = []
+    for name, g in corpus:
+        built += [g, g.power(2), g.power(3), corpus_hulls[name].hull]
+        built.append(g.induced(range(g.n - 1, -1, -1)))
+    for seed in range(10):
+        g = random_dh(60, seed)
+        built += [g, replay(pruning_sequence(g)), hellify_dh(g).hull]
+        built.append(g.induced(range(0, g.n, 2)))
+    for h in built:
+        assert Graph(h.n, h.adj, h.labels) == h
+
+
 def test_edge_list_round_trip():
     g = split_family(2)
     assert parse_edge_list(format_edge_list(g)) == g
@@ -248,6 +302,25 @@ def test_edge_list_comments_and_blanks():
 def test_edge_list_malformed(text):
     with pytest.raises(ValueError):
         parse_edge_list(text)
+
+
+_TOKENS = st.integers(-3, 9).map(str) | st.sampled_from(
+    ["-100000000000000000000", "100000000000000000000", "x", "1.5", "0x1", "#", "# c"]
+)
+_LINES = st.lists(_TOKENS, max_size=3).map(" ".join)
+
+
+@given(st.lists(_LINES, max_size=8).map("\n".join))
+@example("-99999999999999999999 0\n")
+@settings(max_examples=300)
+def test_parse_edge_list_fuzz(text):
+    """Arbitrary text parses to a connected graph or fails with a ValueError
+    (DisconnectedGraphError is one), never with any other exception."""
+    try:
+        g = parse_edge_list(text)
+    except ValueError:
+        return
+    assert isinstance(g, Graph) and g.is_connected()
 
 
 def test_to_dot_contains_labels():
