@@ -16,7 +16,6 @@ from .dh import (
     FALSE_TWIN,
     PENDANT,
     TRUE_TWIN,
-    HellificationResult,
     PruningSequence,
     PruningStep,
     TwinClassPoset,

@@ -10,7 +10,8 @@ contained in any other vertex's is preceded by a fresh true twin of the
 anchor (the new Helly vertex). The dominator query is answered in O(1) by
 :class:`TwinClassPoset`, which keeps the true-twin classes of the host
 partitioned with directed edges for strict closed-neighborhood containment.
-The host is then built from its sequence by the same code as :func:`replay`.
+The host is built from its sequence by the same code as :func:`replay` and
+returned as a ``hulls.InjectiveHull``, whose vectors cost nothing unread.
 
 The sequence builder keeps the live vertices in buckets keyed by closed and
 open neighbourhood rows and a lazy min-heap of vertices whose status may have
@@ -29,6 +30,7 @@ from typing import Optional
 
 from .errors import NotDistanceHereditaryError
 from .graphs import Graph, bits
+from .hulls import InjectiveHull
 
 PENDANT = "pendant"
 TRUE_TWIN = "true_twin"
@@ -277,21 +279,6 @@ class TwinClassPoset:
         return len(self.members[s]) > 1 or bool(self.succ[s])
 
 
-@dataclass(frozen=True)
-class HellificationResult:
-    """Hull of a distance-hereditary graph plus provenance of added vertices.
-
-    Source vertex z is hull vertex z; each added Helly vertex appears in
-    ``added`` with the anchor whose false twin forced it. ``sequence`` is a
-    pruning sequence of the hull itself, certifying that the hull is
-    distance-hereditary.
-    """
-
-    hull: Graph
-    added: tuple[tuple[int, int], ...]
-    sequence: PruningSequence
-
-
 def hellify_adjacency(
     seq: PruningSequence,
 ) -> tuple[list[list[int]], list[tuple[int, int]], PruningSequence]:
@@ -319,16 +306,17 @@ def hellify_adjacency(
     return _neighbour_lists(host_seq), added, host_seq
 
 
-def hellify_dh(g: Graph) -> HellificationResult:
+def hellify_dh(g: Graph) -> InjectiveHull:
     """Injective hull of a distance-hereditary graph by sequence replay.
 
-    Raises NotDistanceHereditaryError on other inputs. The result satisfies
-    |V(hull)| <= 2n and |E(hull)| <= 4m and is itself distance-hereditary.
+    Raises NotDistanceHereditaryError on other inputs. The hull satisfies
+    |V(hull)| <= 2n and |E(hull)| <= 4m and is itself distance-hereditary;
+    ``added`` pairs each Helly vertex, labelled ``h<k>(<anchor>)``, with its anchor.
     """
     seq = pruning_sequence(g)
     if seq is None:
         raise NotDistanceHereditaryError("input graph is not distance-hereditary")
-    adj, added, host_seq = hellify_adjacency(seq)
+    adj, added, _ = hellify_adjacency(seq)
     labels = [g.label(v) for v in range(g.n)]
     for k, (vertex, anchor) in enumerate(added, start=1):
         labels.append(f"h{k}({g.label(anchor)})")
@@ -336,4 +324,4 @@ def hellify_dh(g: Graph) -> HellificationResult:
 
     if hull.n > 2 * g.n or hull.m > 4 * g.m:
         raise RuntimeError("internal consistency failure: hull exceeds 2n/4m bounds")
-    return HellificationResult(hull, tuple(added), host_seq)
+    return InjectiveHull(g, hull, tuple(added))

@@ -340,9 +340,9 @@ def json_pairs(pairs) -> str:
 
 # -- edge-list text format -----------------------------------------------
 #
-# First meaningful line is "n m", followed by m lines "u v" with 0-based ids.
-# Lines starting with "#" and blank lines are ignored. This format is the
-# input to every CLI command.
+# First meaningful line is "n m", followed by m lines "u v" with 0-based ids,
+# every number ASCII ``-?[0-9]+``. Text from "#" to the end of a line and
+# blank lines are ignored. This format is the input to every CLI command.
 
 
 def parse_edge_list(text: str, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
@@ -365,7 +365,13 @@ def parse_edge_list(text: str, max_vertices: int = DEFAULT_MAX_VERTICES) -> Grap
         if len(tok) != 2:
             raise ValueError(f"bad edge line: {' '.join(tok)}")
         edges.append((int(tok[0]), int(tok[1])))
-    return Graph.from_edge_list(n, edges, max_vertices=max_vertices)
+    g = Graph.from_edge_list(n, edges, max_vertices=max_vertices)
+    # int() also takes "+3", "1_0" and non-ASCII digits; one scan clears most texts
+    if not text.isascii() or "+" in text or "_" in text:
+        bad = [t for row in tokens for t in row if not t.isascii() or "+" in t or "_" in t]
+        if bad:
+            raise ValueError(f"invalid literal for int() with base 10: {bad[0]!r}")
+    return g
 
 
 def format_edge_list(g: Graph) -> str:

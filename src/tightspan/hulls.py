@@ -17,10 +17,11 @@ nodes (default ``DEFAULT_MAX_NODES``), raising BudgetExceededError either way.
 Adjacency packs each vector into one int, a lane per coordinate, and tests a
 pair with one subtraction and two masks (``_chebyshev_pairs``); since the
 vectors are sorted, the candidates for a vector form one contiguous window
-of the list. The isometry check runs BFS in the hull from the real vertices
-only, so the hull's all-pairs distances are never built. ``hull_to_json``
-writes the document directly, with the bytes ``json.dumps(doc, indent=2)``
-would give.
+of the list. :class:`InjectiveHull`, also returned by ``dh.hellify_dh``,
+reads its vectors off one hull BFS per real vertex, never the hull's
+all-pairs distances; matching the enumeration checks the embedding too.
+``hull_to_json`` writes the document directly, with the bytes
+``json.dumps(doc, indent=2)`` would give.
 
 Source vertex z is hull vertex z: the hull lists the n real vertices first,
 in source order, then the Helly vertices in lexicographic vector order.
@@ -30,9 +31,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import BudgetExceededError
-from .graphs import Graph, is_isometric_subgraph, json_pairs
+from .graphs import Graph, _distance_row, json_pairs
 
 Vector = tuple[int, ...]
 
@@ -118,14 +120,25 @@ def enumerate_extremal_functions(
 
 @dataclass(frozen=True)
 class InjectiveHull:
-    """The hull graph plus per-vertex vectors, in the module's canonical order.
+    """H(source); hull vertex z < ``n_real`` is source vertex z.
 
-    Hull vertex z < ``n_real`` is source vertex z and carries d_z.
+    The Helly vertices follow, sorted by vector from build_injective_hull
+    and in insertion order from ``dh.hellify_dh``, whose ``added`` pairs
+    each one with the anchor whose false twin forced it.
     """
 
     source: Graph
     hull: Graph
-    vectors: tuple[Vector, ...]
+    added: tuple[tuple[int, int], ...] = ()
+
+    @cached_property
+    def vectors(self) -> tuple[Vector, ...]:
+        """Each hull vertex's hull distances to the real vertices, its extremal
+        function; read off one BFS per real vertex, never the all-pairs matrix."""
+        hull = self.hull
+        full = (1 << hull.n) - 1
+        rows = [_distance_row(hull.n, hull._frontiers(1 << z, full)) for z in range(self.n_real)]
+        return tuple(zip(*rows))
 
     @property
     def n_real(self) -> int:
@@ -172,33 +185,25 @@ def _chebyshev_pairs(vectors: list[Vector]) -> list[tuple[int, int]]:
 
 
 def build_injective_hull(g: Graph, max_nodes: int = DEFAULT_MAX_NODES) -> InjectiveHull:
-    """Construct H(g), verify the isometric embedding, and return it."""
+    """Construct H(g) and check that its vectors, read off the hull, are the enumerated ones."""
     vectors = enumerate_extremal_functions(g, max_nodes)
-    real_vectors = g.distances().rows
-    index = {v: k for k, v in enumerate(vectors)}
-    # pos[k] is the canonical hull vertex of vectors[k]: reals in source order,
-    # then the Helly vectors in their sorted order
-    pos = [-1] * len(vectors)
-    for z, row in enumerate(real_vectors):
-        pos[index[row]] = z
-    helly_vectors = []
-    for k, v in enumerate(vectors):
-        if pos[k] < 0:
-            pos[k] = g.n + len(helly_vectors)
-            helly_vectors.append(v)
-
-    rows = [0] * len(vectors)
+    reals = g.distances().rows
+    real_set = set(reals)
+    # canonical order: reals in source order, then the Helly vectors sorted
+    canonical = reals + tuple(v for v in vectors if v not in real_set)
+    at = {v: k for k, v in enumerate(canonical)}
+    pos = [at[v] for v in vectors]
+    rows = [0] * len(canonical)
     for i, j in _chebyshev_pairs(vectors):
         a, b = pos[i], pos[j]
         rows[a] |= 1 << b
         rows[b] |= 1 << a
     labels = [g.label(z) for z in range(g.n)]
-    labels += [f"h{k}" for k in range(1, len(helly_vectors) + 1)]
-    hull = Graph._of(len(vectors), rows, labels)
-
-    if not is_isometric_subgraph(g, hull, range(g.n)):
-        raise RuntimeError("internal consistency failure: hull embedding is not isometric")
-    return InjectiveHull(g, hull, real_vectors + tuple(helly_vectors))
+    labels += [f"h{k}" for k in range(1, len(canonical) - g.n + 1)]
+    h = InjectiveHull(g, Graph._of(len(canonical), rows, labels))
+    if h.vectors != canonical:
+        raise RuntimeError("internal consistency failure: hull distances differ from the vectors")
+    return h
 
 
 def helly_gap(h: InjectiveHull) -> int:

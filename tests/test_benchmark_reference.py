@@ -62,3 +62,22 @@ def test_traced_run_installs_and_uninstalls():
     finally:
         uninstall()
     assert cli.run is run
+
+
+def test_traced_run_counts_hull_and_hellify_work(monkeypatch):
+    # The counters read r.hull.n off build_injective_hull and r.added off
+    # hellify_dh, so renaming either field fails here, not only in the
+    # traced benchmark.
+    text = tightspan.format_edge_list(tightspan.fixture("C4"))
+    tracer = spans.Tracer()
+    uninstall = spans.install(tracer)
+    try:
+        for argv in (["hull", "-", "--format", "json"], ["hellify-dh", "-", "--format", "json"]):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            assert run(argv, io.StringIO()) == 0
+    finally:
+        uninstall()
+    counts = {name: value for (_, name), value in tracer.counts.items()}
+    assert counts["hulls.vector_pairs"] == 10  # C(5, 2) on the 5-vertex H(C4)
+    assert counts["dh.added"] == 1
+    assert not [name for name in counts if name.endswith(".errors")]

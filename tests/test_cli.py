@@ -459,6 +459,14 @@ def test_huge_negative_vertex_count_is_an_input_error(monkeypatch, capsys, comma
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("token", ["+1", "0_1", "\u0661"])
+def test_only_ascii_digits_are_integers(monkeypatch, capsys, token):
+    # int() reads each token as 1, but edge-list numbers are ASCII -?[0-9]+
+    monkeypatch.setattr(sys, "stdin", io.StringIO(f"2 1\n0 {token}\n"))
+    assert _run(["hull", "-"]) == (1, "")
+    assert capsys.readouterr().err == f"error: invalid literal for int() with base 10: {token!r}\n"
+
+
 def test_parser_is_built_once_and_reuse_keeps_bytes(c4_file, house_file):
     from tightspan import cli
 

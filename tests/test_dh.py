@@ -21,12 +21,14 @@ from tightspan import (
     build_injective_hull,
     fixture,
     hellify_dh,
+    helly_gap,
     is_helly,
     pruning_sequence,
     random_chordal,
     random_dh,
     replay,
 )
+from tightspan import dh
 from tightspan.dh import hellify_adjacency
 
 def poset_matches_graph(poset, g):
@@ -287,6 +289,18 @@ def test_hellify_rejects_non_dh():
         hellify_dh(fixture("house"))
 
 
+def test_hellify_bound_check_fires(monkeypatch):
+    # pad the core's host with isolated vertices past 2n, each with a label
+    def padded(seq):
+        adj, added, host_seq = hellify_adjacency(seq)
+        extra = range(len(adj), 2 * len(seq.order) + 1)
+        return adj + [[] for _ in extra], added + [(v, 0) for v in extra], host_seq
+
+    monkeypatch.setattr(dh, "hellify_adjacency", padded)
+    with pytest.raises(RuntimeError, match="internal consistency failure: hull exceeds 2n/4m"):
+        hellify_dh(fixture("C4"))
+
+
 def test_hellify_added_labels_mention_anchor():
     result = hellify_dh(fixture("C4"))
     helly_id, anchor = result.added[0]
@@ -300,6 +314,9 @@ def test_hellify_matches_tight_span_oracle(seed):
     oracle = build_injective_hull(g)
     assert result.hull.n == oracle.hull.n  # minimality
     assert canonical_hull(result.hull, g.n) == (oracle.hull, oracle.vectors)
+    # the one hull type: vectors and gap read the same off either builder's hull
+    assert sorted(result.vectors) == sorted(oracle.vectors)
+    assert helly_gap(result) == helly_gap(oracle)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -310,7 +327,7 @@ def test_hellify_invariants(seed):
     assert result.hull.m <= 4 * g.m
     assert is_helly(result.hull)
     assert pruning_sequence(result.hull) is not None
-    assert replay(result.sequence) == result.hull
+    assert replay(hellify_adjacency(pruning_sequence(g))[2]) == result.hull
     # source vertex z is hull vertex z
     assert result.hull.induced(range(g.n)) == g
 
@@ -328,7 +345,7 @@ def _compacted_prefix(seq, length):
 @pytest.mark.parametrize("seed", range(8))
 def test_hellify_host_stays_helly_after_every_insertion(seed):
     g = random_dh(8, seed)
-    seq = hellify_dh(g).sequence
+    seq = hellify_adjacency(pruning_sequence(g))[2]
     for i in range(1, len(seq.order) + 1):
         assert is_helly(replay(_compacted_prefix(seq, i))), (seed, i)
 

@@ -297,7 +297,9 @@ def test_edge_list_comments_and_blanks():
 
 
 @pytest.mark.parametrize(
-    "text", ["", "3\n", "3 2\n0 1\n", "2 1\n0 1 2\n"]
+    "text",
+    # int() reads the last three's "+1", "0_1" and Arabic-Indic "1" as 1
+    ["", "3\n", "3 2\n0 1\n", "2 1\n0 1 2\n", "2 1\n0 +1\n", "2 1\n0 0_1\n", "2 1\n0 \u0661\n"],
 )
 def test_edge_list_malformed(text):
     with pytest.raises(ValueError):
@@ -306,6 +308,7 @@ def test_edge_list_malformed(text):
 
 _TOKENS = st.integers(-3, 9).map(str) | st.sampled_from(
     ["-100000000000000000000", "100000000000000000000", "x", "1.5", "0x1", "#", "# c"]
+    + ["+3", "1_0", "\u0663"]  # int() takes these; the format does not
 )
 _LINES = st.lists(_TOKENS, max_size=3).map(" ".join)
 

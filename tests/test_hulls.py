@@ -21,12 +21,15 @@ from tightspan import (
     disk_separates,
     enumerate_extremal_functions,
     fixture,
+    hellify_dh,
     helly_gap,
     hull_to_dot,
     hull_to_json,
     peripheral_vertices,
+    random_dh,
     split_family,
 )
+from tightspan import hulls
 from tightspan.hulls import _chebyshev_pairs
 
 
@@ -191,6 +194,17 @@ def test_disk_separates_split_family_single_clique_vertex():
             assert not disk_separates(g, m, 0, i, 4 + i)
 
 
+# ``dh10-<seed>`` is the linear-algorithm hull of random_dh(10, seed), read
+# by the same writers as the enumeration hulls
+DH_HULLS = [f"dh10-{seed}" for seed in range(20)]
+
+
+def _hull(name):
+    if name.startswith("dh10-"):
+        return hellify_dh(random_dh(10, int(name[5:])))
+    return build_injective_hull(crown_family(4) if name == "crown4" else fixture(name))
+
+
 def test_hull_json_schema():
     h = build_injective_hull(fixture("C4"))
     doc = json.loads(hull_to_json(h))
@@ -206,6 +220,11 @@ def test_hull_dot_shapes():
     dot = hull_to_dot(h)
     assert dot.startswith("graph H {\n")
     assert "shape=circle" in dot and "shape=square" in dot
+    for h in map(_hull, DH_HULLS):
+        dot = hull_to_dot(h)
+        assert dot.startswith("graph H {\n")
+        assert dot.count("shape=circle") == h.n_real and dot.count("shape=square") == h.n_helly
+        assert hull_to_json(h) == hull_json_dumps(h)
 
 
 @given(connected_graphs(max_n=6))
@@ -267,13 +286,26 @@ def test_chebyshev_pairs_on_full_grids(top, dim):
 def test_hull_never_builds_hull_distances():
     h = build_injective_hull(fixture("C10"))
     assert h.hull._dm is None
+    h = hellify_dh(random_dh(10, 9))
+    assert len(h.vectors) == h.hull.n and h.n_helly == 2
+    assert h.hull._dm is None
 
 
-@pytest.mark.parametrize("name", ["K1", "K2", "C4", "C5", "crown4", "C10"])
+@pytest.mark.parametrize("name", ["K1", "K2", "C4", "C5", "crown4", "C10"] + DH_HULLS)
 def test_hull_json_matches_json_dumps(name):
-    g = crown_family(4) if name == "crown4" else fixture(name)
-    h = build_injective_hull(g)
+    h = _hull(name)
     assert hull_to_json(h) == hull_json_dumps(h)
+
+
+@pytest.mark.parametrize("drop", [0, 1])
+def test_hull_consistency_check_fires(monkeypatch, drop):
+    # Pair 0 joins real vertices 0 and 1 of C6, so the isometric embedding
+    # breaks. Pair 1 joins real vertex 0 to a Helly vertex: the reals stay
+    # isometric, and only the Helly vertices' distances to them change.
+    pairs = hulls._chebyshev_pairs
+    monkeypatch.setattr(hulls, "_chebyshev_pairs", lambda v: [p for k, p in enumerate(pairs(v)) if k != drop])
+    with pytest.raises(RuntimeError, match="internal consistency failure"):
+        build_injective_hull(fixture("C6"))
 
 
 @given(connected_graphs(max_n=8))
