@@ -6,13 +6,14 @@ tight against some other, so no coordinate can be lowered. Real vertices are
 the distance vectors ``d_z``; everything else is a Helly vertex. Two hull
 vertices are adjacent exactly when their Chebyshev distance is 1.
 
-Enumeration is a depth-first assignment of f in vertex order with interval
-pruning: the running lower bound max(d(x,y) - f(y)) over assigned y, the
-eccentricity upper bound, and a watch on coordinates whose tightness can no
-longer be realised by any unassigned vertex. The search is exact and the
-returned list is canonically sorted, but hulls can be exponential, so inputs
-above ``MAX_VERTICES`` are refused and the search stops after ``max_nodes``
-nodes (default ``DEFAULT_MAX_NODES``), raising BudgetExceededError either way.
+Enumeration assigns f depth-first in vertex order, each value between the
+lower bound max(0, d(x,y) - f(y)) over assigned y and the eccentricity. The
+mask passed down marks the assigned coordinates witnessed by a tight partner.
+Only a coordinate's lowest value can be tight, so tightness is checked once
+per coordinate; a branch dies when no unassigned vertex is left to witness an
+unwitnessed coordinate. Hulls can be exponential, so the exact search refuses
+n > ``MAX_VERTICES`` and stops after ``max_nodes`` nodes (default
+``DEFAULT_MAX_NODES``), raising BudgetExceededError rather than truncating.
 
 Adjacency packs each vector into one int, a lane per coordinate, and tests a
 pair with one subtraction and two masks (``_chebyshev_pairs``); since the
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BudgetExceededError
-from .graphs import Graph, _distance_row, json_pairs
+from .graphs import Graph, _distance_row, bits, json_pairs
 
 Vector = tuple[int, ...]
 
@@ -56,18 +57,17 @@ def enumerate_extremal_functions(
             f"hull enumeration capped at {MAX_VERTICES} vertices (n={g.n})"
         )
     dm = g.distances()
-    d = [list(row) for row in dm.rows]
+    d = dm.rows
     ecc = dm.ecc
     n = g.n
 
     out: list[Vector] = []
     f = [0] * n
-    witnessed = [False] * n
     # lower[i] holds the feasibility lower bounds once vertices < i are assigned
     lower = [[0] * n for _ in range(n + 1)]
     nodes = 0
 
-    def dfs(i: int) -> None:
+    def dfs(i: int, witnessed: int) -> None:
         nonlocal nodes
         if i == n:
             out.append(tuple(f))
@@ -75,45 +75,33 @@ def enumerate_extremal_functions(
         cur = lower[i]
         nxt = lower[i + 1]
         di = d[i]
-        for value in range(cur[i], ecc[i] + 1):
+        lowest = cur[i]
+        # only the lowest value can be tight; a tight pair witnesses both ends
+        tight = 0 if lowest else 1 << i
+        for j in range(i):
+            if f[j] + lowest == di[j]:
+                tight |= 1 << j | 1 << i
+        for value in range(lowest, ecc[i] + 1):
             nodes += 1
             if nodes > max_nodes:
                 raise BudgetExceededError(
                     f"hull enumeration exceeded {max_nodes} search nodes"
                 )
             f[i] = value
-            newly = []
-            for j in range(i + 1):
-                # tightness witnesses extremality at both endpoints
-                if f[j] + value == d[j][i]:
-                    if not witnessed[j]:
-                        witnessed[j] = True
-                        newly.append(j)
-                    if not witnessed[i]:
-                        witnessed[i] = True
-                        newly.append(i)
             for y in range(i + 1, n):
                 t = di[y] - value
                 nxt[y] = cur[y] if cur[y] >= t else t
-            # A coordinate j with no tight partner yet must still be able to
-            # get one from the unassigned suffix, else this branch is dead.
-            viable = True
-            for j in range(i + 1):
-                if witnessed[j]:
-                    continue
+            w = witnessed | tight if value == lowest else witnessed
+            # dead once an unwitnessed j has no partner left in the suffix
+            for j in bits(~w & ((2 << i) - 1)):
                 fj = f[j]
                 dj = d[j]
-                if not any(
-                    dj[y] - fj >= nxt[y] and dj[y] >= fj for y in range(i + 1, n)
-                ):
-                    viable = False
+                if not any(dj[y] - fj >= nxt[y] for y in range(i + 1, n)):
                     break
-            if viable:
-                dfs(i + 1)
-            for j in newly:
-                witnessed[j] = False
+            else:
+                dfs(i + 1, w)
 
-    dfs(0)
+    dfs(0, 0)
     out.sort()
     return out
 
@@ -209,8 +197,8 @@ def build_injective_hull(g: Graph, max_nodes: int = DEFAULT_MAX_NODES) -> Inject
 def helly_gap(h: InjectiveHull) -> int:
     """Largest hull distance from a Helly vertex to its nearest real vertex.
 
-    Computed by multi-source BFS on the hull graph rather than from the
-    Chebyshev formula, so the vector metric stays an independent cross-check.
+    One multi-source BFS from the real vertices. Reading it off ``vectors``
+    would cost one BFS per real vertex on a DH hull, which builds them lazily.
     """
     full = (1 << h.hull.n) - 1
     seen = 0

@@ -1,7 +1,10 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here deliberately avoids the code paths under test: the extremal
-scan enumerates raw vectors with numpy, feasibility and extremality are
+scan enumerates raw vectors with numpy, ``extremal_dfs`` is the library's
+former search with its undo list and per-value tightness scan, and counts
+its nodes so the library's budget boundary can be checked against it;
+feasibility and extremality are
 direct pairwise checks, hull adjacency compares every pair of vectors
 coordinate by coordinate, the isometry check reads both all-pairs distance
 matrices, the hull document goes through ``json.dumps``, Helly checks go
@@ -48,6 +51,74 @@ def brute_force_extremal(g: Graph) -> list[tuple[int, ...]]:
             tight |= F[:, x] + F[:, y] == d[x][y]
         ext &= tight
     return sorted(tuple(int(v) for v in row) for row in F[ext])
+
+
+def extremal_dfs(g: Graph) -> tuple[list[tuple[int, ...]], int]:
+    """The extremal vectors, sorted, and the number of search nodes visited.
+
+    The library's former depth-first search, unbudgeted: it keeps a
+    ``witnessed`` list, undoes it after every value, and tests tightness
+    against every assigned coordinate at every value. The library must try
+    the same values and prune the same branches, so a budget of exactly
+    ``nodes`` passes and one less fails.
+    """
+    dm = g.distances()
+    d = [list(row) for row in dm.rows]
+    ecc = dm.ecc
+    n = g.n
+
+    out: list[tuple[int, ...]] = []
+    f = [0] * n
+    witnessed = [False] * n
+    # lower[i] holds the feasibility lower bounds once vertices < i are assigned
+    lower = [[0] * n for _ in range(n + 1)]
+    nodes = 0
+
+    def dfs(i: int) -> None:
+        nonlocal nodes
+        if i == n:
+            out.append(tuple(f))
+            return
+        cur = lower[i]
+        nxt = lower[i + 1]
+        di = d[i]
+        for value in range(cur[i], ecc[i] + 1):
+            nodes += 1
+            f[i] = value
+            newly = []
+            for j in range(i + 1):
+                # tightness witnesses extremality at both endpoints
+                if f[j] + value == d[j][i]:
+                    if not witnessed[j]:
+                        witnessed[j] = True
+                        newly.append(j)
+                    if not witnessed[i]:
+                        witnessed[i] = True
+                        newly.append(i)
+            for y in range(i + 1, n):
+                t = di[y] - value
+                nxt[y] = cur[y] if cur[y] >= t else t
+            # A coordinate j with no tight partner yet must still be able to
+            # get one from the unassigned suffix, else this branch is dead.
+            viable = True
+            for j in range(i + 1):
+                if witnessed[j]:
+                    continue
+                fj = f[j]
+                dj = d[j]
+                if not any(
+                    dj[y] - fj >= nxt[y] and dj[y] >= fj for y in range(i + 1, n)
+                ):
+                    viable = False
+                    break
+            if viable:
+                dfs(i + 1)
+            for j in newly:
+                witnessed[j] = False
+
+    dfs(0)
+    out.sort()
+    return out, nodes
 
 
 def is_feasible(vector: tuple[int, ...], dist_rows) -> bool:

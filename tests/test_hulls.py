@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from oracles import (
     brute_force_extremal,
     chebyshev_rows_pairwise,
+    extremal_dfs,
     hull_json_dumps,
     is_extremal,
     is_feasible,
@@ -255,6 +256,61 @@ FAMILY_HULLS = {
     "split2": lambda: split_family(2),
     "cocomparability2": lambda: cocomparability_family(2)[0],
 }
+
+
+def _assert_same_search(g, label=None):
+    """Same vectors as the former DFS, and a budget boundary at its node count."""
+    vectors, nodes = extremal_dfs(g)
+    assert enumerate_extremal_functions(g, max_nodes=nodes) == vectors, label
+    with pytest.raises(BudgetExceededError, match=f"exceeded {nodes - 1} search nodes"):
+        enumerate_extremal_functions(g, max_nodes=nodes - 1)
+
+
+SEARCH_ORACLE_FAMILIES = {
+    **{f"C{k}": lambda k=k: fixture(f"C{k}") for k in range(3, 13)},
+    **{f"crown{k}": lambda k=k: crown_family(k) for k in range(3, 7)},
+    "split2": lambda: split_family(2),
+    "cocomparability2": lambda: cocomparability_family(2)[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_ORACLE_FAMILIES))
+def test_search_matches_dfs_oracle_families(name):
+    _assert_same_search(SEARCH_ORACLE_FAMILIES[name](), name)
+
+
+def test_search_matches_dfs_oracle_corpus(corpus):
+    for name, g in corpus:
+        _assert_same_search(g, name)
+
+
+@given(connected_graphs(max_n=8))
+@settings(max_examples=100, deadline=None)
+def test_search_matches_dfs_oracle_random(g):
+    _assert_same_search(g)
+
+
+# Search nodes of the extremal enumeration, measured with tests/oracles.extremal_dfs
+# (the former DFS). Any change to the value order or the pruning moves them.
+SEARCH_NODES = {
+    "crown6": 5232,
+    "crown7": 15065,
+    "C12": 14961,
+    "C13": 12421,
+    "C14": 58755,
+    "split2": 305,
+    "cocomparability2": 312,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_NODES))
+def test_search_node_counts_pinned(name):
+    g = FAMILY_HULLS[name]()
+    nodes = SEARCH_NODES[name]
+    enumerate_extremal_functions(g, max_nodes=nodes)  # the whole search fits
+    with pytest.raises(BudgetExceededError) as exc:
+        enumerate_extremal_functions(g, max_nodes=nodes - 1)
+    assert str(exc.value) == f"hull enumeration exceeded {nodes - 1} search nodes"
 
 
 @pytest.mark.parametrize("name", sorted(FAMILY_HULLS))

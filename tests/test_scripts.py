@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts' ``main()`` at tiny sizes."""
 
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -35,3 +36,18 @@ def test_scripts_run_at_tiny_sizes(monkeypatch, capsys):
     assert rows[1][5] == "-"
     # the crown's hull: its 2k real vertices and 2^k Helly vertices
     assert int(rows[4][5]) == 2 * 3 + 2**3
+
+
+def test_same_bytes_digest_on_trimmed_calls():
+    script = runpy.run_path(str(SCRIPTS / "same_bytes.py"), run_name="script")
+    calls = script["calls"]()
+    # Digests compare across checkouts only while the call list is fixed.
+    assert len(calls) == 1356
+    # The first call per argv and kind of input (a workload, fixture, malformed, generate)
+    first = {}
+    for argv, label, text in calls:
+        first.setdefault((tuple(argv), label.split(":")[0]), (argv, label, text))
+    trimmed = list(first.values())
+    out = script["digest"](trimmed)
+    assert re.fullmatch(rf"{len(trimmed)} calls sha256=[0-9a-f]{{64}}", out)
+    assert script["digest"](trimmed) == out
