@@ -18,11 +18,15 @@ Usage: python scripts/scaling_hellify.py [--sizes 1000,3000,10000,30000]
 """
 
 import argparse
-import math
+import sys
 import time
+from pathlib import Path
 
-from tightspan.dh import hellify_adjacency, pruning_sequence, replay
-from tightspan.generators import random_pruning_sequence
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+from spans import loglog_slope  # noqa: E402
+from tightspan.dh import hellify_adjacency, pruning_sequence, replay  # noqa: E402
+from tightspan.generators import random_pruning_sequence  # noqa: E402
 
 
 def measure_core(sizes, seed):
@@ -50,19 +54,6 @@ def measure_builder(sizes, seed):
     return rows
 
 
-def loglog_slope(xs, ys):
-    """Least-squares slope of log(y) against log(x); 0.0 without two distinct x."""
-    if len(set(xs)) < 2:
-        return 0.0
-    lx = [math.log(x) for x in xs]
-    ly = [math.log(max(y, 1e-9)) for y in ys]
-    mx = sum(lx) / len(lx)
-    my = sum(ly) / len(ly)
-    num = sum((a - mx) * (b - my) for a, b in zip(lx, ly))
-    den = sum((a - mx) ** 2 for a in lx)
-    return num / den
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sizes", default="1000,3000,10000,30000")
@@ -77,8 +68,8 @@ def main():
     rows = measure_core(sizes, args.seed)
     for n, hull_n, hull_m, added, elapsed in rows:
         print(f"{n:>8} {hull_n:>8} {hull_m:>10} {added:>7} {elapsed:>8.3f} {hull_n / n:>9.3f}")
-    size_slope = loglog_slope([r[0] for r in rows], [r[1] for r in rows])
-    time_slope = loglog_slope([r[0] for r in rows], [r[4] for r in rows])
+    size_slope = loglog_slope([(r[0], r[1]) for r in rows])
+    time_slope = loglog_slope([(r[0], r[4]) for r in rows])
     print(f"hull-size growth exponent ~ {size_slope:.2f} (near-linear expected)")
     print(f"core time growth exponent ~ {time_slope:.2f} (subquadratic expected)")
 
@@ -89,7 +80,7 @@ def main():
         brows = measure_builder([int(s) for s in args.builder_sizes.split(",")], args.seed)
         for n, m, elapsed in brows:
             print(f"{n:>8} {m:>10} {elapsed:>8.3f}")
-        slope = loglog_slope([r[0] for r in brows], [r[2] for r in brows])
+        slope = loglog_slope([(r[0], r[2]) for r in brows])
         print(f"builder time growth exponent ~ {slope:.2f} (about 1.5 expected)")
 
 

@@ -13,13 +13,15 @@ partitioned with directed edges for strict closed-neighborhood containment.
 The host is built from its sequence by the same code as :func:`replay` and
 returned as a ``hulls.InjectiveHull``, whose vectors cost nothing unread.
 
-The sequence builder keeps the live vertices in buckets keyed by closed and
-open neighbourhood rows and a lazy min-heap of vertices whose status may have
-changed, after Hammer and Maffray (1990) and Damiand, Habib and Paul (2001).
-Removing a vertex re-keys only its neighbours, so a run makes O(n + m) bucket
-updates, each costing O(n / word size) on the bit-rows; the rows themselves
-stay the exact keys, so the result is deterministic. The replay, poset, and
-Hellification core are linear in the size of the host.
+The sequence builder keeps the live vertices in one bucket map keyed by closed
+rows N[v] and open rows N(v), and a lazy min-heap of vertices whose status may
+have changed, after Hammer and Maffray (1990) and Damiand, Habib and Paul
+(2001). The two kinds of key never collide: N[u] = N(w) puts u in N(w), so w
+is in N[u] = N(w), which is a loop. Removing a vertex re-keys only its
+neighbours, so a run makes O(n + m) bucket updates, each costing O(n / word
+size) on the bit-rows; the rows themselves stay the exact keys, so the result
+is deterministic. The replay, poset, and Hellification core are linear in the
+size of the host.
 """
 
 from __future__ import annotations
@@ -132,13 +134,12 @@ def pruning_sequence(g: Graph) -> Optional[PruningSequence]:
     if not g.is_connected():
         return None
     adj = list(g.adj)
-    # Live vertices bucketed by closed row N[v] and by open row N(v), as masks.
-    closed: dict[int, int] = {}
-    open_: dict[int, int] = {}
+    # Live vertices as masks, bucketed by closed row N[v] and by open row N(v).
+    buckets: dict[int, int] = {}
     for v, row in enumerate(adj):
         bit = 1 << v
-        closed[row | bit] = closed.get(row | bit, 0) | bit
-        open_[row] = open_.get(row, 0) | bit
+        buckets[row | bit] = buckets.get(row | bit, 0) | bit
+        buckets[row] = buckets.get(row, 0) | bit
     # Every prunable live vertex has an entry; stale entries are re-checked.
     heap = list(range(n))
     alive = bytearray(b"\1") * n
@@ -155,27 +156,27 @@ def pruning_sequence(g: Graph) -> Optional[PruningSequence]:
         if row.bit_count() == 1:
             step = PruningStep(v, PENDANT, row.bit_length() - 1)
         else:
-            kind, partners = TRUE_TWIN, closed[row | bit] ^ bit
+            kind, partners = TRUE_TWIN, buckets[row | bit] ^ bit
             if not partners:
-                kind, partners = FALSE_TWIN, open_[row] ^ bit
+                kind, partners = FALSE_TWIN, buckets[row] ^ bit
                 if not partners:
                     continue
             step = PruningStep(v, kind, (partners & -partners).bit_length() - 1)
         removed.append(step)
         alive[v] = 0
         live -= 1
-        _leave(closed, row | bit, bit)
-        _leave(open_, row, bit)
+        _leave(buckets, row | bit, bit)
+        _leave(buckets, row, bit)
         # Only v's neighbours change rows; a vertex elsewhere can become
         # prunable only by gaining a bucket partner, which _join pushes.
         for u in bits(row):
             old = adj[u]
             ubit = 1 << u
-            _leave(closed, old | ubit, ubit)
-            _leave(open_, old, ubit)
+            _leave(buckets, old | ubit, ubit)
+            _leave(buckets, old, ubit)
             adj[u] = new = old ^ bit
-            _join(closed, new | ubit, ubit, heap)
-            _join(open_, new, ubit, heap)
+            _join(buckets, new | ubit, ubit, heap)
+            _join(buckets, new, ubit, heap)
             heappush(heap, u)
     order = [alive.index(1)] + [step.vertex for step in reversed(removed)]
     return PruningSequence(tuple(order), tuple(reversed(removed)))
@@ -212,7 +213,6 @@ class TwinClassPoset:
         self.succ: dict[int, set[int]] = {0: set()}
         self.pred: dict[int, set[int]] = {0: set()}
         self._next_id = 1
-        self._vertex_count = 1
 
     def _new_set(self, vertex: int) -> int:
         sid = self._next_id
@@ -229,7 +229,7 @@ class TwinClassPoset:
 
     def apply(self, step: PruningStep) -> None:
         kind = step.kind
-        if self._vertex_count == 1 and kind == PENDANT:
+        if len(self.set_of) == 1 and kind == PENDANT:
             kind = TRUE_TWIN
         w, v = step.vertex, step.anchor
         s = self.set_of[v]
@@ -271,7 +271,6 @@ class TwinClassPoset:
                 self._add_edge(s_w, s)
                 for y in old_succ:
                     self._add_edge(s_w, y)
-        self._vertex_count += 1
 
     def has_dominator(self, v: int) -> bool:
         """Is there a y != v with N[v] contained in N[y] in the current graph?"""

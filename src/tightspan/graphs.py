@@ -298,34 +298,26 @@ class Graph:
 def is_isometric_subgraph(sub: Graph, host: Graph, embed: Sequence[int]) -> bool:
     """True iff ``embed`` maps ``sub`` onto host vertices preserving all distances.
 
-    Runs one BFS in ``host`` from each embedded vertex and stops it once every
-    embedded vertex has been reached, comparing BFS layers with ``sub``'s
-    distances. The host's distance matrix is never built, so checking a small
-    graph inside its large hull costs ``sub.n`` BFS runs, not the hull's
-    all-pairs distances. Raises DisconnectedGraphError when either graph is
-    disconnected.
+    Reads each embedded vertex's host distance row off one BFS, as
+    ``InjectiveHull.vectors`` does, and compares it at the embedded vertices
+    with ``sub``'s row. The host's distance matrix is never built, so checking
+    a small graph inside its large hull costs ``sub.n`` BFS runs, not the
+    hull's all-pairs distances. Raises ValueError when ``embed`` is not an
+    injective map into the host's vertices, and DisconnectedGraphError when
+    either graph is disconnected.
     """
     if len(embed) != sub.n:
         raise ValueError("embedding must cover every vertex of the subgraph")
     if len(set(embed)) != len(embed):
         raise ValueError("embedding is not injective")
-    dm = sub.distances()
+    if not 0 <= min(embed) <= max(embed) < host.n:
+        raise ValueError(f"embedding has vertices outside 0..{host.n - 1}")
+    rows = sub.distances().rows
     host._require_connected("distances")
     full = (1 << host.n) - 1
-    target = 0
-    for v in embed:
-        target |= 1 << v
-    for u in range(sub.n):
-        # expected[k]: the embedded vertices at distance k from embed[u]
-        expected = [0] * (dm.ecc[u] + 1)
-        for v, d in enumerate(dm.rows[u]):
-            expected[d] |= 1 << embed[v]
-        left = target
-        for want, layer in zip(expected, host._frontiers(1 << embed[u], full)):
-            if layer & target != want:
-                return False
-            left ^= want
-        if left:
+    for z, want in zip(embed, rows):
+        row = _distance_row(host.n, host._frontiers(1 << z, full))
+        if tuple(row[x] for x in embed) != want:
             return False
     return True
 

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .detectors import is_chordal
 from .errors import BudgetExceededError
-from .graphs import Graph, bits
+from .graphs import Graph, _distance_row, bits
 
 DEFAULT_CLIQUE_NODES = 2_000_000
 
@@ -136,11 +136,7 @@ def find_pseudo_modular_violation(g: Graph) -> Optional[tuple[int, int, int]]:
     adj = g.adj
     near = g.power(2).adj
     for u, layers in enumerate(g.level_masks()):
-        du = [0] * n
-        for k in range(2, len(layers)):
-            for v in bits(layers[k]):
-                du[v] = k
-        for v, k in enumerate(du):
+        for v, k in enumerate(_distance_row(n, layers)):
             if k < 2:
                 continue
             candidates = layers[k] & near[v] >> (v + 1) << (v + 1)

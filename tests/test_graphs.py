@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -228,6 +230,50 @@ def test_isometric_rejects_non_injective():
     g = fixture("C4")
     with pytest.raises(ValueError, match="injective"):
         is_isometric_subgraph(g, g, (0, 1, 2, 2))
+
+
+@pytest.mark.parametrize("embed", [(0, 1, 2, 6), (0, -1, 2, 3)])
+def test_isometric_rejects_vertices_outside_host(embed):
+    c4, c6 = fixture("C4"), fixture("C6")
+    with pytest.raises(ValueError) as info:
+        is_isometric_subgraph(c4, c6, embed)
+    assert str(info.value) == "embedding has vertices outside 0..5"
+
+
+def _connected_subset(g, rng):
+    """A random vertex list of g whose induced subgraph is connected."""
+    chosen = [rng.randrange(g.n)]
+    reach = g.adj[chosen[0]]
+    for _ in range(rng.randrange(g.n)):
+        frontier = [v for v in range(g.n) if reach >> v & 1 and v not in chosen]
+        if not frontier:
+            break
+        v = rng.choice(frontier)
+        chosen.append(v)
+        reach |= g.adj[v]
+    rng.shuffle(chosen)
+    return chosen
+
+
+def test_isometric_matches_apsp_oracle_corpus(corpus):
+    # Induced connected subgraphs in place, then with two images swapped
+    outcomes = set()
+    for index, (name, g) in enumerate(corpus):
+        rng = random.Random(index)
+        for _ in range(3):
+            verts = _connected_subset(g, rng)
+            sub = g.induced(verts)
+            embeds = [verts]
+            if len(verts) > 1:
+                i, j = rng.sample(range(len(verts)), 2)
+                swapped = list(verts)
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+                embeds.append(swapped)
+            for embed in embeds:
+                expected = is_isometric_subgraph_apsp(sub, g, embed)
+                assert is_isometric_subgraph(sub, g, embed) is expected, (name, embed)
+                outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_induced_subgraph():
