@@ -120,15 +120,22 @@ def _bfs_forest(g: Graph) -> tuple[list[int], list[int], Optional[tuple[int, int
     return depth, parent, None
 
 
+def _forest(g: Graph) -> tuple[list[int], list[int], Optional[tuple[int, int]]]:
+    """:func:`_bfs_forest` of g, built once per graph."""
+    if g._forest is None:
+        g._forest = _bfs_forest(g)
+    return g._forest
+
+
 def is_bipartite(g: Graph) -> Optional[tuple[int, ...]]:
     """A BFS 2-coloring (tuple of 0/1 per vertex), or None on an odd cycle."""
-    depth, _, odd = _bfs_forest(g)
+    depth, _, odd = _forest(g)
     return None if odd else tuple(d & 1 for d in depth)
 
 
 def find_odd_cycle(g: Graph) -> Optional[tuple[int, ...]]:
     """An odd closed walk witnessing non-bipartiteness (not necessarily induced)."""
-    _, parent, odd = _bfs_forest(g)
+    _, parent, odd = _forest(g)
     if odd is None:
         return None
     left, right = [odd[0]], [odd[1]]

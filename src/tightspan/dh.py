@@ -14,20 +14,19 @@ The host is built from its sequence by the same code as :func:`replay` and
 returned as a ``hulls.InjectiveHull``, whose vectors cost nothing unread.
 
 The sequence builder keeps the live vertices in one bucket map keyed by closed
-rows N[v] and open rows N(v), and a lazy min-heap of vertices whose status may
-have changed, after Hammer and Maffray (1990) and Damiand, Habib and Paul
-(2001). The two kinds of key never collide: N[u] = N(w) puts u in N(w), so w
-is in N[u] = N(w), which is a loop. Removing a vertex re-keys only its
-neighbours, so a run makes O(n + m) bucket updates, each costing O(n / word
-size) on the bit-rows; the rows themselves stay the exact keys, so the result
-is deterministic. The replay, poset, and Hellification core are linear in the
-size of the host.
+rows N[v] and open rows N(v), and a worklist mask of vertices whose status may
+have changed, popped lowest bit first, after Hammer and Maffray (1990) and
+Damiand, Habib and Paul (2001). The two kinds of key never collide:
+N[u] = N(w) puts u in N(w), so w is in N[u] = N(w), which is a loop. Removing
+a vertex re-keys only its neighbours, so a run makes O(n + m) bucket updates,
+each costing O(n / word size) on the bit-rows; the rows themselves stay the
+exact keys, so the result is deterministic. The replay, poset, and
+Hellification core are linear in the size of the host.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Optional
 
 from .errors import NotDistanceHereditaryError
@@ -130,7 +129,6 @@ def pruning_sequence(g: Graph) -> Optional[PruningSequence]:
     a true twin, or a false twin (preferred in that order), anchored to the
     lowest-id valid partner. Disconnected graphs give None.
     """
-    n = g.n
     if not g.is_connected():
         return None
     adj = list(g.adj)
@@ -140,19 +138,16 @@ def pruning_sequence(g: Graph) -> Optional[PruningSequence]:
         bit = 1 << v
         buckets[row | bit] = buckets.get(row | bit, 0) | bit
         buckets[row] = buckets.get(row, 0) | bit
-    # Every prunable live vertex has an entry; stale entries are re-checked.
-    heap = list(range(n))
-    alive = bytearray(b"\1") * n
-    live = n
+    # Vertices whose status may have changed, lowest first; the live vertices.
+    todo = live = (1 << g.n) - 1
     removed: list[PruningStep] = []
-    while live > 1:
-        if not heap:
+    while live & (live - 1):
+        if not todo:
             return None
-        v = heappop(heap)
-        if not alive[v]:
-            continue
+        bit = todo & -todo
+        todo ^= bit
+        v = bit.bit_length() - 1
         row = adj[v]
-        bit = 1 << v
         if row.bit_count() == 1:
             step = PruningStep(v, PENDANT, row.bit_length() - 1)
         else:
@@ -163,22 +158,24 @@ def pruning_sequence(g: Graph) -> Optional[PruningSequence]:
                     continue
             step = PruningStep(v, kind, (partners & -partners).bit_length() - 1)
         removed.append(step)
-        alive[v] = 0
-        live -= 1
+        live ^= bit
         _leave(buckets, row | bit, bit)
         _leave(buckets, row, bit)
         # Only v's neighbours change rows; a vertex elsewhere can become
-        # prunable only by gaining a bucket partner, which _join pushes.
+        # prunable only by gaining a bucket partner, and is scheduled then.
         for u in bits(row):
             old = adj[u]
             ubit = 1 << u
             _leave(buckets, old | ubit, ubit)
             _leave(buckets, old, ubit)
             adj[u] = new = old ^ bit
-            _join(buckets, new | ubit, ubit, heap)
-            _join(buckets, new, ubit, heap)
-            heappush(heap, u)
-    order = [alive.index(1)] + [step.vertex for step in reversed(removed)]
+            for key in (new | ubit, new):
+                members = buckets.get(key, 0)
+                if members and not members & (members - 1):
+                    todo |= members
+                buckets[key] = members | ubit
+            todo |= ubit
+    order = [live.bit_length() - 1] + [step.vertex for step in reversed(removed)]
     return PruningSequence(tuple(order), tuple(reversed(removed)))
 
 
@@ -188,13 +185,6 @@ def _leave(buckets: dict[int, int], key: int, bit: int) -> None:
         buckets[key] = members
     else:
         del buckets[key]
-
-
-def _join(buckets: dict[int, int], key: int, bit: int, heap: list[int]) -> None:
-    members = buckets.get(key, 0)
-    if members and not members & (members - 1):
-        heappush(heap, members.bit_length() - 1)  # a lone vertex gains a twin
-    buckets[key] = members | bit
 
 
 class TwinClassPoset:

@@ -61,7 +61,7 @@ class Graph:
     by equality.
     """
 
-    __slots__ = ("n", "adj", "labels", "_dm", "_levels", "_square")
+    __slots__ = ("n", "adj", "labels", "_dm", "_levels", "_square", "_forest")
 
     def __init__(self, n: int, adj: Sequence[int], labels: Optional[Sequence[str]] = None):
         if n < 1:
@@ -89,6 +89,7 @@ class Graph:
         self._dm: Optional[DistanceMatrix] = None
         self._levels: Optional[list[list[int]]] = None
         self._square: Optional[Graph] = None
+        self._forest: Optional[tuple] = None  # detectors' BFS forest
 
     @classmethod
     def _of(cls, n: int, adj: Sequence[int], labels: Optional[Sequence[str]] = None) -> "Graph":
@@ -104,15 +105,13 @@ class Graph:
         n: int,
         edges: Iterable[tuple[int, int]],
         labels: Optional[Sequence[str]] = None,
-        require_connected: bool = True,
         max_vertices: int = DEFAULT_MAX_VERTICES,
     ) -> "Graph":
         """Build a graph from ``(u, v)`` pairs, deduplicating repeats.
 
         Loops and out-of-range endpoints are rejected. Disconnected inputs are
-        rejected by default because every metric operation assumes
-        connectivity; pass ``require_connected=False`` to construct anyway
-        (metric calls will still refuse to run).
+        rejected because every metric operation assumes connectivity; the raw
+        constructor builds them anyway (metric calls will still refuse to run).
         """
         check_size(n, max_vertices)
         rows = [0] * max(n, 0)
@@ -126,7 +125,7 @@ class Graph:
         if n < 1:
             raise ValueError("graph needs at least one vertex")
         g = cls._of(n, rows, labels)
-        if require_connected and not g.is_connected():
+        if not g.is_connected():
             raise DisconnectedGraphError("graph is disconnected")
         return g
 

@@ -168,11 +168,13 @@ def disk_helly_up_to_radius(g: Graph, r: int) -> bool:
     are kept; supersets never change the answer. D(u, i) meets D(v, j) iff
     d(u, v) <= i + j, so with disk (v, i) at index i*n + v the row of D(u, i)
     is the OR over j of D(u, i + j) shifted by j*n, without its own bit; the
-    disks D(u, k) are prefix ORs of u's BFS level masks.
+    disks D(u, k) are prefix ORs of u's BFS level masks. A disk of radius at
+    least the diameter is all of V, so r is clamped to max(1, diameter).
     """
     if r < 1:
         raise ValueError("radius bound must be >= 1")
     n = g.n
+    r = min(r, max(1, max(map(len, g.level_masks())) - 1))
     balls = []  # balls[u][k] = D(u, k) for k = 0..2r
     for layers in g.level_masks():
         ball, prefix = 0, []

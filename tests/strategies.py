@@ -25,7 +25,11 @@ def graphs(draw, min_n=1, max_n=8):
     n = draw(st.integers(min_n, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n) if pairs else st.just([]))
-    return Graph.from_edge_list(n, edges, require_connected=False)
+    rows = [0] * n
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph(n, rows)
 
 
 @st.composite

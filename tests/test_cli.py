@@ -260,6 +260,26 @@ def test_recognize_lists_two_sets_once(tmp_path, monkeypatch, name, witness):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("witness", [[], ["--witness"]])
+@pytest.mark.parametrize("name", ["C4", "C5"])
+def test_recognize_builds_bfs_forest_once(tmp_path, monkeypatch, name, witness):
+    path = tmp_path / "g.txt"
+    path.write_text(format_edge_list(fixture(name)))
+    calls = []
+    original = detectors._bfs_forest
+
+    def spy(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(detectors, "_bfs_forest", spy)
+    code, out = _run(["recognize", str(path), *witness])
+    bipartite = name == "C4"
+    assert code == 0 and f"bipartite={'yes' if bipartite else 'no'}" in out
+    assert ("odd-cycle:" in out) == (not bipartite and bool(witness))
+    assert len(calls) == 1
+
+
 def test_hyperbolicity_output(c4_file):
     code, out = _run(["hyperbolicity", c4_file])
     assert code == 0

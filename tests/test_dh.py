@@ -134,7 +134,7 @@ def test_pruning_sequence_lowest_id_rule(g, expected):
 
 
 @pytest.mark.parametrize("g", [
-    Graph.from_edge_list(4, [(0, 1), (2, 3)], require_connected=False),
+    Graph(4, [0b0010, 0b0001, 0b1000, 0b0100]),  # edges 0-1 and 2-3
     Graph(3, [0, 0, 0]),
 ])
 def test_disconnected_graph_has_no_sequence(g):

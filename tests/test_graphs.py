@@ -61,7 +61,7 @@ def test_disconnected_rejected_by_default():
 
 
 def test_disconnected_construction_defers_failure_to_metric_ops():
-    g = Graph.from_edge_list(4, [(0, 1), (2, 3)], require_connected=False)
+    g = Graph(4, [0b0010, 0b0001, 0b1000, 0b0100])  # edges 0-1 and 2-3
     with pytest.raises(DisconnectedGraphError):
         g.distances()
 
@@ -159,7 +159,7 @@ def test_level_masks_c6():
 
 
 def test_level_masks_need_connected_graph():
-    g = Graph.from_edge_list(4, [(0, 1), (2, 3)], require_connected=False)
+    g = Graph(4, [0b0010, 0b0001, 0b1000, 0b0100])  # edges 0-1 and 2-3
     with pytest.raises(DisconnectedGraphError):
         g.level_masks()
     with pytest.raises(DisconnectedGraphError):
@@ -210,7 +210,7 @@ def test_hull_with_deleted_edge_not_isometric(name):
 
 
 def test_isometric_needs_connected_host():
-    host = Graph.from_edge_list(5, fixture("C4").edges(), require_connected=False)
+    host = Graph(5, fixture("C4").adj + (0,))  # C4 and an isolated vertex
     with pytest.raises(DisconnectedGraphError):
         is_isometric_subgraph(fixture("C4"), host, (0, 1, 2, 3))
 

@@ -21,6 +21,7 @@ from tightspan import (
     extended_squares,
     find_pseudo_modular_violation,
     fixture,
+    helly,
     hyperbolicity,
     is_dually_chordal,
     is_helly,
@@ -139,12 +140,14 @@ def test_disk_helly_c5_radius_two():
 
 
 def test_disk_helly_deep_clique_is_budget_error():
-    # All 1536 disks of K512 with radius <= 2 pairwise meet, so Bron-Kerbosch
-    # would recurse 1536 deep; that must surface as a budget error.
+    # K512 minus the edge 0-1 has diameter 2, so radius 2 is not clamped, and
+    # its 1024 disks of radius 1 or 2 pairwise meet: Bron-Kerbosch would
+    # recurse over 1000 deep; that must surface as a budget error.
     n = 512
-    k512 = Graph.from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) != (0, 1)]
+    g = Graph.from_edge_list(n, edges)
     with pytest.raises(BudgetExceededError, match=r"recursion depth after \d+ nodes"):
-        disk_helly_up_to_radius(k512, 2)
+        disk_helly_up_to_radius(g, 2)
 
 
 def test_disk_helly_radius_validation():
@@ -247,6 +250,28 @@ def test_disk_helly_matches_pairwise_rows(corpus):
             assert got == disk_helly_pairwise(g, r), (name, r)
             answers.add((r, got))
     assert answers == {(r, ok) for r in (1, 2, 3) for ok in (False, True)}
+
+
+def test_disk_helly_radius_above_diameter_changes_nothing(corpus):
+    for name, g in corpus:
+        d = g.distances().diameter
+        expected = disk_helly_up_to_radius(g, d)
+        for r in range(d + 1, d + 4):
+            assert disk_helly_up_to_radius(g, r) == expected, (name, r)
+            assert disk_helly_pairwise(g, r) == expected, (name, r)
+
+
+def test_disk_helly_huge_radius_stops_at_diameter(monkeypatch):
+    sizes = []
+    original = helly.maximal_cliques
+
+    def spy(rows, n, *args):
+        sizes.append(n)
+        return original(rows, n, *args)
+
+    monkeypatch.setattr(helly, "maximal_cliques", spy)
+    assert not disk_helly_up_to_radius(fixture("C4"), 10**9)
+    assert sizes == [4 * 3]  # the disks of radius 0..diam(C4) = 2
 
 
 def test_helly_matches_hull_oracle_nine_vertices():

@@ -218,6 +218,6 @@ def test_scan_over_vertex_cap():
 def test_scan_small_and_disconnected():
     assert hyperbolicity(fixture("P3")) == hyperbolicity_scan(fixture("P3"))
     assert hyperbolicity(fixture("P3")).witness == (0, 0, 0, 0)
-    split = Graph.from_edge_list(4, [(0, 1), (2, 3)], require_connected=False)
+    split = Graph(4, [0b0010, 0b0001, 0b1000, 0b0100])  # edges 0-1 and 2-3
     with pytest.raises(DisconnectedGraphError):
         hyperbolicity(split)

@@ -165,7 +165,7 @@ def test_at_free_graphs_match_oracle():
 
 
 def test_distances_keep_their_disconnected_message():
-    g = Graph.from_edge_list(4, [(0, 1), (2, 3)], require_connected=False)
+    g = Graph(4, [0b0010, 0b0001, 0b1000, 0b0100])  # edges 0-1 and 2-3
     with pytest.raises(DisconnectedGraphError, match="distances need a connected graph"):
         g.distances()
 
