@@ -3,7 +3,7 @@
 
 For each family and k, prints the number of maximal 2-sets (always 2^k), how
 many are unsuspended (at least 2^k - 2k - 2), the exact injective hull size
-where the enumeration cap allows (``-`` above it), and a bound column whose
+(``-`` once the search exceeds its node budget), and a bound column whose
 meaning depends on the family:
 
 * split and cocomparability: 2^k + 4k - 2, which is n plus the floor

@@ -36,6 +36,13 @@ EXIT_USAGE = 1
 EXIT_BUDGET = 2
 EXIT_PRECONDITION = 3
 
+# Interactive size caps, enforced by the reader; the library has none. At
+# n = 512 (2-vCPU host, Python 3.11) the hull search costs 55-87 us per node,
+# so the default budget would run 9-15 min before exit 2, and the four-point
+# scan takes 40-64 s (random_dh 40 s, random_chordal 47 s, P512 64 s).
+HULL_MAX_VERTICES = 14
+HYPERBOLICITY_MAX_VERTICES = 128
+
 
 class _UsageError(Exception):
     pass
@@ -64,7 +71,7 @@ def _read_graph(path: str, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
 
 
 def _cmd_hull(args, out) -> int:
-    g = _read_graph(args.file)
+    g = _read_graph(args.file, HULL_MAX_VERTICES)
     h = build_injective_hull(g, args.budget)
     if args.format == "json":
         out.write(hull_to_json(h))
@@ -157,7 +164,7 @@ def _cmd_recognize(args, out) -> int:
 
 
 def _cmd_hyperbolicity(args, out) -> int:
-    g = _read_graph(args.file)
+    g = _read_graph(args.file, HYPERBOLICITY_MAX_VERTICES)
     report = hyperbolicity(g)
     u, v, w, x = report.witness
     out.write(f"delta={report.render()} witness=({u},{v},{w},{x})\n")

@@ -356,13 +356,12 @@ def parse_edge_list(text: str, max_vertices: int = DEFAULT_MAX_VERTICES) -> Grap
         if len(tok) != 2:
             raise ValueError(f"bad edge line: {' '.join(tok)}")
         edges.append((int(tok[0]), int(tok[1])))
-    g = Graph.from_edge_list(n, edges, max_vertices=max_vertices)
     # int() also takes "+3", "1_0" and non-ASCII digits; one scan clears most texts
     if not text.isascii() or "+" in text or "_" in text:
         bad = [t for row in tokens for t in row if not t.isascii() or "+" in t or "_" in t]
         if bad:
             raise ValueError(f"invalid literal for int() with base 10: {bad[0]!r}")
-    return g
+    return Graph.from_edge_list(n, edges, max_vertices=max_vertices)
 
 
 def format_edge_list(g: Graph) -> str:

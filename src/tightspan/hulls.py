@@ -11,9 +11,10 @@ lower bound max(0, d(x,y) - f(y)) over assigned y and the eccentricity. The
 mask passed down marks the assigned coordinates witnessed by a tight partner.
 Only a coordinate's lowest value can be tight, so tightness is checked once
 per coordinate; a branch dies when no unassigned vertex is left to witness an
-unwitnessed coordinate. Hulls can be exponential, so the exact search refuses
-n > ``MAX_VERTICES`` and stops after ``max_nodes`` nodes (default
-``DEFAULT_MAX_NODES``), raising BudgetExceededError rather than truncating.
+unwitnessed coordinate. Values ascend at every level, so vectors come out
+sorted. Hulls can be exponential, so the search stops after ``max_nodes``
+nodes (default ``DEFAULT_MAX_NODES``) or at the recursion limit, raising
+BudgetExceededError rather than truncating.
 
 Adjacency packs each vector into one int, a lane per coordinate, and tests a
 pair with one subtraction and two masks (``_chebyshev_pairs``); since the
@@ -39,7 +40,6 @@ from .graphs import Graph, _distance_row, bits, json_pairs
 
 Vector = tuple[int, ...]
 
-MAX_VERTICES = 14
 DEFAULT_MAX_NODES = 10_000_000
 
 
@@ -49,13 +49,9 @@ def enumerate_extremal_functions(
     """All extremal integer vectors of g, sorted lexicographically.
 
     The output always contains the n distance vectors. Raises
-    BudgetExceededError above ``MAX_VERTICES`` vertices or after
-    ``max_nodes`` search nodes; results are never silently truncated.
+    BudgetExceededError after ``max_nodes`` search nodes or past the
+    recursion limit; results are never silently truncated.
     """
-    if g.n > MAX_VERTICES:
-        raise BudgetExceededError(
-            f"hull enumeration capped at {MAX_VERTICES} vertices (n={g.n})"
-        )
     dm = g.distances()
     d = dm.rows
     ecc = dm.ecc
@@ -101,8 +97,13 @@ def enumerate_extremal_functions(
             else:
                 dfs(i + 1, w)
 
-    dfs(0, 0)
-    out.sort()
+    try:
+        dfs(0, 0)
+    except RecursionError:
+        # the depth is n; past the interpreter's limit it counts as a budget
+        raise BudgetExceededError(
+            f"hull enumeration ran out of recursion depth after {nodes} nodes"
+        ) from None
     return out
 
 

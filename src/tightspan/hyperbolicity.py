@@ -34,10 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError
 from .graphs import DistanceMatrix, Graph
-
-MAX_VERTICES = 128
 
 
 @dataclass(frozen=True)
@@ -63,14 +60,7 @@ def four_point_hyp2(dm: DistanceMatrix, u: int, v: int, w: int, x: int) -> int:
 
 
 def hyperbolicity(g: Graph) -> HyperbolicityReport:
-    """Exact hyperbolicity with the least maximizing quadruple as witness.
-
-    Raises BudgetExceededError above ``MAX_VERTICES`` vertices.
-    """
-    if g.n > MAX_VERTICES:
-        raise BudgetExceededError(
-            f"quadruple scan capped at {MAX_VERTICES} vertices (n={g.n})"
-        )
+    """Exact hyperbolicity with the least maximizing quadruple as witness."""
     dm = g.distances()
     n = g.n
     if n < 4:

@@ -106,15 +106,28 @@ def test_criterion_5_exponential_family_counts():
     cocomp_sets = maximal_two_sets(cocomparability_family(4)[0])
     # the bipartite case: the k-crown's hull gains exactly 2^k Helly vertices
     crown_helly = [build_injective_hull(crown_family(k)).n_helly for k in range(3, 8)]
+    # exact hull sizes 2^k + 4k - 2 past the 14-vertex CLI cap: 18/30/50/86/154
+    split_n = [build_injective_hull(split_family(k)).hull.n for k in range(3, 8)]
+    cocomp_n = [build_injective_hull(cocomparability_family(k)[0]).hull.n for k in range(3, 7)]
+    crown8_n = build_injective_hull(crown_family(8)).hull.n
+    c15_n = build_injective_hull(fixture("C15")).hull.n
     ok = (
         len(split_sets) == 16
         and sum(1 for s in split_sets if not s.suspended) == 6
         and len(cocomp_sets) == 16
         and sum(1 for s in cocomp_sets if not s.suspended) == 6
         and crown_helly == [2**k for k in range(3, 8)]
+        and split_n == [2**k + 4 * k - 2 for k in range(3, 8)]
+        and cocomp_n == [2**k + 4 * k - 2 for k in range(3, 7)]
+        and crown8_n == 2 * 8 + 2**8
+        and c15_n == 683
     )
     elapsed = time.monotonic() - start
-    detail = f"16/6 two-sets, crown Helly counts {crown_helly}, {elapsed:.1f}s"
+    detail = (
+        f"16/6 two-sets, crown Helly counts {crown_helly}, split hulls {split_n},"
+        f" cocomparability hulls {cocomp_n}, |H(crown8)|={crown8_n}, |H(C15)|={c15_n},"
+        f" {elapsed:.1f}s"
+    )
     report(5, ok and elapsed < 60.0, detail)
 
 
@@ -122,7 +135,17 @@ def test_criterion_6_hyperbolicity_preserved(corpus, corpus_hulls):
     for name, g in corpus:
         hull = corpus_hulls[name].hull
         assert hyperbolicity(g).delta2 == hyperbolicity(hull).delta2, name
-    report(6, True, f"delta(G)=delta(H(G)) on {len(corpus)} graphs")
+    # hulls above the 128-vertex CLI cap: 365, 261 and 142 vertices
+    pinned = [
+        (fixture("C12"), 6, (0, 3, 6, 9)),
+        (fixture("C13"), 5, (0, 3, 6, 9)),
+        (crown_family(7), 2, (0, 1, 2, 7)),
+    ]
+    for g, delta2, witness in pinned:
+        hull = build_injective_hull(g).hull
+        for r in (hyperbolicity(g), hyperbolicity(hull)):
+            assert (r.delta2, r.witness) == (delta2, witness), g.n
+    report(6, True, f"delta(G)=delta(H(G)) on {len(corpus)} graphs and H(C12), H(C13), H(crown7)")
 
 
 def test_criterion_7_closure_properties(corpus, corpus_hulls):

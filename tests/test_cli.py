@@ -17,6 +17,7 @@ from tightspan import (
     hellify_dh,
     helly,
     random_dh,
+    split_family,
 )
 from tightspan.cli import run
 
@@ -485,6 +486,36 @@ def test_only_ascii_digits_are_integers(monkeypatch, capsys, token):
     monkeypatch.setattr(sys, "stdin", io.StringIO(f"2 1\n0 {token}\n"))
     assert _run(["hull", "-"]) == (1, "")
     assert capsys.readouterr().err == f"error: invalid literal for int() with base 10: {token!r}\n"
+
+
+@pytest.mark.parametrize("text, token", [("3 1\n0 +1\n", "+1"), ("2 1\n0 1_0\n", "1_0")])
+def test_number_check_comes_before_graph_checks(monkeypatch, capsys, text, token):
+    # Read by int(), "+1" would leave vertex 2 disconnected and "1_0" out of range.
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert _run(["hull", "-"]) == (1, "")
+    assert capsys.readouterr().err == f"error: invalid literal for int() with base 10: {token!r}\n"
+
+
+@pytest.mark.parametrize("command, g, cap", [
+    ("hull", split_family(3), 14),
+    ("hyperbolicity", fixture("C129"), 128),
+])
+def test_over_size_cap_is_an_input_error(tmp_path, capsys, command, g, cap):
+    # The library has no vertex cap; the reader refuses these before any search.
+    path = tmp_path / "g.txt"
+    path.write_text(format_edge_list(g))
+    assert _run([command, str(path)]) == (1, "")
+    assert capsys.readouterr().err == f"error: n={g.n} exceeds the size cap {cap}\n"
+
+
+def test_at_size_cap_runs(tmp_path):
+    path = tmp_path / "c14.txt"
+    path.write_text(format_edge_list(fixture("C14")))
+    code, out = _run(["hull", str(path)])
+    # |H(C14)| = (3^7 + 1) / 2 = 1094
+    assert (code, out.splitlines()[:2]) == (0, ["n_real=14", "n_helly=1080"])
+    path.write_text(format_edge_list(fixture("C128")))
+    assert _run(["hyperbolicity", str(path)]) == (0, "delta=64/2 witness=(0,32,64,96)\n")
 
 
 def test_parser_is_built_once_and_reuse_keeps_bytes(c4_file, house_file):

@@ -1,4 +1,5 @@
 import json
+import sys
 from itertools import product
 
 import pytest
@@ -16,6 +17,7 @@ from oracles import (
 from strategies import connected_graphs
 from tightspan import (
     BudgetExceededError,
+    Graph,
     build_injective_hull,
     cocomparability_family,
     crown_family,
@@ -83,8 +85,26 @@ def test_enumeration_contains_all_distance_vectors():
 
 
 def test_vertex_cap():
-    with pytest.raises(BudgetExceededError, match="capped at 14"):
-        enumerate_extremal_functions(split_family(3))  # n=18 > MAX_VERTICES = 14
+    # Only the CLI reader caps n at 14; the library builds the 18-vertex split hull.
+    h = build_injective_hull(split_family(3))
+    assert (h.source.n, h.hull.n) == (18, 2**3 + 4 * 3 - 2)
+
+
+def test_recursion_depth_is_a_budget_error():
+    # The search is n deep. The limit is lowered so that a 300-vertex path
+    # overflows it; a real 1100-vertex path takes about 2 s to get there.
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    path = Graph.from_edge_list(300, [(v, v + 1) for v in range(299)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 150)
+    try:
+        with pytest.raises(BudgetExceededError, match="ran out of recursion depth after"):
+            enumerate_extremal_functions(path)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_node_budget_reported():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from oracles import hyperbolicity_scan, tree_plus_chords
 from strategies import connected_graphs
 from tightspan import (
-    BudgetExceededError,
     DisconnectedGraphError,
     Graph,
     SplitMix64,
@@ -168,7 +167,7 @@ def test_scan_matches_oracle_seeded(make):
 @pytest.mark.parametrize("cycle,tail", [(4, 62), (9, 50), (40, 24), (5, 3)])
 def test_scan_matches_oracle_long_diameter(cycle, tail):
     # C4 plus a 62-vertex tail has diameter 64, so 4*diam+1 = 257 needs a
-    # 10-bit lane, the widest any graph under the 128-vertex cap needs.
+    # 10-bit lane; the scan has no vertex cap, and C256 below needs 11 bits.
     g = _lollipop(cycle, tail)
     assert hyperbolicity(g) == hyperbolicity_scan(g)
 
@@ -211,8 +210,17 @@ def test_scan_at_vertex_cap(g, delta2, witness):
 
 
 def test_scan_over_vertex_cap():
-    with pytest.raises(BudgetExceededError, match="capped at 128"):
-        hyperbolicity(fixture("C129"))
+    # Only the CLI reader caps n at 128; the library scan answers on C129.
+    # Computed once with tests/oracles.py::hyperbolicity_scan (2.6 s).
+    report = hyperbolicity(fixture("C129"))
+    assert (report.delta2, report.witness) == (63, (0, 32, 64, 96))
+
+
+def test_scan_on_c256():
+    # Diameter 128: 4*diam+1 = 513 needs an 11-bit lane. Computed once with
+    # tests/oracles.py::hyperbolicity_scan (42 s); the library takes 0.3 s.
+    report = hyperbolicity(fixture("C256"))
+    assert (report.delta2, report.witness) == (128, (0, 64, 128, 192))
 
 
 def test_scan_small_and_disconnected():

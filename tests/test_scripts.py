@@ -31,9 +31,9 @@ def test_scripts_run_at_tiny_sizes(monkeypatch, capsys):
         ("cocomparability", "2"), ("cocomparability", "3"),
         ("crown", "3"),
     ]
-    # 2^k maximal 2-sets; split k=3 has 18 vertices, over the hull cap
+    # 2^k maximal 2-sets; split k=3's 18-vertex hull meets its bound 2^k + 4k - 2
     assert all(int(r[3]) == 2 ** int(r[1]) for r in rows)
-    assert rows[1][5] == "-"
+    assert rows[1][5] == rows[1][6] == "18"
     # the crown's hull: its 2k real vertices and 2^k Helly vertices
     assert int(rows[4][5]) == 2 * 3 + 2**3
 
