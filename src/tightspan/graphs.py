@@ -105,15 +105,17 @@ class Graph:
         n: int,
         edges: Iterable[tuple[int, int]],
         labels: Optional[Sequence[str]] = None,
-        max_vertices: int = DEFAULT_MAX_VERTICES,
+        max_vertices: Optional[int] = None,
     ) -> "Graph":
         """Build a graph from ``(u, v)`` pairs, deduplicating repeats.
 
         Loops and out-of-range endpoints are rejected. Disconnected inputs are
         rejected because every metric operation assumes connectivity; the raw
         constructor builds them anyway (metric calls will still refuse to run).
+        n is capped only when ``max_vertices`` is given, as the reader does.
         """
-        check_size(n, max_vertices)
+        if max_vertices is not None:
+            check_size(n, max_vertices)
         rows = [0] * max(n, 0)
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):

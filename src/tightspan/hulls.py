@@ -14,7 +14,13 @@ per coordinate; a branch dies when no unassigned vertex is left to witness an
 unwitnessed coordinate. Values ascend at every level, so vectors come out
 sorted. Hulls can be exponential, so the search stops after ``max_nodes``
 nodes (default ``DEFAULT_MAX_NODES``) or at the recursion limit, raising
-BudgetExceededError rather than truncating.
+BudgetExceededError rather than truncating. ``build_injective_hull``
+enumerates each block alone under one node budget and extends a block B's
+vector f to V by f(x) = min over a in B of f(a) + d(a, x): Helly graphs are
+closed under gated amalgams, as at a cut vertex (Bandelt and Chepoi, "Metric
+graph theory and geometry: a survey", 2008), and hyperconvex spaces glued at a
+point stay hyperconvex (Miesch, "Gluing hyperconvex metric spaces", 2015).
+Bridges need no search.
 
 Adjacency packs each vector into one int, a lane per coordinate, and tests a
 pair with one subtraction and two masks (``_chebyshev_pairs``); since the
@@ -52,6 +58,11 @@ def enumerate_extremal_functions(
     BudgetExceededError after ``max_nodes`` search nodes or past the
     recursion limit; results are never silently truncated.
     """
+    return _search(g, max_nodes, 0)[0]
+
+
+def _search(g: Graph, max_nodes: int, nodes: int) -> tuple[list[Vector], int]:
+    """The enumeration, counting nodes on from ``nodes``; returns the vectors and the count."""
     dm = g.distances()
     d = dm.rows
     ecc = dm.ecc
@@ -61,7 +72,6 @@ def enumerate_extremal_functions(
     f = [0] * n
     # lower[i] holds the feasibility lower bounds once vertices < i are assigned
     lower = [[0] * n for _ in range(n + 1)]
-    nodes = 0
 
     def dfs(i: int, witnessed: int) -> None:
         nonlocal nodes
@@ -104,7 +114,7 @@ def enumerate_extremal_functions(
         raise BudgetExceededError(
             f"hull enumeration ran out of recursion depth after {nodes} nodes"
         ) from None
-    return out
+    return out, nodes
 
 
 @dataclass(frozen=True)
@@ -173,10 +183,48 @@ def _chebyshev_pairs(vectors: list[Vector]) -> list[tuple[int, int]]:
     return pairs
 
 
+def _blocks(g: Graph) -> list[list[int]]:
+    """Sorted vertex sets of g's blocks: Hopcroft and Tarjan's search on a stack."""
+    disc, low, seen = [0] + [-1] * (g.n - 1), [0] * g.n, 1
+    path, todo, order, out = [0], [bits(g.adj[0])], [0], []
+    while path:
+        u, v = path[-1], next(todo[-1], None)
+        if v is not None:
+            if disc[v] < 0:
+                disc[v] = low[v] = seen
+                seen += 1
+                path.append(v), todo.append(bits(g.adj[v])), order.append(v)
+            # the edge to u's parent lowers low[u] to disc[parent]: still a pass below
+            low[u] = min(low[u], disc[v])
+            continue
+        path.pop(), todo.pop()
+        if path:
+            p = path[-1]
+            low[p] = min(low[p], low[u])
+            if low[u] >= disc[p]:  # p cuts u's subtree off: one block
+                k = order.index(u)
+                out.append(sorted(order[k:] + [p]))
+                del order[k:]
+    return out
+
+
 def build_injective_hull(g: Graph, max_nodes: int = DEFAULT_MAX_NODES) -> InjectiveHull:
-    """Construct H(g) and check that its vectors, read off the hull, are the enumerated ones."""
-    vectors = enumerate_extremal_functions(g, max_nodes)
+    """Construct H(g) from its blocks' hulls glued at the cut vertices (Bandelt
+    and Chepoi 2008; Miesch 2015), and check its vectors, read off the hull.
+    One block is enumerated whole; else each larger block B is enumerated on
+    ``g.induced(B)`` under the shared budget, and its vectors f extend to V by
+    f(x) = min over a in B of f(a) + d(a, x), taken at x's gate in B."""
     reals = g.distances().rows
+    blocks = _blocks(g)
+    if len(blocks) < 2:
+        vectors = enumerate_extremal_functions(g, max_nodes)
+    else:
+        found, nodes = set(reals), 0
+        for block in (b for b in blocks if len(b) > 2):
+            sub, nodes = _search(g.induced(block), max_nodes, nodes)
+            gate = [min(range(len(block)), key=lambda i: reals[block[i]][x]) for x in range(g.n)]
+            found.update(tuple(f[i] + reals[block[i]][x] for x, i in enumerate(gate)) for f in sub)
+        vectors = sorted(found)
     real_set = set(reals)
     # canonical order: reals in source order, then the Helly vectors sorted
     canonical = reals + tuple(v for v in vectors if v not in real_set)

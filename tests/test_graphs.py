@@ -88,6 +88,12 @@ def test_size_cap():
         Graph.from_edge_list(1000, [], max_vertices=512)
 
 
+def test_library_has_no_size_cap():
+    # only the reader caps n by default; a library caller builds a long path
+    path = Graph.from_edge_list(1100, [(v, v + 1) for v in range(1099)])
+    assert (path.n, path.m) == (1100, 1099)
+
+
 def test_distances_c4():
     dm = fixture("C4").distances()
     assert dm.diameter == 2 and dm.radius == 2

@@ -1,5 +1,6 @@
 import json
 import sys
+from contextlib import contextmanager
 from itertools import product
 
 import pytest
@@ -13,6 +14,7 @@ from oracles import (
     is_extremal,
     is_feasible,
     is_isometric_subgraph_apsp,
+    tree_plus_chords,
 )
 from strategies import connected_graphs
 from tightspan import (
@@ -33,7 +35,7 @@ from tightspan import (
     split_family,
 )
 from tightspan import hulls
-from tightspan.hulls import _chebyshev_pairs
+from tightspan.hulls import _blocks, _chebyshev_pairs
 
 
 def test_enumerate_k1():
@@ -90,21 +92,42 @@ def test_vertex_cap():
     assert (h.source.n, h.hull.n) == (18, 2**3 + 4 * 3 - 2)
 
 
+@contextmanager
+def _recursion_limit_above_caller(extra):
+    """Lower the recursion limit to the caller's depth plus ``extra`` frames."""
+    depth = 0
+    frame = sys._getframe(2)  # the caller, past contextmanager's own frame
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + extra)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_recursion_depth_is_a_budget_error():
     # The search is n deep. The limit is lowered so that a 300-vertex path
     # overflows it; a real 1100-vertex path takes about 2 s to get there.
-    depth = 0
-    frame = sys._getframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
     path = Graph.from_edge_list(300, [(v, v + 1) for v in range(299)])
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + 150)
-    try:
+    with _recursion_limit_above_caller(150):
         with pytest.raises(BudgetExceededError, match="ran out of recursion depth after"):
             enumerate_extremal_functions(path)
-    finally:
-        sys.setrecursionlimit(limit)
+
+
+def test_hull_of_long_path_searches_nothing(monkeypatch):
+    # Every block of a path is a bridge, so the hull is the path itself, built
+    # without a search, under the limit the whole-graph search overflows.
+    calls = []
+    for name in ("enumerate_extremal_functions", "_search"):
+        real = getattr(hulls, name)
+        monkeypatch.setattr(hulls, name, lambda *a, real=real: calls.append(a) or real(*a))
+    path = Graph.from_edge_list(300, [(v, v + 1) for v in range(299)])
+    with _recursion_limit_above_caller(150):
+        h = build_injective_hull(path)
+    assert h.hull == path and h.n_helly == 0
+    assert calls == []
 
 
 def test_node_budget_reported():
@@ -391,3 +414,55 @@ def test_hull_fast_paths_match_oracles_random(g):
     assert list(h.hull.adj) == chebyshev_rows_pairwise(h.vectors)
     assert is_isometric_subgraph_apsp(g, h.hull, range(g.n))
     assert hull_to_json(h) == hull_json_dumps(h)
+
+
+# -- hulls by blocks against the whole-graph enumeration ----------------------
+
+
+def _assert_blockwise(g, label=None):
+    assert sorted(build_injective_hull(g).vectors) == enumerate_extremal_functions(g), label
+
+
+def test_blockwise_matches_whole_enumeration_corpus(corpus_hulls, corpus):
+    for name, g in corpus:
+        assert sorted(corpus_hulls[name].vectors) == enumerate_extremal_functions(g), name
+
+
+@given(connected_graphs(max_n=9))
+@settings(max_examples=100, deadline=None)
+def test_blockwise_matches_whole_enumeration_random(g):
+    _assert_blockwise(g)
+
+
+@pytest.mark.parametrize("n", [6, 9, 12])
+@pytest.mark.parametrize("seed", range(5))
+def test_blockwise_matches_whole_enumeration_sparse(n, seed):
+    _assert_blockwise(tree_plus_chords(n, seed), (n, seed))
+
+
+# crown4 on 0..7, a C5 through vertex 0 and the path 5-12-13: two blocks that
+# need the search and two bridges
+GLUED_BLOCKS = [list(range(8)), [0, 8, 9, 10, 11], [5, 12], [12, 13]]
+
+
+def _glued():
+    cycle = [(0, 8), (8, 9), (9, 10), (10, 11), (11, 0)]
+    return Graph.from_edge_list(14, crown_family(4).edges() + cycle + [(5, 12), (12, 13)])
+
+
+def test_glued_blocks_hull():
+    g = _glued()
+    assert sorted(_blocks(g)) == sorted(GLUED_BLOCKS)
+    assert [build_injective_hull(g.induced(b)).hull.n for b in GLUED_BLOCKS[:2]] == [24, 6]
+    h = build_injective_hull(g)
+    assert h.hull.n == 24 + 6 - 1 + 2 == 31
+    assert sorted(h.vectors) == enumerate_extremal_functions(g)
+
+
+def test_blocks_share_the_node_budget():
+    g = _glued()
+    nodes = sum(extremal_dfs(g.induced(b))[1] for b in GLUED_BLOCKS[:2])
+    assert build_injective_hull(g, max_nodes=nodes).hull.n == 31
+    with pytest.raises(BudgetExceededError) as exc:
+        build_injective_hull(g, max_nodes=nodes - 1)
+    assert str(exc.value) == f"hull enumeration exceeded {nodes - 1} search nodes"
