@@ -12,15 +12,16 @@ mask passed down marks the assigned coordinates witnessed by a tight partner.
 Only a coordinate's lowest value can be tight, so tightness is checked once
 per coordinate; a branch dies when no unassigned vertex is left to witness an
 unwitnessed coordinate. Values ascend at every level, so vectors come out
-sorted. Hulls can be exponential, so the search stops after ``max_nodes``
-nodes (default ``DEFAULT_MAX_NODES``) or at the recursion limit, raising
-BudgetExceededError rather than truncating. ``build_injective_hull``
-enumerates each block alone under one node budget and extends a block B's
-vector f to V by f(x) = min over a in B of f(a) + d(a, x): Helly graphs are
-closed under gated amalgams, as at a cut vertex (Bandelt and Chepoi, "Metric
-graph theory and geometry: a survey", 2008), and hyperconvex spaces glued at a
-point stay hyperconvex (Miesch, "Gluing hyperconvex metric spaces", 2015).
-Bridges need no search.
+sorted. ``enumerate_extremal_functions`` searches each 2-connected block
+alone, on the source's distance rows restricted to it, and extends a block
+B's vector f to V by f(x) = min over a in B of f(a) + d(a, x): Helly graphs
+are closed under gated amalgams, as at a cut vertex (Bandelt and Chepoi,
+"Metric graph theory and geometry: a survey", 2008), and hyperconvex spaces
+glued at a point stay hyperconvex (Miesch, "Gluing hyperconvex metric
+spaces", 2015). Bridges need no search. Hulls can be exponential, so the
+search stops once its nodes over all blocks pass ``max_nodes`` (default
+``DEFAULT_MAX_NODES``) or at the recursion limit, raising
+BudgetExceededError rather than truncating.
 
 Adjacency packs each vector into one int, a lane per coordinate, and tests a
 pair with one subtraction and two masks (``_chebyshev_pairs``); since the
@@ -54,19 +55,28 @@ def enumerate_extremal_functions(
 ) -> list[Vector]:
     """All extremal integer vectors of g, sorted lexicographically.
 
-    The output always contains the n distance vectors. Raises
-    BudgetExceededError after ``max_nodes`` search nodes or past the
-    recursion limit; results are never silently truncated.
+    Searched block by block on g's distance rows: a block is isometric, so the
+    rows restricted to a block B are B's own distances, and each of its
+    vectors f extends to V by f(x) = min over a in B of f(a) + d(a, x), taken
+    at x's gate in B. Bridges add nothing to the n distance vectors, so a tree
+    searches nothing. Raises BudgetExceededError once the search nodes over
+    all blocks pass ``max_nodes``, or past the recursion limit, which a
+    block's size counts against; results are never silently truncated.
     """
-    return _search(g, max_nodes, 0)[0]
+    d = g.distances().rows
+    found, nodes = set(d), 0
+    for block in (b for b in _blocks(g) if len(b) > 2):
+        sub, nodes = _search([[d[a][b] for b in block] for a in block], max_nodes, nodes)
+        gate = [min(range(len(block)), key=lambda i: d[block[i]][x]) for x in range(g.n)]
+        found.update(tuple(f[i] + d[block[i]][x] for x, i in enumerate(gate)) for f in sub)
+    return sorted(found)
 
 
-def _search(g: Graph, max_nodes: int, nodes: int) -> tuple[list[Vector], int]:
-    """The enumeration, counting nodes on from ``nodes``; returns the vectors and the count."""
-    dm = g.distances()
-    d = dm.rows
-    ecc = dm.ecc
-    n = g.n
+def _search(d: list[list[int]], max_nodes: int, nodes: int) -> tuple[list[Vector], int]:
+    """The enumeration on distance rows ``d``, counting nodes on from ``nodes``;
+    returns the vectors, sorted, and the count."""
+    ecc = [max(row) for row in d]
+    n = len(d)
 
     out: list[Vector] = []
     f = [0] * n
@@ -110,11 +120,36 @@ def _search(g: Graph, max_nodes: int, nodes: int) -> tuple[list[Vector], int]:
     try:
         dfs(0, 0)
     except RecursionError:
-        # the depth is n; past the interpreter's limit it counts as a budget
+        # the depth is the block's size; past the interpreter's limit it counts as a budget
         raise BudgetExceededError(
             f"hull enumeration ran out of recursion depth after {nodes} nodes"
         ) from None
     return out, nodes
+
+
+def _blocks(g: Graph) -> list[list[int]]:
+    """Sorted vertex sets of g's blocks: Hopcroft and Tarjan's search on a stack."""
+    disc, low, seen = [0] + [-1] * (g.n - 1), [0] * g.n, 1
+    path, todo, order, out = [0], [bits(g.adj[0])], [0], []
+    while path:
+        u, v = path[-1], next(todo[-1], None)
+        if v is not None:
+            if disc[v] < 0:
+                disc[v] = low[v] = seen
+                seen += 1
+                path.append(v), todo.append(bits(g.adj[v])), order.append(v)
+            # the edge to u's parent lowers low[u] to disc[parent]: still a pass below
+            low[u] = min(low[u], disc[v])
+            continue
+        path.pop(), todo.pop()
+        if path:
+            p = path[-1]
+            low[p] = min(low[p], low[u])
+            if low[u] >= disc[p]:  # p cuts u's subtree off: one block
+                k = order.index(u)
+                out.append(sorted(order[k:] + [p]))
+                del order[k:]
+    return out
 
 
 @dataclass(frozen=True)
@@ -183,48 +218,11 @@ def _chebyshev_pairs(vectors: list[Vector]) -> list[tuple[int, int]]:
     return pairs
 
 
-def _blocks(g: Graph) -> list[list[int]]:
-    """Sorted vertex sets of g's blocks: Hopcroft and Tarjan's search on a stack."""
-    disc, low, seen = [0] + [-1] * (g.n - 1), [0] * g.n, 1
-    path, todo, order, out = [0], [bits(g.adj[0])], [0], []
-    while path:
-        u, v = path[-1], next(todo[-1], None)
-        if v is not None:
-            if disc[v] < 0:
-                disc[v] = low[v] = seen
-                seen += 1
-                path.append(v), todo.append(bits(g.adj[v])), order.append(v)
-            # the edge to u's parent lowers low[u] to disc[parent]: still a pass below
-            low[u] = min(low[u], disc[v])
-            continue
-        path.pop(), todo.pop()
-        if path:
-            p = path[-1]
-            low[p] = min(low[p], low[u])
-            if low[u] >= disc[p]:  # p cuts u's subtree off: one block
-                k = order.index(u)
-                out.append(sorted(order[k:] + [p]))
-                del order[k:]
-    return out
-
-
 def build_injective_hull(g: Graph, max_nodes: int = DEFAULT_MAX_NODES) -> InjectiveHull:
-    """Construct H(g) from its blocks' hulls glued at the cut vertices (Bandelt
-    and Chepoi 2008; Miesch 2015), and check its vectors, read off the hull.
-    One block is enumerated whole; else each larger block B is enumerated on
-    ``g.induced(B)`` under the shared budget, and its vectors f extend to V by
-    f(x) = min over a in B of f(a) + d(a, x), taken at x's gate in B."""
+    """Construct H(g) on its extremal vectors, its blocks' glued at the cut
+    vertices, and check its vectors, read off the hull."""
     reals = g.distances().rows
-    blocks = _blocks(g)
-    if len(blocks) < 2:
-        vectors = enumerate_extremal_functions(g, max_nodes)
-    else:
-        found, nodes = set(reals), 0
-        for block in (b for b in blocks if len(b) > 2):
-            sub, nodes = _search(g.induced(block), max_nodes, nodes)
-            gate = [min(range(len(block)), key=lambda i: reals[block[i]][x]) for x in range(g.n)]
-            found.update(tuple(f[i] + reals[block[i]][x] for x, i in enumerate(gate)) for f in sub)
-        vectors = sorted(found)
+    vectors = enumerate_extremal_functions(g, max_nodes)
     real_set = set(reals)
     # canonical order: reals in source order, then the Helly vectors sorted
     canonical = reals + tuple(v for v in vectors if v not in real_set)

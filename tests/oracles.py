@@ -4,6 +4,7 @@ Everything here deliberately avoids the code paths under test: the extremal
 scan enumerates raw vectors with numpy, ``extremal_dfs`` is the library's
 former search with its undo list and per-value tightness scan, and counts
 its nodes so the library's budget boundary can be checked against it;
+blocks come from deleting one vertex at a time and comparing components;
 feasibility and extremality are
 direct pairwise checks, hull adjacency compares every pair of vectors
 coordinate by coordinate, the isometry check reads both all-pairs distance
@@ -119,6 +120,40 @@ def extremal_dfs(g: Graph) -> tuple[list[tuple[int, ...]], int]:
     dfs(0)
     out.sort()
     return out, nodes
+
+
+def blocks_by_separation(g: Graph) -> list[list[int]]:
+    """Sorted vertex sets of g's blocks, in sorted order.
+
+    Two edges share a block iff, for every vertex w, their endpoints other
+    than w stay in one component of G - w. The components come from a plain
+    stack search per deleted vertex, and each edge is tested against one edge
+    of every class found so far.
+    """
+    nbrs = [[v for v in range(g.n) if g.adj[u] >> v & 1] for u in range(g.n)]
+    comp = []  # comp[w][v]: a label of v's component in G - w
+    for w in range(g.n):
+        label = [-1] * g.n
+        for s in range(g.n):
+            if s == w or label[s] >= 0:
+                continue
+            label[s], stack = s, [s]
+            while stack:
+                for v in nbrs[stack.pop()]:
+                    if v != w and label[v] < 0:
+                        label[v] = s
+                        stack.append(v)
+        comp.append(label)
+    classes: list[list[tuple[int, int]]] = []
+    for e in g.edges():
+        for cls in classes:
+            ends = {*e, *cls[0]}
+            if all(len({comp[w][v] for v in ends if v != w}) == 1 for w in range(g.n)):
+                cls.append(e)
+                break
+        else:
+            classes.append([e])
+    return sorted(sorted({v for e in cls for v in e}) for cls in classes)
 
 
 def is_feasible(vector: tuple[int, ...], dist_rows) -> bool:

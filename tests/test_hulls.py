@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from oracles import (
+    blocks_by_separation,
     brute_force_extremal,
     chebyshev_rows_pairwise,
     extremal_dfs,
@@ -108,23 +109,23 @@ def _recursion_limit_above_caller(extra):
 
 
 def test_recursion_depth_is_a_budget_error():
-    # The search is n deep. The limit is lowered so that a 300-vertex path
-    # overflows it; a real 1100-vertex path takes about 2 s to get there.
-    path = Graph.from_edge_list(300, [(v, v + 1) for v in range(299)])
+    # The search is as deep as the largest block. The limit is lowered so
+    # that a 300-vertex cycle, one block, overflows it.
+    cycle = Graph.from_edge_list(300, [(v, (v + 1) % 300) for v in range(300)])
     with _recursion_limit_above_caller(150):
         with pytest.raises(BudgetExceededError, match="ran out of recursion depth after"):
-            enumerate_extremal_functions(path)
+            enumerate_extremal_functions(cycle)
 
 
 def test_hull_of_long_path_searches_nothing(monkeypatch):
     # Every block of a path is a bridge, so the hull is the path itself, built
-    # without a search, under the limit the whole-graph search overflows.
+    # without a search, under a limit a 300-vertex block would overflow.
     calls = []
-    for name in ("enumerate_extremal_functions", "_search"):
-        real = getattr(hulls, name)
-        monkeypatch.setattr(hulls, name, lambda *a, real=real: calls.append(a) or real(*a))
+    search = hulls._search
+    monkeypatch.setattr(hulls, "_search", lambda *a: calls.append(a) or search(*a))
     path = Graph.from_edge_list(300, [(v, v + 1) for v in range(299)])
     with _recursion_limit_above_caller(150):
+        assert enumerate_extremal_functions(path) == sorted(path.distances().rows)
         h = build_injective_hull(path)
     assert h.hull == path and h.n_helly == 0
     assert calls == []
@@ -302,11 +303,14 @@ FAMILY_HULLS = {
 
 
 def _assert_same_search(g, label=None):
-    """Same vectors as the former DFS, and a budget boundary at its node count."""
-    vectors, nodes = extremal_dfs(g)
-    assert enumerate_extremal_functions(g, max_nodes=nodes) == vectors, label
-    with pytest.raises(BudgetExceededError, match=f"exceeded {nodes - 1} search nodes"):
-        enumerate_extremal_functions(g, max_nodes=nodes - 1)
+    """Same vectors as the former whole-graph DFS, and a budget boundary at the
+    sum of its node counts on the blocks that need a search: on a 2-connected
+    graph, its node count on g."""
+    nodes = sum(extremal_dfs(g.induced(b))[1] for b in blocks_by_separation(g) if len(b) > 2)
+    assert enumerate_extremal_functions(g, max_nodes=nodes) == extremal_dfs(g)[0], label
+    if nodes:
+        with pytest.raises(BudgetExceededError, match=f"exceeded {nodes - 1} search nodes"):
+            enumerate_extremal_functions(g, max_nodes=nodes - 1)
 
 
 SEARCH_ORACLE_FAMILIES = {
@@ -383,8 +387,8 @@ def test_chebyshev_pairs_on_full_grids(top, dim):
 
 
 def test_hull_never_builds_hull_distances():
-    h = build_injective_hull(fixture("C10"))
-    assert h.hull._dm is None
+    for g in (fixture("C10"), _glued()):
+        assert build_injective_hull(g).hull._dm is None
     h = hellify_dh(random_dh(10, 9))
     assert len(h.vectors) == h.hull.n and h.n_helly == 2
     assert h.hull._dm is None
@@ -419,13 +423,20 @@ def test_hull_fast_paths_match_oracles_random(g):
 # -- hulls by blocks against the whole-graph enumeration ----------------------
 
 
-def _assert_blockwise(g, label=None):
-    assert sorted(build_injective_hull(g).vectors) == enumerate_extremal_functions(g), label
+def _assert_blockwise(g, label=None, h=None):
+    assert sorted(_blocks(g)) == blocks_by_separation(g), label
+    h = h or build_injective_hull(g)
+    assert sorted(h.vectors) == extremal_dfs(g)[0], label
+
+
+def test_blocks_of_k1_and_k2():
+    assert _blocks(fixture("K1")) == blocks_by_separation(fixture("K1")) == []
+    assert _blocks(fixture("K2")) == blocks_by_separation(fixture("K2")) == [[0, 1]]
 
 
 def test_blockwise_matches_whole_enumeration_corpus(corpus_hulls, corpus):
     for name, g in corpus:
-        assert sorted(corpus_hulls[name].vectors) == enumerate_extremal_functions(g), name
+        _assert_blockwise(g, name, corpus_hulls[name])
 
 
 @given(connected_graphs(max_n=9))
@@ -456,7 +467,21 @@ def test_glued_blocks_hull():
     assert [build_injective_hull(g.induced(b)).hull.n for b in GLUED_BLOCKS[:2]] == [24, 6]
     h = build_injective_hull(g)
     assert h.hull.n == 24 + 6 - 1 + 2 == 31
-    assert sorted(h.vectors) == enumerate_extremal_functions(g)
+    assert sorted(h.vectors) == extremal_dfs(g)[0]
+
+
+def test_build_computes_one_distance_matrix(monkeypatch):
+    # the source's; the blocks read its rows, and the hull's vectors come from BFS
+    fresh, level_masks = [], Graph.level_masks
+
+    def counted(self):
+        if self._levels is None:
+            fresh.append(self.n)
+        return level_masks(self)
+
+    monkeypatch.setattr(Graph, "level_masks", counted)
+    assert build_injective_hull(_glued()).hull.n == 31
+    assert fresh == [14]
 
 
 def test_blocks_share_the_node_budget():
@@ -466,3 +491,4 @@ def test_blocks_share_the_node_budget():
     with pytest.raises(BudgetExceededError) as exc:
         build_injective_hull(g, max_nodes=nodes - 1)
     assert str(exc.value) == f"hull enumeration exceeded {nodes - 1} search nodes"
+
