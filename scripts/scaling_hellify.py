@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Soft scaling check for distance-hereditary Hellification.
 
-Times the sequence-to-hull core (poset plus host construction, linear in the
-size of the host) on random build sequences, and reports hull-size growth.
-The expectation: hull vertex count stays within a small constant of n, and
-core time grows subquadratically in n (it tracks n + m, and m itself grows
-superlinearly for uniformly random twin-heavy instances).
+Times the sequence-to-hull core (an O(1)-per-step twin-class pass plus host
+construction, linear in the size of the host) on random build sequences,
+and reports hull-size growth. The expectation: hull vertex count stays
+within a small constant of n, and core time grows subquadratically in n (it
+tracks n + m, and m itself grows superlinearly for uniformly random
+twin-heavy instances).
 
 The pendant/twin *search* that turns an arbitrary graph back into a sequence
 is a separate worklist pass: it re-keys only the neighbours of each removed

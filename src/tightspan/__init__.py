@@ -18,7 +18,6 @@ from .dh import (
     TRUE_TWIN,
     PruningSequence,
     PruningStep,
-    TwinClassPoset,
     hellify_adjacency,
     hellify_dh,
     pruning_sequence,

@@ -36,10 +36,12 @@ EXIT_USAGE = 1
 EXIT_BUDGET = 2
 EXIT_PRECONDITION = 3
 
-# Interactive size caps, enforced by the reader; the library has none. At
-# n = 512 (2-vCPU host, Python 3.11) the hull search of a 2-connected input costs
-# 55-87 us per node, so the default budget would run 9-15 min before exit 2, and
-# the four-point scan takes 40-64 s (random_dh 40 s, random_chordal 47 s, P512 64 s).
+# Interactive size caps, enforced by the reader. Graph construction and the
+# algorithms are uncapped; the generators cap n, so `generate` fails before it
+# lists edges. At n = 512 (2-vCPU host, Python 3.11) the hull search of a
+# 2-connected input costs 55-87 us per node, so the default budget would run
+# 9-15 min before exit 2, and the four-point scan takes 40-64 s (random_dh
+# 40 s, random_chordal 47 s, P512 64 s).
 HULL_MAX_VERTICES = 14
 HYPERBOLICITY_MAX_VERTICES = 128
 

@@ -7,11 +7,11 @@ such a vertex per round and reverses the removals into a
 Hellification walks the sequence and emits the host's sequence: every step
 is copied, and a false twin of an anchor whose closed neighborhood is not
 contained in any other vertex's is preceded by a fresh true twin of the
-anchor (the new Helly vertex). The dominator query is answered in O(1) by
-:class:`TwinClassPoset`, which keeps the true-twin classes of the host
-partitioned with directed edges for strict closed-neighborhood containment.
-The host is built from its sequence by the same code as :func:`replay` and
-returned as a ``hulls.InjectiveHull``, whose vectors cost nothing unread.
+anchor (the new Helly vertex). The dominator query reads the host's
+true-twin classes, each kept with its size and a flag saying that some
+closed neighbourhood strictly contains the class's; a step updates them in
+O(1). The host is built from its sequence by the same code as :func:`replay`
+and returned as a ``hulls.InjectiveHull``, whose vectors cost nothing unread.
 
 The sequence builder keeps the live vertices in one bucket map keyed by closed
 rows N[v] and open rows N(v), and a worklist mask of vertices whose status may
@@ -20,7 +20,7 @@ Damiand, Habib and Paul (2001). The two kinds of key never collide:
 N[u] = N(w) puts u in N(w), so w is in N[u] = N(w), which is a loop. Removing
 a vertex re-keys only its neighbours, so a run makes O(n + m) bucket updates,
 each costing O(n / word size) on the bit-rows; the rows themselves stay the
-exact keys, so the result is deterministic. The replay, poset, and
+exact keys, so the result is deterministic. The replay and the
 Hellification core are linear in the size of the host.
 """
 
@@ -187,108 +187,85 @@ def _leave(buckets: dict[int, int], key: int, bit: int) -> None:
         del buckets[key]
 
 
-class TwinClassPoset:
-    """True-twin classes of a growing graph with containment edges.
+class _TwinClasses:
+    """True-twin classes of a growing host, each with a size and a flag.
 
-    Invariants maintained across :meth:`apply`: two vertices share a class
-    iff they are true twins, and there is an edge from class A to class B iff
-    N[a] is strictly contained in N[b] for a in A, b in B. The second vertex
-    ever added is handled as a true twin regardless of its step kind, since a
-    pendant update assumes the anchor keeps a private neighbor.
+    A class's flag says that some vertex's closed row strictly contains the
+    class's closed rows, so "is N[v] contained in N[y] for some y != v?" is
+    ``size > 1 or strict``. Each step is O(1) and needs no containment edges:
+
+    - a true twin w of v grows v's class; no containment between other
+      vertices changes;
+    - a pendant w on v leaves v with no dominator, so v's class, or v split
+      off from its twins, gets the flag false; the twins it leaves sit
+      strictly inside N[v] and get it true, and so does the new class {w};
+    - a false twin w of v requires v dominated, by some z in N(v), which
+      gains w as well. Strict containment is transitive, so any x strictly
+      inside N[v] stays strictly inside N[z], and no other flag changes; v
+      split off from its twins sits strictly inside theirs, and {w} strictly
+      inside N[z], so both get the flag true.
+
+    The second vertex ever placed is a true twin whatever its step kind.
     """
 
     def __init__(self, first_vertex: int):
-        self.members: dict[int, set[int]] = {0: {first_vertex}}
-        self.set_of: dict[int, int] = {first_vertex: 0}
-        self.succ: dict[int, set[int]] = {0: set()}
-        self.pred: dict[int, set[int]] = {0: set()}
-        self._next_id = 1
+        self.class_of = {first_vertex: 0}
+        self.size = [1]
+        self.strict = [False]
 
-    def _new_set(self, vertex: int) -> int:
-        sid = self._next_id
-        self._next_id += 1
-        self.members[sid] = {vertex}
-        self.set_of[vertex] = sid
-        self.succ[sid] = set()
-        self.pred[sid] = set()
-        return sid
-
-    def _add_edge(self, a: int, b: int) -> None:
-        self.succ[a].add(b)
-        self.pred[b].add(a)
+    def _new_class(self, vertex: int, strict: bool) -> None:
+        self.class_of[vertex] = len(self.size)
+        self.size.append(1)
+        self.strict.append(strict)
 
     def apply(self, step: PruningStep) -> None:
-        kind = step.kind
-        if len(self.set_of) == 1 and kind == PENDANT:
-            kind = TRUE_TWIN
+        """Place ``step.vertex``; a false twin's anchor must be dominated."""
         w, v = step.vertex, step.anchor
-        s = self.set_of[v]
-        if kind == TRUE_TWIN:
-            self.members[s].add(w)
-            self.set_of[w] = s
-        elif kind == PENDANT:
-            if len(self.members[s]) == 1:
-                # S would empty: it becomes S_v in place, dropping outgoing edges.
-                for y in self.succ[s]:
-                    self.pred[y].discard(s)
-                self.succ[s] = set()
-                s_v = s
-            else:
-                self.members[s].discard(v)
-                s_v = self._new_set(v)
-                for x in self.pred[s]:
-                    self._add_edge(x, s_v)
-                self._add_edge(s, s_v)
-            s_w = self._new_set(w)
-            self._add_edge(s_w, s_v)
-        else:  # FALSE_TWIN
-            old_succ = list(self.succ[s])
-            if len(self.members[s]) == 1:
-                # S becomes S_v in place, dropping incoming edges.
-                for x in self.pred[s]:
-                    self.succ[x].discard(s)
-                self.pred[s] = set()
-                s_w = self._new_set(w)
-                for y in old_succ:
-                    self._add_edge(s_w, y)
-            else:
-                self.members[s].discard(v)
-                s_v = self._new_set(v)
-                self._add_edge(s_v, s)
-                for y in old_succ:
-                    self._add_edge(s_v, y)
-                s_w = self._new_set(w)
-                self._add_edge(s_w, s)
-                for y in old_succ:
-                    self._add_edge(s_w, y)
+        s = self.class_of[v]
+        if step.kind == TRUE_TWIN or len(self.class_of) == 1:
+            self.class_of[w] = s
+            self.size[s] += 1
+            return
+        pendant = step.kind == PENDANT
+        if self.size[s] > 1:
+            self.size[s] -= 1
+            if pendant:
+                self.strict[s] = True
+            self._new_class(v, not pendant)
+        elif pendant:
+            self.strict[s] = False
+        self._new_class(w, True)
 
-    def has_dominator(self, v: int) -> bool:
-        """Is there a y != v with N[v] contained in N[y] in the current graph?"""
-        s = self.set_of[v]
-        return len(self.members[s]) > 1 or bool(self.succ[s])
+    def dominated(self, v: int) -> bool:
+        """Is there a y != v with N[v] contained in N[y] in the current host?"""
+        s = self.class_of[v]
+        return self.size[s] > 1 or self.strict[s]
 
 
 def hellify_adjacency(
     seq: PruningSequence,
 ) -> tuple[list[list[int]], list[tuple[int, int]], PruningSequence]:
-    """Core Hellification: the poset pass over a pruning sequence.
+    """Core Hellification: one twin-class pass over a pruning sequence.
 
     Emits the host's pruning sequence, in which each added Helly vertex is a
     true twin of its anchor placed just before the false twin that forced
-    it, and builds the host from that sequence. Returns (host adjacency
-    lists, added (vertex, anchor) pairs, host pruning sequence).
+    it, and builds the host from that sequence. A false twin is forced
+    exactly when its anchor has no dominator; the Helly twin gives it one,
+    so every false twin reaches :class:`_TwinClasses` with a dominated
+    anchor, as its O(1) update requires. Returns (host adjacency lists,
+    added (vertex, anchor) pairs, host pruning sequence).
     """
     n = len(seq.order)
-    poset = TwinClassPoset(seq.order[0])
+    classes = _TwinClasses(seq.order[0])
     steps: list[PruningStep] = []
     added: list[tuple[int, int]] = []
     for step in seq.steps:
-        if step.kind == FALSE_TWIN and not poset.has_dominator(step.anchor):
+        if step.kind == FALSE_TWIN and not classes.dominated(step.anchor):
             helly = PruningStep(n + len(added), TRUE_TWIN, step.anchor)
             added.append((helly.vertex, step.anchor))
-            poset.apply(helly)
+            classes.apply(helly)
             steps.append(helly)
-        poset.apply(step)
+        classes.apply(step)
         steps.append(step)
     order = (seq.order[0],) + tuple(step.vertex for step in steps)
     host_seq = PruningSequence(order, tuple(steps))

@@ -105,17 +105,13 @@ class Graph:
         n: int,
         edges: Iterable[tuple[int, int]],
         labels: Optional[Sequence[str]] = None,
-        max_vertices: Optional[int] = None,
     ) -> "Graph":
         """Build a graph from ``(u, v)`` pairs, deduplicating repeats.
 
         Loops and out-of-range endpoints are rejected. Disconnected inputs are
         rejected because every metric operation assumes connectivity; the raw
         constructor builds them anyway (metric calls will still refuse to run).
-        n is capped only when ``max_vertices`` is given, as the reader does.
         """
-        if max_vertices is not None:
-            check_size(n, max_vertices)
         rows = [0] * max(n, 0)
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -363,7 +359,8 @@ def parse_edge_list(text: str, max_vertices: int = DEFAULT_MAX_VERTICES) -> Grap
         bad = [t for row in tokens for t in row if not t.isascii() or "+" in t or "_" in t]
         if bad:
             raise ValueError(f"invalid literal for int() with base 10: {bad[0]!r}")
-    return Graph.from_edge_list(n, edges, max_vertices=max_vertices)
+    check_size(n, max_vertices)
+    return Graph.from_edge_list(n, edges)
 
 
 def format_edge_list(g: Graph) -> str:

@@ -18,7 +18,9 @@ extended squares, intervals, disks and peripheral vertices are the direct
 vertex scans the library used before its bit-row rewrites, and the disk
 oracles build their disks with that scan. ``canonical_hull`` puts a
 Hellification hull into the enumeration hull's order, so the two compare
-exactly, and ``poset_snapshot`` reads a twin-class poset as value objects.
+exactly. ``TwinClassPoset`` is the library's former dominator structure,
+with containment edges between true-twin classes, and ``poset_snapshot``
+reads it as value objects.
 """
 
 import json
@@ -411,6 +413,87 @@ def canonical_hull(hull: Graph, n_real: int) -> tuple[Graph, tuple[tuple[int, ..
     vector = [tuple(d[h][:n_real]) for h in range(hull.n)]
     order = list(range(n_real)) + sorted(range(n_real, hull.n), key=vector.__getitem__)
     return hull.induced(order), tuple(vector[h] for h in order)
+
+
+class TwinClassPoset:
+    """True-twin classes of a growing graph with containment edges.
+
+    Invariants maintained across :meth:`apply`: two vertices share a class
+    iff they are true twins, and there is an edge from class A to class B iff
+    N[a] is strictly contained in N[b] for a in A, b in B. The second vertex
+    ever added is handled as a true twin regardless of its step kind, since a
+    pendant update assumes the anchor keeps a private neighbor.
+    """
+
+    def __init__(self, first_vertex: int):
+        self.members: dict[int, set[int]] = {0: {first_vertex}}
+        self.set_of: dict[int, int] = {first_vertex: 0}
+        self.succ: dict[int, set[int]] = {0: set()}
+        self.pred: dict[int, set[int]] = {0: set()}
+        self._next_id = 1
+
+    def _new_set(self, vertex: int) -> int:
+        sid = self._next_id
+        self._next_id += 1
+        self.members[sid] = {vertex}
+        self.set_of[vertex] = sid
+        self.succ[sid] = set()
+        self.pred[sid] = set()
+        return sid
+
+    def _add_edge(self, a: int, b: int) -> None:
+        self.succ[a].add(b)
+        self.pred[b].add(a)
+
+    def apply(self, step: PruningStep) -> None:
+        kind = step.kind
+        if len(self.set_of) == 1 and kind == PENDANT:
+            kind = TRUE_TWIN
+        w, v = step.vertex, step.anchor
+        s = self.set_of[v]
+        if kind == TRUE_TWIN:
+            self.members[s].add(w)
+            self.set_of[w] = s
+        elif kind == PENDANT:
+            if len(self.members[s]) == 1:
+                # S would empty: it becomes S_v in place, dropping outgoing edges.
+                for y in self.succ[s]:
+                    self.pred[y].discard(s)
+                self.succ[s] = set()
+                s_v = s
+            else:
+                self.members[s].discard(v)
+                s_v = self._new_set(v)
+                for x in self.pred[s]:
+                    self._add_edge(x, s_v)
+                self._add_edge(s, s_v)
+            s_w = self._new_set(w)
+            self._add_edge(s_w, s_v)
+        else:  # FALSE_TWIN
+            old_succ = list(self.succ[s])
+            if len(self.members[s]) == 1:
+                # S becomes S_v in place, dropping incoming edges.
+                for x in self.pred[s]:
+                    self.succ[x].discard(s)
+                self.pred[s] = set()
+                s_w = self._new_set(w)
+                for y in old_succ:
+                    self._add_edge(s_w, y)
+            else:
+                self.members[s].discard(v)
+                s_v = self._new_set(v)
+                self._add_edge(s_v, s)
+                for y in old_succ:
+                    self._add_edge(s_v, y)
+                s_w = self._new_set(w)
+                self._add_edge(s_w, s)
+                for y in old_succ:
+                    self._add_edge(s_w, y)
+
+    def has_dominator(self, v: int) -> bool:
+        """Is there a y != v with N[v] contained in N[y] in the current graph?"""
+        s = self.set_of[v]
+        return len(self.members[s]) > 1 or bool(self.succ[s])
 
 
 def poset_snapshot(poset) -> tuple[list[frozenset[int]], set[tuple[frozenset, frozenset]]]:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from oracles import (
+    TwinClassPoset,
     canonical_hull,
     is_dh_by_definition,
     poset_snapshot,
@@ -17,7 +18,6 @@ from tightspan import (
     NotDistanceHereditaryError,
     PruningSequence,
     PruningStep,
-    TwinClassPoset,
     build_injective_hull,
     fixture,
     hellify_dh,
@@ -26,10 +26,12 @@ from tightspan import (
     pruning_sequence,
     random_chordal,
     random_dh,
+    random_pruning_sequence,
     replay,
 )
 from tightspan import dh
 from tightspan.dh import hellify_adjacency
+from tightspan.graphs import bits
 
 def poset_matches_graph(poset, g):
     """Check the twin-class partition and containment edges against N[.]"""
@@ -268,6 +270,53 @@ def test_poset_invariants_along_random_sequences(seed):
         poset.apply(step)
         prefix = PruningSequence(seq.order[:i], seq.steps[: i - 1])
         assert poset_matches_graph(poset, replay(prefix)), (seed, i)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_twin_classes_match_closed_rows_along_host_sequences(n):
+    for seed in range(40):
+        host = hellify_adjacency(random_pruning_sequence(n, seed))[2]
+        adj = replay(host).adj
+        classes = dh._TwinClasses(host.order[0])
+        placed = 1 << host.order[0]
+        for step in host.steps:
+            classes.apply(step)
+            placed |= 1 << step.vertex
+            # a prefix of the host is the host induced on the placed vertices
+            closed = {v: adj[v] & placed | 1 << v for v in bits(placed)}
+            for v, row in closed.items():
+                expected = any(y != v and row & ~other == 0 for y, other in closed.items())
+                assert classes.dominated(v) == expected, (seed, step, v)
+
+
+def _assert_twin_classes_match_poset(host, check_all):
+    """``dominated`` equals the oracle poset's ``has_dominator`` along ``host``
+    after every step: at the new vertex and the anchor's former twin class,
+    and at every placed vertex when ``check_all(number placed)`` holds."""
+    classes = dh._TwinClasses(host.order[0])
+    poset = TwinClassPoset(host.order[0])
+    for i, step in enumerate(host.steps, start=2):
+        twins = set(poset.members[poset.set_of[step.anchor]])
+        classes.apply(step)
+        poset.apply(step)
+        checked = host.order[:i] if check_all(i) else twins | {step.vertex}
+        for v in checked:
+            assert classes.dominated(v) == poset.has_dominator(v), (i, v)
+
+
+@pytest.mark.parametrize("n", [100, 300, 1000, 3000])
+def test_twin_classes_match_poset_on_long_sequences(n):
+    for seed in range(3):
+        host = hellify_adjacency(random_pruning_sequence(n, seed))[2]
+        last = len(host.order)
+        _assert_twin_classes_match_poset(host, lambda i: i & (i - 1) == 0 or i == last)
+
+
+@pytest.mark.parametrize("n", [64, 256, 512])
+def test_twin_classes_match_poset_on_random_dh(n):
+    for seed in range(3):
+        host = hellify_adjacency(pruning_sequence(random_dh(n, seed)))[2]
+        _assert_twin_classes_match_poset(host, lambda i: True)
 
 
 def test_hellify_tree_is_fixed_point():

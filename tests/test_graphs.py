@@ -84,8 +84,8 @@ def test_raw_constructor_errors(n, rows, labels, message):
 
 
 def test_size_cap():
-    with pytest.raises(ValueError, match="size cap"):
-        Graph.from_edge_list(1000, [], max_vertices=512)
+    with pytest.raises(ValueError, match="^n=1000 exceeds the size cap 512$"):
+        parse_edge_list("1000 0\n", max_vertices=512)
 
 
 def test_library_has_no_size_cap():
