@@ -11,9 +11,10 @@ twin-heavy instances).
 The pendant/twin *search* that turns an arbitrary graph back into a sequence
 is a separate worklist pass: it re-keys only the neighbours of each removed
 vertex, so it does O(n + m) bucket updates, each hashing an n-bit row. Time it
-with --with-builder; on random DH graphs (n = 500..8000, seed 1, 2-vCPU host)
-four runs measured time growth exponents of 1.79-1.94, while m grows as about
-n^1.35: the per-update cost grows with n.
+with --with-builder. On random DH graphs (seed 1, 2-vCPU host), eight runs over
+the default n = 500..4000 measured time growth exponents of 1.48-1.75, and four
+runs over n = 500..8000 measured 1.79-1.94, while m grows as about n^1.35: the
+per-update cost grows with n.
 
 Usage: python scripts/scaling_hellify.py [--sizes 1000,3000,10000,30000]
        [--seed 1] [--with-builder]
@@ -83,7 +84,10 @@ def main():
         for n, m, elapsed in brows:
             print(f"{n:>8} {m:>10} {elapsed:>8.3f}")
         slope = loglog_slope([(r[0], r[2]) for r in brows])
-        print(f"builder time growth exponent ~ {slope:.2f} (1.79-1.94 measured for n = 500..8000)")
+        print(
+            f"builder time growth exponent ~ {slope:.2f} (1.48-1.75 measured for"
+            " n = 500..4000, 1.79-1.94 for n = 500..8000)"
+        )
 
 
 if __name__ == "__main__":

@@ -7,12 +7,13 @@ the distance vectors ``d_z``; everything else is a Helly vertex. Two hull
 vertices are adjacent exactly when their Chebyshev distance is 1.
 
 Enumeration assigns f depth-first in vertex order, each value between the
-lower bound max(0, d(x,y) - f(y)) over assigned y and the eccentricity. The
-mask passed down marks the assigned coordinates witnessed by a tight partner.
-Only a coordinate's lowest value can be tight, so tightness is checked once
-per coordinate; a branch dies when no unassigned vertex is left to witness an
-unwitnessed coordinate. Values ascend at every level, so vectors come out
-sorted. ``enumerate_extremal_functions`` searches each 2-connected block
+lower bound max(0, d(x,y) - f(y)) over assigned y and the eccentricity. Next
+to each unassigned y's bound it keeps the mask of assigned x attaining it, y's
+possible tight partners. The mask passed down marks the assigned coordinates
+witnessed by a tight partner. Only a coordinate's lowest value can be tight,
+so its tight set is its bound's mask plus itself; a branch dies when an
+unwitnessed coordinate is in no unassigned vertex's mask, a test of one OR per
+node. ``enumerate_extremal_functions`` searches each 2-connected block
 alone, on the source's distance rows restricted to it, and extends a block
 B's vector f to V by f(x) = min over a in B of f(a) + d(a, x): Helly graphs
 are closed under gated amalgams, as at a cut vertex (Bandelt and Chepoi,
@@ -66,37 +67,38 @@ def enumerate_extremal_functions(
     d = g.distances().rows
     found, nodes = set(d), 0
     for block in (b for b in _blocks(g) if len(b) > 2):
-        sub, nodes = _search([[d[a][b] for b in block] for a in block], max_nodes, nodes)
-        gate = [min(range(len(block)), key=lambda i: d[block[i]][x]) for x in range(g.n)]
-        found.update(tuple(f[i] + d[block[i]][x] for x, i in enumerate(gate)) for f in sub)
+        gate = [min((d[a][x], i) for i, a in enumerate(block)) for x in range(g.n)]
+        nodes = _search([[d[a][b] for b in block] for a in block], gate, found, max_nodes, nodes)
     return sorted(found)
 
 
-def _search(d: list[list[int]], max_nodes: int, nodes: int) -> tuple[list[Vector], int]:
+def _search(
+    d: list[list[int]], gate: list[tuple[int, int]], found: set[Vector], max_nodes: int, nodes: int
+) -> int:
     """The enumeration on distance rows ``d``, counting nodes on from ``nodes``;
-    returns the vectors, sorted, and the count."""
+    adds each vector f to ``found``, extended to x as f[i] + offset for x's
+    (offset, i) in ``gate``, and returns the count."""
     ecc = [max(row) for row in d]
     n = len(d)
 
-    out: list[Vector] = []
     f = [0] * n
-    # lower[i] holds the feasibility lower bounds once vertices < i are assigned
+    # lower[i] holds the feasibility lower bounds once vertices < i are assigned;
+    # reach[i][y] masks the assigned x with d(x, y) - f(x) == lower[i][y]; none
+    # exceeds the bound, so these are exactly y's possible tight partners
     lower = [[0] * n for _ in range(n + 1)]
+    reach = [[0] * n for _ in range(n + 1)]
 
     def dfs(i: int, witnessed: int) -> None:
         nonlocal nodes
         if i == n:
-            out.append(tuple(f))
+            found.add(tuple([f[k] + off for off, k in gate]))
             return
-        cur = lower[i]
-        nxt = lower[i + 1]
+        cur, rc, nxt, rn = lower[i], reach[i], lower[i + 1], reach[i + 1]
         di = d[i]
         lowest = cur[i]
-        # only the lowest value can be tight; a tight pair witnesses both ends
-        tight = 0 if lowest else 1 << i
-        for j in range(i):
-            if f[j] + lowest == di[j]:
-                tight |= 1 << j | 1 << i
+        bit = 1 << i
+        # only the lowest value is tight: with reach[i][i], or with i at 0; a pair witnesses both
+        tight = rc[i] | bit
         for value in range(lowest, ecc[i] + 1):
             nodes += 1
             if nodes > max_nodes:
@@ -104,17 +106,20 @@ def _search(d: list[list[int]], max_nodes: int, nodes: int) -> tuple[list[Vector
                     f"hull enumeration exceeded {max_nodes} search nodes"
                 )
             f[i] = value
+            partners = 0
             for y in range(i + 1, n):
                 t = di[y] - value
-                nxt[y] = cur[y] if cur[y] >= t else t
+                c = cur[y]
+                if t > c:
+                    nxt[y] = t
+                    rn[y] = bit
+                else:
+                    nxt[y] = c
+                    rn[y] = rc[y] | bit if t == c else rc[y]
+                partners |= rn[y]
             w = witnessed | tight if value == lowest else witnessed
-            # dead once an unwitnessed j has no partner left in the suffix
-            for j in bits(~w & ((2 << i) - 1)):
-                fj = f[j]
-                dj = d[j]
-                if not any(dj[y] - fj >= nxt[y] for y in range(i + 1, n)):
-                    break
-            else:
+            # dead once an unwitnessed coordinate is in no unassigned vertex's reach
+            if not ~w & (2 * bit - 1) & ~partners:
                 dfs(i + 1, w)
 
     try:
@@ -124,7 +129,7 @@ def _search(d: list[list[int]], max_nodes: int, nodes: int) -> tuple[list[Vector
         raise BudgetExceededError(
             f"hull enumeration ran out of recursion depth after {nodes} nodes"
         ) from None
-    return out, nodes
+    return nodes
 
 
 def _blocks(g: Graph) -> list[list[int]]:

@@ -342,19 +342,35 @@ def test_search_matches_dfs_oracle_random(g):
 SEARCH_NODES = {
     "crown6": 5232,
     "crown7": 15065,
+    "crown8": 43748,
+    "crown9": 127937,
     "C12": 14961,
     "C13": 12421,
     "C14": 58755,
+    "C15": 42366,
+    "C16": 223703,
     "split2": 305,
     "cocomparability2": 312,
+}
+
+# Searches too large for the pairwise Chebyshev oracle of FAMILY_HULLS, pinned
+# by their node counts and hull sizes: 2k + 2^k for the k-crown, (3^k + 1) / 2
+# for C_2k, and 683 for C15
+LARGE_SEARCHES = {
+    "crown8": (lambda: crown_family(8), 2 * 8 + 2**8),
+    "crown9": (lambda: crown_family(9), 2 * 9 + 2**9),
+    "C15": (lambda: fixture("C15"), 683),
+    "C16": (lambda: fixture("C16"), (3**8 + 1) // 2),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SEARCH_NODES))
 def test_search_node_counts_pinned(name):
-    g = FAMILY_HULLS[name]()
+    build, size = LARGE_SEARCHES.get(name) or (FAMILY_HULLS[name], None)
+    g = build()
     nodes = SEARCH_NODES[name]
-    enumerate_extremal_functions(g, max_nodes=nodes)  # the whole search fits
+    vectors = enumerate_extremal_functions(g, max_nodes=nodes)  # the whole search fits
+    assert size is None or len(vectors) == size
     with pytest.raises(BudgetExceededError) as exc:
         enumerate_extremal_functions(g, max_nodes=nodes - 1)
     assert str(exc.value) == f"hull enumeration exceeded {nodes - 1} search nodes"
