@@ -40,8 +40,10 @@ EXIT_PRECONDITION = 3
 # algorithms are uncapped; the generators cap n, so `generate` fails before it
 # lists edges. At n = 512 (2-vCPU host, Python 3.11) the hull search of a
 # 2-connected input costs 55-87 us per node, so the default budget would run
-# 9-15 min before exit 2, and the four-point scan takes 40-64 s (random_dh
-# 40 s, random_chordal 47 s, P512 64 s).
+# 9-15 min before exit 2. The four-point scan takes 7-11 s on inputs whose
+# largest block holds about 330 vertices (random_dh 7.0 s, random_chordal
+# 11.3 s) and 2.4 s on C512; P512, all bridges, runs no scan (0.5 s of BFS).
+# The hyperbolicity cap stays until the scan has a work budget.
 HULL_MAX_VERTICES = 14
 HYPERBOLICITY_MAX_VERTICES = 128
 

@@ -319,6 +319,31 @@ def is_isometric_subgraph(sub: Graph, host: Graph, embed: Sequence[int]) -> bool
     return True
 
 
+def _blocks(g: Graph) -> list[list[int]]:
+    """Sorted vertex sets of g's blocks: Hopcroft and Tarjan's search on a stack."""
+    disc, low, seen = [0] + [-1] * (g.n - 1), [0] * g.n, 1
+    path, todo, order, out = [0], [bits(g.adj[0])], [0], []
+    while path:
+        u, v = path[-1], next(todo[-1], None)
+        if v is not None:
+            if disc[v] < 0:
+                disc[v] = low[v] = seen
+                seen += 1
+                path.append(v), todo.append(bits(g.adj[v])), order.append(v)
+            # the edge to u's parent lowers low[u] to disc[parent]: still a pass below
+            low[u] = min(low[u], disc[v])
+            continue
+        path.pop(), todo.pop()
+        if path:
+            p = path[-1]
+            low[p] = min(low[p], low[u])
+            if low[u] >= disc[p]:  # p cuts u's subtree off: one block
+                k = order.index(u)
+                out.append(sorted(order[k:] + [p]))
+                del order[k:]
+    return out
+
+
 def json_pairs(pairs) -> str:
     """A list of int pairs as ``json.dumps(..., indent=2)`` lays it out at depth 1."""
     if not pairs:

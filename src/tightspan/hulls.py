@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BudgetExceededError
-from .graphs import Graph, _distance_row, bits, json_pairs
+from .graphs import Graph, _blocks, _distance_row, json_pairs
 
 Vector = tuple[int, ...]
 
@@ -130,31 +130,6 @@ def _search(
             f"hull enumeration ran out of recursion depth after {nodes} nodes"
         ) from None
     return nodes
-
-
-def _blocks(g: Graph) -> list[list[int]]:
-    """Sorted vertex sets of g's blocks: Hopcroft and Tarjan's search on a stack."""
-    disc, low, seen = [0] + [-1] * (g.n - 1), [0] * g.n, 1
-    path, todo, order, out = [0], [bits(g.adj[0])], [0], []
-    while path:
-        u, v = path[-1], next(todo[-1], None)
-        if v is not None:
-            if disc[v] < 0:
-                disc[v] = low[v] = seen
-                seen += 1
-                path.append(v), todo.append(bits(g.adj[v])), order.append(v)
-            # the edge to u's parent lowers low[u] to disc[parent]: still a pass below
-            low[u] = min(low[u], disc[v])
-            continue
-        path.pop(), todo.pop()
-        if path:
-            p = path[-1]
-            low[p] = min(low[p], low[u])
-            if low[u] >= disc[p]:  # p cuts u's subtree off: one block
-                k = order.index(u)
-                out.append(sorted(order[k:] + [p]))
-                del order[k:]
-    return out
 
 
 @dataclass(frozen=True)

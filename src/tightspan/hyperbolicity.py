@@ -27,14 +27,27 @@ that order:
   2*min(d(u,v), d(u,w), d(v,w)) <= best or max(d(u,v), d(u,w), d(v,w)) <= best.
 
 The pruned subtrees hold no quadruple with a defect above best, so the
-result and witness equal those of the plain O(n^4) sweep.
+result and witness equal those of the plain O(n^4) sweep from the same best.
+
+A graph's hyperbolicity is the maximum over its blocks (Brinkmann, Koolen
+and Moulton, "On the hyperbolicity of chordal graphs", Ann. Comb. 2001), and
+blocks are isometric. So phase 1 takes 2*delta as the maximum of the scans of
+the blocks of more than 3 vertices, each on g's rows restricted to it and
+started from the best so far; smaller blocks have delta = 0. Phase 2 scans
+all of g from best = 2*delta - 1 and returns at its first improvement: since
+pruning skips only quadruples with a defect of at most 2*delta - 1, that is
+the least maximizer. A block's own witness would not do, as a quadruple
+through other blocks can come first (a pendant vertex before a C4). When g is
+one block, phase 1 was the whole-graph scan from 0; when delta = 0, every
+quadruple attains it and the witness is (0, 1, 2, 3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
-from .graphs import DistanceMatrix, Graph
+from .graphs import DistanceMatrix, Graph, _blocks
 
 
 @dataclass(frozen=True)
@@ -61,12 +74,24 @@ def four_point_hyp2(dm: DistanceMatrix, u: int, v: int, w: int, x: int) -> int:
 
 def hyperbolicity(g: Graph) -> HyperbolicityReport:
     """Exact hyperbolicity with the least maximizing quadruple as witness."""
-    dm = g.distances()
-    n = g.n
-    if n < 4:
+    d = g.distances().rows
+    if g.n < 4:
         return HyperbolicityReport(0, (0,) * 4)
-    d = dm.rows
-    span = 4 * dm.diameter + 1
+    report = HyperbolicityReport(0, (0, 1, 2, 3))
+    for block in (b for b in _blocks(g) if len(b) > 3):
+        report = _scan([[d[a][c] for c in block] for a in block], report.delta2)
+        if len(block) == g.n:  # g is one block: this was the whole-graph scan
+            return report
+    return _scan(d, report.delta2 - 1, report.delta2) if report.delta2 else report
+
+
+def _scan(
+    d: Sequence[Sequence[int]], best: int, stop: Optional[int] = None
+) -> HyperbolicityReport:
+    """Pruned lane scan of distance rows ``d`` for defects above ``best``,
+    returning at the first equal to ``stop``; witness (0, 1, 2, 3) if none."""
+    n = len(d)
+    span = 4 * max(map(max, d)) + 1
     width = span.bit_length() + 1
     ones = sum(1 << (width * x) for x in range(n))
     guard = ones << (width - 1)
@@ -75,7 +100,6 @@ def hyperbolicity(g: Graph) -> HyperbolicityReport:
     offset = [guard + c * ones for c in range(-span, span + 1)]
     # above[x]: the guard bits of lanes x+1 .. n-1.
     above = [guard >> (width * (x + 1)) << (width * (x + 1)) for x in range(n)]
-    best = 0
     witness = (0, 1, 2, 3)
     for u in range(n - 3):
         du, ru = d[u], rows[u]
@@ -109,8 +133,11 @@ def hyperbolicity(g: Graph) -> HyperbolicityReport:
                     if not marks:
                         break
                     x = (marks & -marks).bit_length() // width - 1
-                    best = four_point_hyp2(dm, u, v, w, x)
+                    sums = sorted((duv + d[w][x], du[x] + dvw, duw + dv[x]))
+                    best = sums[2] - sums[1]
                     witness = (u, v, w, x)
+                    if best == stop:
+                        return HyperbolicityReport(best, witness)
                     lo = x
     return HyperbolicityReport(best, witness)
 

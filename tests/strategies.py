@@ -44,3 +44,18 @@ def pruning_sequences(draw, min_n=1, max_n=12):
         anchor = draw(st.integers(0, v - 1))
         steps.append(PruningStep(v, kind, anchor))
     return PruningSequence(tuple(range(n)), tuple(steps))
+
+
+@st.composite
+def glued_graphs(draw, max_n=7):
+    """Two connected graphs glued at one vertex, then relabelled at random, so
+    the cut vertex and the blocks' vertices fall anywhere in the order."""
+    a = draw(connected_graphs(min_n=1, max_n=max_n))
+    b = draw(connected_graphs(min_n=1, max_n=max_n))
+    cut = draw(st.integers(0, a.n - 1))
+    # b's vertex 0 becomes a's cut vertex, b's others follow a's vertices
+    image = [cut] + list(range(a.n, a.n + b.n - 1))
+    edges = a.edges() + [(image[u], image[v]) for u, v in b.edges()]
+    n = a.n + b.n - 1
+    perm = draw(st.permutations(range(n)))
+    return Graph.from_edge_list(n, [(perm[u], perm[v]) for u, v in edges])

@@ -36,7 +36,8 @@ from tightspan import (
     split_family,
 )
 from tightspan import hulls
-from tightspan.hulls import _blocks, _chebyshev_pairs
+from tightspan.graphs import _blocks
+from tightspan.hulls import _chebyshev_pairs
 
 
 def test_enumerate_k1():

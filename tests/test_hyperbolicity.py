@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import hyperbolicity_scan, tree_plus_chords
-from strategies import connected_graphs
+from oracles import blocks_by_separation, hyperbolicity_scan, tree_plus_chords
+from strategies import connected_graphs, glued_graphs
 from tightspan import (
     DisconnectedGraphError,
     Graph,
+    HyperbolicityReport,
     SplitMix64,
     build_injective_hull,
     find_alpha1_violation,
@@ -21,6 +22,8 @@ from tightspan import (
     random_dh,
     split_family,
 )
+from tightspan.graphs import _blocks
+from tightspan.hyperbolicity import _scan
 
 
 def test_four_point_tree_is_zero():
@@ -229,3 +232,45 @@ def test_scan_small_and_disconnected():
     split = Graph(4, [0b0010, 0b0001, 0b1000, 0b0100])  # edges 0-1 and 2-3
     with pytest.raises(DisconnectedGraphError):
         hyperbolicity(split)
+
+
+# -- delta from the blocks, then the whole-graph scan stopped at delta ---------
+
+
+def _delta2_of_blocks(g: Graph, blocks) -> int:
+    return max((hyperbolicity(g.induced(b)).delta2 for b in blocks), default=0)
+
+
+def test_least_witness_spans_two_blocks():
+    # C4 on 1..4 with a pendant 0 at vertex 1: the C4 block's own least
+    # witness, mapped back, is (1, 2, 3, 4), but (0, 2, 3, 4) comes first.
+    g = Graph.from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 1)])
+    report = hyperbolicity(g)
+    assert (report.delta2, report.witness) == (2, (0, 2, 3, 4))
+    assert report == hyperbolicity_scan(g)
+
+
+@given(glued_graphs())
+@settings(max_examples=200, deadline=None)
+def test_scan_matches_oracle_glued(g):
+    report = hyperbolicity(g)
+    assert report == hyperbolicity_scan(g)
+    assert report.delta2 == _delta2_of_blocks(g, blocks_by_separation(g))
+
+
+@pytest.mark.parametrize("make", [random_dh, random_chordal, tree_plus_chords])
+@pytest.mark.parametrize("seed", range(6))
+def test_scan_matches_plain_lane_scan(make, seed):
+    # n = 48..128 is past the O(n^4) oracle; the reference is the whole-graph
+    # lane scan with no blocks and no stop.
+    g = make(48 + 16 * seed, seed)
+    report = hyperbolicity(g)
+    assert report == _scan(g.distances().rows, 0)
+    assert report.delta2 == _delta2_of_blocks(g, _blocks(g))
+
+
+@pytest.mark.parametrize("n", [4, 5, 9, 40, 128])
+def test_trees_give_zero_and_first_quadruple(n):
+    rng = SplitMix64(n)
+    for g in (fixture(f"P{n}"), Graph.from_edge_list(n, [(rng.below(v), v) for v in range(1, n)])):
+        assert hyperbolicity(g) == HyperbolicityReport(0, (0, 1, 2, 3))
