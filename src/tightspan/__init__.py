@@ -72,7 +72,6 @@ from .hulls import (
 from .hyperbolicity import (
     HyperbolicityReport,
     find_alpha1_violation,
-    four_point_hyp2,
     hyperbolicity,
     is_alpha1_metric,
 )

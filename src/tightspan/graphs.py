@@ -10,6 +10,7 @@ function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DisconnectedGraphError
@@ -274,18 +275,17 @@ class Graph:
     def power(self, k: int) -> "Graph":
         """Graph on the same vertices with edges between all pairs at distance <= k.
 
-        Rows are the union of BFS layers 1..k; the square is cached.
+        Row v is the sum of v's BFS layers 1..k from a search cut off after
+        layer k, for every k, so no all-source layer cache is built; the
+        square is cached.
         """
         if k < 1:
             raise ValueError("power index must be >= 1")
         if k == 2 and self._square is not None:
             return self._square
-        rows = []
-        for layers in self.level_masks():
-            row = 0
-            for layer in layers[1 : k + 1]:
-                row |= layer
-            rows.append(row)
+        self._require_connected("powers")
+        full = (1 << self.n) - 1
+        rows = [sum(islice(self._frontiers(1 << v, full), 1, k + 1)) for v in range(self.n)]
         g = Graph._of(self.n, rows, self.labels)
         if k == 2:
             self._square = g

@@ -1,8 +1,8 @@
 """Direct Helly-property recognition without building the hull.
 
 The decision procedure composes two checks: pseudo-modularity, tested per
-source on the graph's cached BFS level masks with one bitset scan per vertex,
-and the neighborhood-Helly property, tested through maximal 2-sets. Maximal
+source on that source's own BFS layers with one bitset scan per vertex, and
+the neighborhood-Helly property, tested through maximal 2-sets. Maximal
 2-sets are exactly the maximal cliques of the square graph, so they are
 enumerated with pivoting Bron-Kerbosch on bit rows. A bounded
 disk-Helly check, which reads the disk intersection graph off the level
@@ -130,12 +130,16 @@ def find_pseudo_modular_violation(g: Graph) -> Optional[tuple[int, int, int]]:
     common neighbor of v and w at distance k-1 from u. Triples are ordered
     by u, then v, then w. For each source u and vertex v at level k, the
     violating w are ``L_k(u) & N2(v)`` above v, minus the neighborhoods of
-    ``N(v) & L_{k-1}(u)``, where L are the BFS level masks and N2 the square.
+    ``N(v) & L_{k-1}(u)``, where L are u's BFS layers and N2 the square.
+    Each source runs its own BFS inside the loop, and the scan stops at the
+    first violation, so a graph that fails early pays for few searches.
     """
     n = g.n
     adj = g.adj
     near = g.power(2).adj
-    for u, layers in enumerate(g.level_masks()):
+    full = (1 << n) - 1
+    for u in range(n):
+        layers = list(g._frontiers(1 << u, full))
         for v, k in enumerate(_distance_row(n, layers)):
             if k < 2:
                 continue

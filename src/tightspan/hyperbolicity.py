@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graphs import DistanceMatrix, Graph, _blocks
+from .graphs import Graph, _blocks
 
 
 @dataclass(frozen=True)
@@ -63,13 +63,6 @@ class HyperbolicityReport:
     @property
     def delta(self) -> float:
         return self.delta2 / 2
-
-
-def four_point_hyp2(dm: DistanceMatrix, u: int, v: int, w: int, x: int) -> int:
-    """Twice the four-point defect: largest distance-sum minus the second largest."""
-    d = dm.rows
-    sums = sorted((d[u][v] + d[w][x], d[u][x] + d[v][w], d[u][w] + d[v][x]))
-    return sums[2] - sums[1]
 
 
 def hyperbolicity(g: Graph) -> HyperbolicityReport:

@@ -13,14 +13,14 @@ through exhaustive disk families, bounded disk-Helly intersects every pair
 of disks, pseudo-modularity is a direct triple scan over the distance
 matrix, DH pruning sequences come from a per-round rescan, DH recognition
 checks every connected induced subgraph for isometry, and hyperbolicity is
-the plain quadruple sweep. The class recognizers, suspension witnesses,
-extended squares, intervals, disks and peripheral vertices are the direct
-vertex scans the library used before its bit-row rewrites, and the disk
-oracles build their disks with that scan. ``canonical_hull`` puts a
-Hellification hull into the enumeration hull's order, so the two compare
-exactly. ``TwinClassPoset`` is the library's former dominator structure,
-with containment edges between true-twin classes, and ``poset_snapshot``
-reads it as value objects.
+the plain quadruple sweep, with the defect of one quadruple beside it. The
+class recognizers, suspension witnesses, extended squares, intervals, disks
+and peripheral vertices are the direct vertex scans the library used before
+its bit-row rewrites, and the disk oracles build their disks with that scan.
+``canonical_hull`` puts a Hellification hull into the enumeration hull's
+order, so the two compare exactly. ``TwinClassPoset`` is the library's
+former dominator structure, with containment edges between true-twin
+classes, and ``poset_snapshot`` reads it as value objects.
 """
 
 import json
@@ -355,6 +355,13 @@ def disk_helly_pairwise(g: Graph, r: int) -> bool:
         if common == 0:
             return False
     return True
+
+
+def four_point_hyp2(dm: DistanceMatrix, u: int, v: int, w: int, x: int) -> int:
+    """Twice the four-point defect: largest distance-sum minus the second largest."""
+    d = dm.rows
+    sums = sorted((d[u][v] + d[w][x], d[u][x] + d[v][w], d[u][w] + d[v][x]))
+    return sums[2] - sums[1]
 
 
 def hyperbolicity_scan(g: Graph) -> HyperbolicityReport:

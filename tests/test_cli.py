@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from strategies import graphs
 from tightspan import (
+    Graph,
     detectors,
     fixture,
     format_edge_list,
     generators,
     hellify_dh,
     helly,
+    random_chordal,
     random_dh,
     split_family,
 )
@@ -279,6 +281,30 @@ def test_recognize_builds_bfs_forest_once(tmp_path, monkeypatch, name, witness):
     assert code == 0 and f"bipartite={'yes' if bipartite else 'no'}" in out
     assert ("odd-cycle:" in out) == (not bipartite and bool(witness))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [["recognize", "-", "--witness"], ["two-sets", "-"]])
+@pytest.mark.parametrize("g", [
+    *(random_chordal(60, seed) for seed in (1, 2, 3)),
+    *(random_dh(60, seed) for seed in (1, 2, 3)),
+    fixture("house"),
+    fixture("C6"),
+])
+def test_recognize_and_two_sets_build_no_layer_cache(monkeypatch, argv, g):
+    # the square and pseudo-modularity run their own BFS per source; the
+    # all-source layers are for the all-pairs readers alone
+    fresh, level_masks = [], Graph.level_masks
+
+    def counted(self):
+        if self._levels is None:
+            fresh.append(self.n)
+        return level_masks(self)
+
+    monkeypatch.setattr(Graph, "level_masks", counted)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(format_edge_list(g)))
+    code, out = _run(argv)
+    assert code == 0 and out
+    assert fresh == []
 
 
 def test_hyperbolicity_output(c4_file):

@@ -437,8 +437,11 @@ def test_level_masks_match_distance_rows(g):
 @settings(max_examples=60)
 def test_power_matches_distance_rows(g):
     d = g.distances().rows
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 4, g.n):
         rows = tuple(
             sum(1 << v for v in range(g.n) if 1 <= d[u][v] <= k) for u in range(g.n)
         )
         assert g.power(k).adj == rows
+    # at k >= diameter every pair is joined
+    full = (1 << g.n) - 1
+    assert g.power(g.n).adj == tuple(full & ~(1 << u) for u in range(g.n))

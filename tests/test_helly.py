@@ -28,6 +28,7 @@ from tightspan import (
     is_neighborhood_helly,
     is_pseudo_modular,
     maximal_two_sets,
+    pruning_sequence,
     random_chordal,
     random_dh,
     split_family,
@@ -95,6 +96,20 @@ def test_pseudo_modular_violation_matches_scan_seeded(make):
     # Distance-hereditary graphs are pseudo-modular, so only the other two
     # families exercise the witness path.
     assert (found == 0) == (make is random_dh)
+
+
+@given(connected_graphs(max_n=10))
+@settings(max_examples=200, deadline=None)
+def test_distance_hereditary_graphs_are_pseudo_modular(g):
+    """Bandelt and Mulder ("Distance-hereditary graphs", J. Combin. Theory
+    Ser. B 41, 1986): in a distance-hereditary graph, two vertices at
+    distance k from u that are joined by a path outside the disk D(u, k - 1)
+    have the same neighbours at distance k - 1 from u. Two such vertices at
+    distance at most 2 either share a neighbour at level k - 1 or are joined
+    outside the disk, so no pseudo-modularity violation exists.
+    """
+    if pruning_sequence(g) is not None:
+        assert pseudo_modular_violation_scan(g) is None
 
 
 @pytest.mark.parametrize("name,expected", [

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import blocks_by_separation, hyperbolicity_scan, tree_plus_chords
+from oracles import blocks_by_separation, four_point_hyp2, hyperbolicity_scan, tree_plus_chords
 from strategies import connected_graphs, glued_graphs
 from tightspan import (
     DisconnectedGraphError,
@@ -15,7 +15,6 @@ from tightspan import (
     build_injective_hull,
     find_alpha1_violation,
     fixture,
-    four_point_hyp2,
     hyperbolicity,
     is_alpha1_metric,
     random_chordal,
