@@ -135,7 +135,8 @@ def _recognize_lines(
     )
     triple = detectors.find_asteroidal_triple(g)
     yield "at-free", triple is None, None if triple is None else (lambda: "triple:" + _ids(triple))
-    yield "distance-hereditary", pruning_sequence(g) is not None, None
+    distance_hereditary = pruning_sequence(g) is not None
+    yield "distance-hereditary", distance_hereditary, None
     square_chordal = detectors.is_chordal(g.power(2))
     yield "square-chordal", square_chordal, None
 
@@ -146,7 +147,8 @@ def _recognize_lines(
     def unsuspended() -> Optional[helly.TwoSet]:
         return next((ts for ts in helly.maximal_two_sets(g, budget) if not ts.suspended), None)
 
-    violation = helly.find_pseudo_modular_violation(g)
+    # DH graphs are pseudo-modular (Bandelt and Mulder, JCTB 1986), so skip the scan.
+    violation = None if distance_hereditary else helly.find_pseudo_modular_violation(g)
     if violation is not None:
         yield "helly", False, lambda: "non-pseudo-modular:" + _ids(violation)
     else:

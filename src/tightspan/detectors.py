@@ -1,6 +1,7 @@
 """Recognizers for the graph classes the library quantifies over.
 
-Chordality goes through maximum cardinality search with a perfect
+Chordality goes through maximum cardinality search, kept as one mask of
+unnumbered vertices per weight with ties to the lowest id, and a perfect
 elimination check; bipartiteness and splitness return explicit partitions,
 the colouring from one BFS forest and the split from the degree sequence;
 AT-freeness decomposes the graph around each closed neighborhood into
@@ -19,16 +20,36 @@ from .graphs import Graph, bits
 
 
 def _mcs_order(g: Graph) -> list[int]:
-    """Maximum cardinality search order, ties broken by lowest id (``remaining`` stays sorted)."""
-    weight = [0] * g.n
+    """Maximum cardinality search order, ties broken by lowest id.
+
+    ``buckets[w]`` masks the unnumbered vertices of weight w. The next vertex
+    is the lowest bit of the top non-empty bucket; its unnumbered neighbours
+    then move up one bucket a whole mask at a time, from the top bucket down.
+    """
+    adj = g.adj
+    unnumbered = (1 << g.n) - 1
+    buckets = [unnumbered] + [0] * g.n
+    top = 0
     order = []
-    remaining = list(range(g.n))
-    while remaining:
-        v = max(remaining, key=weight.__getitem__)
+    while unnumbered:
+        while not buckets[top]:  # a finished component drops back to bucket 0
+            top -= 1
+        bucket = buckets[top]
+        bit = bucket & -bucket
+        buckets[top] = bucket ^ bit
+        unnumbered ^= bit
+        v = bit.bit_length() - 1
         order.append(v)
-        remaining.remove(v)
-        for u in bits(g.adj[v]):
-            weight[u] += 1
+        nb = adj[v] & unnumbered
+        w = top
+        while nb:
+            moving = buckets[w] & nb
+            if moving:
+                buckets[w] ^= moving
+                buckets[w + 1] |= moving
+                nb ^= moving
+            w -= 1
+        top += 1
     return order
 
 

@@ -70,7 +70,11 @@ def maximal_cliques(
             return
         pivot = -1
         best = -1
-        for u in bits(p | x):
+        rest = p | x
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
             cover = (p & rows[u]).bit_count()
             if cover > best:
                 best = cover

@@ -17,6 +17,7 @@ from tightspan import (
     generators,
     hellify_dh,
     helly,
+    pruning_sequence,
     random_chordal,
     random_dh,
     split_family,
@@ -305,6 +306,52 @@ def test_recognize_and_two_sets_build_no_layer_cache(monkeypatch, argv, g):
     code, out = _run(argv)
     assert code == 0 and out
     assert fresh == []
+
+
+def _recognize_counting_scans(monkeypatch, g):
+    """``recognize - --witness`` on g: the number of pseudo-modularity scans
+    it ran, its answers by line name, and its output."""
+    calls, scan = [], helly.find_pseudo_modular_violation
+
+    def counted(h):
+        calls.append(h.n)
+        return scan(h)
+
+    with monkeypatch.context() as m:
+        m.setattr(helly, "find_pseudo_modular_violation", counted)
+        m.setattr(sys, "stdin", io.StringIO(format_edge_list(g)))
+        code, out = _run(["recognize", "-", "--witness"])
+    assert code == 0
+    return len(calls), dict(line.split(" ")[0].split("=") for line in out.splitlines()), out
+
+
+@pytest.mark.parametrize("g", [random_dh(60, seed) for seed in (1, 2, 3)])
+def test_recognize_skips_pseudo_modularity_on_dh_input(monkeypatch, g):
+    # DH graphs are pseudo-modular (Bandelt and Mulder, JCTB 1986)
+    scans, lines, _ = _recognize_counting_scans(monkeypatch, g)
+    assert lines["distance-hereditary"] == "yes" and scans == 0
+    assert lines["helly"] == ("yes" if helly.is_helly(g) else "no")
+
+
+def test_recognize_skips_pseudo_modularity_on_dh_corpus(monkeypatch, corpus):
+    dh = [g for _, g in corpus if pruning_sequence(g) is not None]
+    assert len(dh) > 20
+    answers = set()
+    for g in dh:
+        scans, lines, _ = _recognize_counting_scans(monkeypatch, g)
+        assert lines["distance-hereditary"] == "yes" and scans == 0
+        assert lines["helly"] == ("yes" if helly.is_helly(g) else "no")
+        answers.add(lines["helly"])
+    assert answers == {"yes", "no"}
+
+
+@pytest.mark.parametrize("g", [fixture("C6"), random_chordal(60, 1)])
+def test_recognize_scans_pseudo_modularity_on_other_input(monkeypatch, g):
+    scans, lines, out = _recognize_counting_scans(monkeypatch, g)
+    violation = helly.find_pseudo_modular_violation(g)
+    assert lines["distance-hereditary"] == "no" and scans == 1 and violation is not None
+    assert "helly=no witness=non-pseudo-modular:" + ",".join(map(str, violation)) in out
+    assert lines["helly"] == ("yes" if helly.is_helly(g) else "no")
 
 
 def test_hyperbolicity_output(c4_file):

@@ -112,6 +112,16 @@ def test_distance_hereditary_graphs_are_pseudo_modular(g):
         assert pseudo_modular_violation_scan(g) is None
 
 
+@pytest.mark.parametrize("n", [96, 128, 160])
+def test_distance_hereditary_graphs_are_pseudo_modular_at_recognize_sizes(n):
+    # `recognize` skips the scan on DH input by the lemma above; check it at
+    # the sizes of the benchmark's DH inputs with the fast scan, not the oracle.
+    for seed in range(3):
+        g = random_dh(n, seed)
+        assert pruning_sequence(g) is not None
+        assert find_pseudo_modular_violation(g) is None, seed
+
+
 @pytest.mark.parametrize("name,expected", [
     ("W4", True),
     ("C4", False),

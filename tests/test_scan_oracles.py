@@ -40,6 +40,7 @@ from tightspan import (
     random_dh,
 )
 from tightspan.detectors import _mcs_order
+from tightspan.graphs import bits
 from tightspan.helly import _suspension_witness
 
 FAMILIES = (random_dh, random_chordal, tree_plus_chords)
@@ -124,6 +125,39 @@ def test_seeded_families_match_oracles(make):
     assert {o[0] for o in outcomes} == {True, False}  # split
     assert {o[1] for o in outcomes} == {True, False}  # asteroidal triple
     assert squares > 0 or make is random_chordal  # chordal graphs have no C4
+
+
+def _shuffled_union(parts, isolated: int, seed: int) -> Graph:
+    """Disjoint union of ``parts`` plus ``isolated`` lone vertices, built with
+    the raw constructor and relabelled by a seeded permutation, so the
+    components interleave in id order."""
+    n = sum(g.n for g in parts) + isolated
+    label = shuffled(n, seed)
+    rows, offset = [0] * n, 0
+    for g in parts:
+        for v, row in enumerate(g.adj):
+            for u in bits(row):
+                rows[label[offset + v]] |= 1 << label[offset + u]
+        offset += g.n
+    return Graph(n, rows)
+
+
+def test_mcs_order_matches_oracle_on_squares_cliques_and_disconnected_graphs():
+    # Squares are dense and fill deep weight buckets. In a disconnected graph
+    # the top bucket empties when a component runs out, and the search falls
+    # back to bucket 0, where the next component starts at its lowest id.
+    cases = [fixture(f"K{n}") for n in (1, 2, 3, 9, 40)]
+    cases.append(Graph(6, [0] * 6))
+    for make in FAMILIES:
+        for n in (8, 30, 120):
+            for seed in range(3):
+                g = make(n, seed)
+                cases += [g, g.power(2)]
+                cases.append(_shuffled_union([g, make(n // 2 + 1, seed + 3)], seed, seed))
+    cases.append(_shuffled_union([fixture("K5"), fixture("C6"), fixture("P4")], 3, 7))
+    for g in cases:
+        assert _mcs_order(g) == mcs_order_sorted(g)
+    assert sum(not g.is_connected() for g in cases) > 20
 
 
 @pytest.mark.parametrize("make", FAMILIES)
