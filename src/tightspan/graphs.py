@@ -41,6 +41,14 @@ def _distance_row(n: int, layers: Iterable[int]) -> tuple[int, ...]:
     return tuple(row)
 
 
+def _layer_masks(row: Sequence[int]) -> list[int]:
+    """BFS layers of one source from its distance row: the inverse of _distance_row."""
+    layers = [0] * (max(row) + 1)
+    for v, k in enumerate(row):
+        layers[k] |= 1 << v
+    return layers
+
+
 @dataclass(frozen=True)
 class DistanceMatrix:
     """All-pairs BFS hop distances plus the derived eccentricity data."""
@@ -62,7 +70,7 @@ class Graph:
     by equality.
     """
 
-    __slots__ = ("n", "adj", "labels", "_dm", "_levels", "_square", "_forest")
+    __slots__ = ("n", "adj", "labels", "_dm", "_square", "_forest")
 
     def __init__(self, n: int, adj: Sequence[int], labels: Optional[Sequence[str]] = None):
         if n < 1:
@@ -88,7 +96,6 @@ class Graph:
         if self.labels is not None and len(self.labels) != n:
             raise ValueError("label count does not match n")
         self._dm: Optional[DistanceMatrix] = None
-        self._levels: Optional[list[list[int]]] = None
         self._square: Optional[Graph] = None
         self._forest: Optional[tuple] = None  # detectors' BFS forest
 
@@ -215,40 +222,23 @@ class Graph:
         if not self.is_connected():
             raise DisconnectedGraphError(f"{what} need a connected graph")
 
-    def level_masks(self) -> list[list[int]]:
-        """Per-source BFS layers, cached on first use; callers must not mutate them.
-
-        ``level_masks()[u][k]`` is the mask of the vertices at distance k from
-        u, so each source has ``ecc(u) + 1`` entries. They are lists because
-        copying every source's layers into a tuple adds allocator churn that
-        shows up as a higher peak RSS.
-        """
-        if self._levels is None:
-            self._require_connected("level masks")
-            full = (1 << self.n) - 1
-            self._levels = [list(self._frontiers(1 << u, full)) for u in range(self.n)]
-        return self._levels
-
     def distances(self) -> DistanceMatrix:
-        """All-pairs distances, cached on first use.
-
-        The rows are read off :meth:`level_masks`, so a graph that needs both
-        runs its n BFS searches once; the layers stay cached beside the matrix.
-        """
+        """All-pairs distances, cached on first use: row u is read off one BFS
+        from u. It is the one all-pairs structure a graph caches."""
         if self._dm is None:
-            if self._levels is None:
-                self._require_connected("distances")
-            rows = tuple(_distance_row(self.n, layers) for layers in self.level_masks())
+            self._require_connected("distances")
+            full = (1 << self.n) - 1
+            rows = tuple(_distance_row(self.n, self._frontiers(1 << u, full)) for u in range(self.n))
             ecc = tuple(max(row) for row in rows)
             self._dm = DistanceMatrix(rows, ecc, min(ecc), max(ecc))
         return self._dm
 
     def interval_mask(self, x: int, y: int) -> int:
-        """Mask of the vertices on some shortest (x, y)-path: with d = d(x, y), the
-        sum over k of ``L_k(x) & L_{d-k}(y)``, disjoint parts of the level masks L."""
-        d = self.distances().rows[x][y]
-        lx, ly = self.level_masks()[x], self.level_masks()[y]
-        return sum(lx[k] & ly[d - k] for k in range(d + 1))
+        """Mask of the vertices z on some shortest (x, y)-path, those with
+        d(x, z) + d(z, y) = d(x, y)."""
+        rows = self.distances().rows
+        d = rows[x][y]
+        return sum(1 << z for z, (a, b) in enumerate(zip(rows[x], rows[y])) if a + b == d)
 
     def interval(self, x: int, y: int) -> frozenset[int]:
         """Vertices on some shortest (x, y)-path."""
@@ -256,10 +246,11 @@ class Graph:
 
     def interval_slice(self, x: int, y: int, k: int) -> frozenset[int]:
         """Vertices of the (x, y) interval at distance exactly k from x."""
-        dxy = self.distances().rows[x][y]
+        rows = self.distances().rows
+        dxy = rows[x][y]
         if not 0 <= k <= dxy:
             raise ValueError(f"slice index {k} outside 0..{dxy}")
-        return frozenset(bits(self.interval_mask(x, y) & self.level_masks()[x][k]))
+        return frozenset(z for z in bits(self.interval_mask(x, y)) if rows[x][z] == k)
 
     def disk(self, v: int, r: int) -> frozenset[int]:
         """All vertices within distance r of v."""
@@ -268,16 +259,14 @@ class Graph:
         return frozenset(bits(self.disk_mask(v, r)))
 
     def disk_mask(self, v: int, r: int) -> int:
-        """Mask of the vertices within distance r of v: the sum of its first
-        r + 1 level masks, which are disjoint (none for r < 0)."""
-        return sum(self.level_masks()[v][: max(r + 1, 0)])
+        """Mask of the vertices within distance r of v (none for r < 0)."""
+        return sum(1 << z for z, d in enumerate(self.distances().rows[v]) if d <= r)
 
     def power(self, k: int) -> "Graph":
         """Graph on the same vertices with edges between all pairs at distance <= k.
 
         Row v is the sum of v's BFS layers 1..k from a search cut off after
-        layer k, for every k, so no all-source layer cache is built; the
-        square is cached.
+        layer k, for every k, so no distance matrix is built; the square is cached.
         """
         if k < 1:
             raise ValueError("power index must be >= 1")
@@ -394,11 +383,16 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def dot_label(text: str) -> str:
+    """``text`` as a quoted DOT string, its backslashes and quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(g: Graph) -> str:
     """Render the graph in DOT format with display labels."""
     lines = ["graph G {"]
     for v in range(g.n):
-        lines.append(f'  {v} [label="{g.label(v)}"];')
+        lines.append(f"  {v} [label={dot_label(g.label(v))}];")
     for u, v in g.edges():
         lines.append(f"  {u} -- {v};")
     lines.append("}")

@@ -5,14 +5,15 @@ source on that source's own BFS layers with one bitset scan per vertex, and
 the neighborhood-Helly property, tested through maximal 2-sets. Maximal
 2-sets are exactly the maximal cliques of the square graph, so they are
 enumerated with pivoting Bron-Kerbosch on bit rows. A bounded
-disk-Helly check, which reads the disk intersection graph off the level
-masks without comparing disks pairwise, and the extended-square
+disk-Helly check, which reads the disk intersection graph off BFS layers
+without comparing disks pairwise, and the extended-square
 characterization used for distance-hereditary inputs live here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, islice
 from typing import Optional
 
 from .detectors import is_chordal
@@ -176,21 +177,19 @@ def disk_helly_up_to_radius(g: Graph, r: int) -> bool:
     are kept; supersets never change the answer. D(u, i) meets D(v, j) iff
     d(u, v) <= i + j, so with disk (v, i) at index i*n + v the row of D(u, i)
     is the OR over j of D(u, i + j) shifted by j*n, without its own bit; the
-    disks D(u, k) are prefix ORs of u's BFS level masks. A disk of radius at
-    least the diameter is all of V, so r is clamped to max(1, diameter).
+    disks D(u, k) are prefix ORs of u's BFS layers, from a search cut off
+    after layer 2r as in :meth:`Graph.power`, so no distance matrix is built.
+    A disk of radius at least the diameter is all of V, so r is clamped to
+    max(1, diameter); when some search is cut off, the diameter exceeds r.
     """
     if r < 1:
         raise ValueError("radius bound must be >= 1")
     n = g.n
-    r = min(r, max(1, max(map(len, g.level_masks())) - 1))
-    balls = []  # balls[u][k] = D(u, k) for k = 0..2r
-    for layers in g.level_masks():
-        ball, prefix = 0, []
-        for k in range(2 * r + 1):
-            if k < len(layers):
-                ball |= layers[k]
-            prefix.append(ball)
-        balls.append(prefix)
+    g._require_connected("disk Helly checks")
+    levels = [list(islice(g._frontiers(1 << u, (1 << n) - 1), 2 * r + 1)) for u in range(n)]
+    r = min(r, max(1, max(map(len, levels)) - 1))
+    # balls[u][k] = D(u, k) for k = 0..2r
+    balls = [list(accumulate((layers + [0] * 2 * r)[: 2 * r + 1], int.__or__)) for layers in levels]
     disks = [balls[v][i] for i in range(r + 1) for v in range(n)]
     rows = []
     for i in range(r + 1):

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BudgetExceededError
-from .graphs import Graph, _blocks, _distance_row, json_pairs
+from .graphs import Graph, _blocks, _distance_row, _layer_masks, dot_label, json_pairs
 
 Vector = tuple[int, ...]
 
@@ -242,7 +242,13 @@ def peripheral_vertices(g: Graph) -> dict[int, int]:
     Returns {x: least witness y}. Subset comparison is proper: equality of
     intervals does not disqualify a witness.
     """
-    imask = [[g.interval_mask(y, x) for x in range(g.n)] for y in range(g.n)]
+    rows = g.distances().rows
+    layers = [_layer_masks(row) for row in rows]
+    # I(y, x) is the sum over k of L_k(y) & L_{d-k}(x) with d = d(y, x), L the layers
+    imask = [
+        [sum(ly[k] & lx[d - k] for k in range(d + 1)) for lx, d in zip(layers, row)]
+        for ly, row in zip(layers, rows)
+    ]
     out: dict[int, int] = {}
     for x in range(g.n):
         for y, row in enumerate(imask):
@@ -292,7 +298,7 @@ def hull_to_dot(h: InjectiveHull) -> str:
     lines = ["graph H {"]
     for v in range(h.hull.n):
         shape = "circle" if h.is_real(v) else "square"
-        lines.append(f'  {v} [label="{h.hull.label(v)}", shape={shape}];')
+        lines.append(f"  {v} [label={dot_label(h.hull.label(v))}, shape={shape}];")
     for u, v in h.hull.edges():
         lines.append(f"  {u} -- {v};")
     lines.append("}")

@@ -292,16 +292,17 @@ def test_recognize_builds_bfs_forest_once(tmp_path, monkeypatch, name, witness):
     fixture("C6"),
 ])
 def test_recognize_and_two_sets_build_no_layer_cache(monkeypatch, argv, g):
-    # the square and pseudo-modularity run their own BFS per source; the
-    # all-source layers are for the all-pairs readers alone
-    fresh, level_masks = [], Graph.level_masks
+    # the square and pseudo-modularity run their own BFS per source, so no
+    # all-pairs structure is built: the distance matrix is the only one a
+    # graph caches, and it is for the all-pairs readers alone
+    fresh, distances = [], Graph.distances
 
     def counted(self):
-        if self._levels is None:
+        if self._dm is None:
             fresh.append(self.n)
-        return level_masks(self)
+        return distances(self)
 
-    monkeypatch.setattr(Graph, "level_masks", counted)
+    monkeypatch.setattr(Graph, "distances", counted)
     monkeypatch.setattr(sys, "stdin", io.StringIO(format_edge_list(g)))
     code, out = _run(argv)
     assert code == 0 and out

@@ -10,16 +10,19 @@ from tightspan import (
     DisconnectedGraphError,
     Graph,
     build_injective_hull,
+    disk_helly_up_to_radius,
     fixture,
     format_edge_list,
     hellify_dh,
     is_isometric_subgraph,
     parse_edge_list,
+    peripheral_vertices,
     random_dh,
     split_family,
     to_dot,
 )
 from tightspan.dh import pruning_sequence, replay
+from tightspan.graphs import _layer_masks
 
 
 def test_single_vertex():
@@ -160,16 +163,41 @@ def test_power_c6_squared_from_distance_table():
 
 
 def test_level_masks_c6():
-    levels = fixture("C6").level_masks()
-    assert levels[0] == [0b000001, 0b100010, 0b010100, 0b001000]
+    # C6's disks around 0, and its BFS layers from 0 as their differences
+    g = fixture("C6")
+    disks = [g.disk_mask(0, k) for k in range(4)]
+    assert disks == [0b000001, 0b100011, 0b110111, 0b111111]
+    layers = [disks[0]] + [b ^ a for a, b in zip(disks, disks[1:])]
+    assert layers == [0b000001, 0b100010, 0b010100, 0b001000]
 
 
 def test_level_masks_need_connected_graph():
     g = Graph(4, [0b0010, 0b0001, 0b1000, 0b0100])  # edges 0-1 and 2-3
-    with pytest.raises(DisconnectedGraphError):
-        g.level_masks()
-    with pytest.raises(DisconnectedGraphError):
-        g.power(2)
+    for read in (
+        g.distances,
+        lambda: g.interval_mask(0, 1),
+        lambda: g.interval_slice(0, 1, 0),
+        lambda: g.disk_mask(0, 1),
+        lambda: g.power(2),
+        lambda: disk_helly_up_to_radius(g, 2),
+        lambda: peripheral_vertices(g),
+    ):
+        with pytest.raises(DisconnectedGraphError):
+            read()
+
+
+def test_fresh_distances_check_connectivity_once(monkeypatch):
+    adj = fixture("C6").adj
+    calls, is_connected = [], Graph.is_connected
+
+    def counted(self):
+        calls.append(self.n)
+        return is_connected(self)
+
+    monkeypatch.setattr(Graph, "is_connected", counted)
+    g = Graph._of(6, adj)
+    assert g.distances() is g.distances()
+    assert calls == [6]
 
 
 def test_square_is_cached():
@@ -385,6 +413,11 @@ def test_to_dot_contains_labels():
     assert 'label="left"' in dot and "0 -- 1;" in dot
 
 
+def test_to_dot_escapes_labels():
+    g = Graph.from_edge_list(2, [(0, 1)], labels=['a"b', "c\\"])
+    assert to_dot(g) == 'graph G {\n  0 [label="a\\"b"];\n  1 [label="c\\\\"];\n  0 -- 1;\n}\n'
+
+
 @given(connected_graphs())
 @settings(max_examples=60)
 def test_metric_axioms(g):
@@ -425,12 +458,17 @@ def test_every_graph_isometric_in_itself(g):
 @given(connected_graphs())
 @settings(max_examples=60)
 def test_level_masks_match_distance_rows(g):
+    # each BFS layer from u is the ring between two disks, and the row's layers
     d = g.distances().rows
-    levels = g.level_masks()
+    full = (1 << g.n) - 1
     for u in range(g.n):
-        assert len(levels[u]) == max(d[u]) + 1
-        for k, mask in enumerate(levels[u]):
+        layers = list(g._frontiers(1 << u, full))
+        assert len(layers) == max(d[u]) + 1
+        assert _layer_masks(d[u]) == layers
+        assert g.disk_mask(u, -1) == 0
+        for k, mask in enumerate(layers):
             assert mask == sum(1 << v for v in range(g.n) if d[u][v] == k)
+            assert g.disk_mask(u, k) == g.disk_mask(u, k - 1) | mask
 
 
 @given(connected_graphs())

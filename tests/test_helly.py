@@ -299,6 +299,23 @@ def test_disk_helly_huge_radius_stops_at_diameter(monkeypatch):
     assert sizes == [4 * 3]  # the disks of radius 0..diam(C4) = 2
 
 
+def test_disk_helly_clamps_radius_at_diameter_only(monkeypatch):
+    # the searches stop after layer 2r; the radius falls to the diameter only
+    # when none of them was cut off
+    sizes = []
+    original = helly.maximal_cliques
+
+    def spy(rows, n, *args):
+        sizes.append(n)
+        return original(rows, n, *args)
+
+    monkeypatch.setattr(helly, "maximal_cliques", spy)
+    g = fixture("P7")
+    for r in range(1, 9):
+        assert disk_helly_up_to_radius(g, r)
+    assert sizes == [7 * (min(r, 6) + 1) for r in range(1, 9)]
+
+
 def test_helly_matches_hull_oracle_nine_vertices():
     from oracles import random_connected_graph
 

@@ -261,6 +261,14 @@ def test_hull_json_schema():
     assert all(u < v for u, v in doc["edges"])
 
 
+def test_hull_dot_escapes_labels():
+    h = build_injective_hull(Graph.from_edge_list(2, [(0, 1)], labels=['a"b', "c\\"]))
+    assert hull_to_dot(h) == (
+        'graph H {\n  0 [label="a\\"b", shape=circle];\n'
+        '  1 [label="c\\\\", shape=circle];\n  0 -- 1;\n}\n'
+    )
+
+
 def test_hull_dot_shapes():
     h = build_injective_hull(fixture("C4"))
     dot = hull_to_dot(h)
@@ -489,14 +497,14 @@ def test_glued_blocks_hull():
 
 def test_build_computes_one_distance_matrix(monkeypatch):
     # the source's; the blocks read its rows, and the hull's vectors come from BFS
-    fresh, level_masks = [], Graph.level_masks
+    fresh, distances = [], Graph.distances
 
     def counted(self):
-        if self._levels is None:
+        if self._dm is None:
             fresh.append(self.n)
-        return level_masks(self)
+        return distances(self)
 
-    monkeypatch.setattr(Graph, "level_masks", counted)
+    monkeypatch.setattr(Graph, "distances", counted)
     assert build_injective_hull(_glued()).hull.n == 31
     assert fresh == [14]
 

@@ -84,9 +84,6 @@ def check_metric(g: Graph) -> int:
     Returns the number of extended squares.
     """
     assert Graph(g.n, g.adj).distances() == distances_bfs(g)
-    layered = Graph(g.n, g.adj)
-    layered.level_masks()
-    assert layered.distances() == distances_bfs(g)
     d = g.distances().rows
     for x in range(g.n):
         for y in range(g.n):
