@@ -137,7 +137,7 @@ def _recognize_lines(
     yield "at-free", triple is None, None if triple is None else (lambda: "triple:" + _ids(triple))
     distance_hereditary = pruning_sequence(g) is not None
     yield "distance-hereditary", distance_hereditary, None
-    square_chordal = detectors.is_chordal(g.power(2))
+    square_chordal = detectors.is_square_chordal(g)
     yield "square-chordal", square_chordal, None
 
     # Helly = pseudo-modular + neighborhood-Helly; dually chordal =

@@ -1,14 +1,14 @@
 """Recognizers for the graph classes the library quantifies over.
 
 Chordality goes through maximum cardinality search, kept as one mask of
-unnumbered vertices per weight with ties to the lowest id, and a perfect
-elimination check; bipartiteness and splitness return explicit partitions,
-the colouring from one BFS forest and the split from the degree sequence;
-AT-freeness decomposes the graph around each closed neighborhood into
-component masks and scans candidate triples on bit rows. Full
-cocomparability recognition is deliberately out of scope: generators supply
-orderings and this module only verifies them, on rows relabelled to order
-positions.
+unnumbered vertices per weight with ties to the lowest id, and a check that
+each vertex's earlier neighbours in that order form a clique; bipartiteness
+and splitness return explicit partitions, the colouring from one BFS forest
+and the split from the degree sequence; AT-freeness decomposes the graph
+around each closed neighborhood into component masks and scans candidate
+triples on bit rows. Full cocomparability recognition is deliberately out of
+scope: generators supply orderings and this module only verifies them, on
+rows relabelled to order positions.
 """
 
 from __future__ import annotations
@@ -54,19 +54,19 @@ def _mcs_order(g: Graph) -> list[int]:
 
 
 def is_chordal(g: Graph) -> bool:
-    """True iff the MCS order is a perfect elimination ordering in reverse."""
-    order = _mcs_order(g)
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    earlier_mask = 0
-    for v in order:
-        prior = g.adj[v] & earlier_mask
-        if prior:
-            parent = max(bits(prior), key=lambda u: pos[u])
-            if prior & ~(g.adj[parent] | 1 << parent):
-                return False
-        earlier_mask |= 1 << v
+    """True iff each vertex's neighbours earlier in the MCS order form a clique
+    (Tarjan and Yannakakis, SIAM J. Comput. 1984)."""
+    adj = g.adj
+    earlier = 0
+    for v in _mcs_order(g):
+        prior = common = rest = adj[v] & earlier
+        while rest:  # common: the closed neighbourhoods of prior, ANDed
+            low = rest & -rest
+            common &= adj[low.bit_length() - 1] | low
+            rest ^= low
+        if common != prior:
+            return False
+        earlier |= 1 << v
     return True
 
 

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .dh import FALSE_TWIN, KINDS, TRUE_TWIN, PruningSequence, PruningStep, replay
 from .dh import MAX_VERTICES as DH_MAX_VERTICES
-from .graphs import Graph, check_size
+from .graphs import Graph, bits, check_size
 
 _MASK64 = (1 << 64) - 1
 
@@ -105,23 +105,23 @@ def crown_family(k: int) -> Graph:
 
 
 def random_chordal(n: int, seed: int) -> Graph:
-    """Random connected chordal graph grown by simplicial attachment."""
+    """Random connected chordal graph grown by simplicial attachment: each v
+    joins a clique of an older vertex a and some of a's (older) neighbours."""
     if n < 1:
         raise ValueError("n must be >= 1")
     check_size(n)
     rng = SplitMix64(seed)
-    adj: list[set[int]] = [set() for _ in range(n)]
+    adj = [0] * n
     for v in range(1, n):
         a = rng.below(v)
-        clique = [a]
-        for u in rng.shuffled(sorted(adj[a])):
-            if u < v and rng.coin() and all(u in adj[c] or u == c for c in clique):
-                clique.append(u)
-        for c in clique:
-            adj[v].add(c)
-            adj[c].add(v)
-    edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
-    return Graph.from_edge_list(n, edges)
+        clique = 1 << a
+        for u in rng.shuffled(list(bits(adj[a]))):
+            if rng.coin() and not clique & ~(adj[u] | 1 << u):
+                clique |= 1 << u
+        adj[v] = clique
+        for c in bits(clique):
+            adj[c] |= 1 << v
+    return Graph._of(n, adj)
 
 
 def random_pruning_sequence(n: int, seed: int) -> PruningSequence:
@@ -152,90 +152,54 @@ def random_dh(n: int, seed: int) -> Graph:
 
 # -- named fixtures ---------------------------------------------------------
 
-# The 6-vertex permutation graph whose hull gains exactly two Helly vertices,
-# one of them adjacent to every real vertex except e. Square a-b-c-d with
-# apex e over the a-b edge and apex f over the c-d edge; the far pair is
-# (e, f) at distance 3. Twin-free, so its permutation model is essentially
-# unique. e sits at id 5 so the canonically-first Helly vertex is the one
-# avoiding it. Frozen here; the regression test pins the adjacency claims.
-_PERMUTATION_EDGES = [
-    (0, 1), (1, 2), (2, 3), (0, 3),  # square a-b-c-d
-    (0, 5), (1, 5),                  # e roofs a-b
-    (2, 4), (3, 4),                  # f roofs c-d
-]
-_PERMUTATION_LABELS = ("a", "b", "c", "d", "f", "e")
-
-
-def _cycle(k: int) -> Graph:
-    if k < 3:
-        raise ValueError("cycle needs k >= 3")
-    return Graph.from_edge_list(k, [(i, (i + 1) % k) for i in range(k)])
-
-
-def _path(n: int) -> Graph:
-    if n < 1:
-        raise ValueError("path needs n >= 1")
-    return Graph.from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def _complete(n: int) -> Graph:
-    if n < 1:
-        raise ValueError("complete graph needs n >= 1")
-    return Graph.from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def _wheel(k: int) -> Graph:
-    if k < 3:
-        raise ValueError("wheel needs rim size k >= 3")
-    edges = [(i, (i + 1) % k) for i in range(k)] + [(i, k) for i in range(k)]
-    return Graph.from_edge_list(k + 1, edges)
-
-
-def _house() -> Graph:
-    # square 0-1-2-3 with apex 4 over the 0-1 edge
-    return Graph.from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4)])
-
-
-def _domino() -> Graph:
-    # two squares sharing the 1-4 edge
-    return Graph.from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)])
-
-
-def _gem() -> Graph:
-    # path 0-1-2-3 plus a universal vertex 4
-    return Graph.from_edge_list(
-        5, [(0, 1), (1, 2), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4)]
-    )
-
-
-def _permutation() -> Graph:
-    return Graph.from_edge_list(6, _PERMUTATION_EDGES, _PERMUTATION_LABELS)
-
-
+# name -> (n, edges, labels)
 _NAMED = {
-    "house": _house,
-    "domino": _domino,
-    "gem": _gem,
-    "permutation": _permutation,
+    # square 0-1-2-3 with apex 4 over the 0-1 edge
+    "house": (5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4)], None),
+    # two squares sharing the 1-4 edge
+    "domino": (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)], None),
+    # path 0-1-2-3 plus a universal vertex 4
+    "gem": (5, [(0, 1), (1, 2), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4)], None),
+    # The 6-vertex permutation graph whose hull gains exactly two Helly
+    # vertices, one of them adjacent to every real vertex except e. Square
+    # a-b-c-d with apex e over the a-b edge and apex f over the c-d edge; the
+    # far pair is (e, f) at distance 3. Twin-free, so its permutation model is
+    # essentially unique. e sits at id 5 so the canonically-first Helly vertex
+    # is the one avoiding it. Frozen here; the regression test pins the
+    # adjacency claims.
+    "permutation": (6, [
+        (0, 1), (1, 2), (2, 3), (0, 3),  # square a-b-c-d
+        (0, 5), (1, 5),                  # e roofs a-b
+        (2, 4), (3, 4),                  # f roofs c-d
+    ], ("a", "b", "c", "d", "f", "e")),
 }
 
 _PARAMETRIC = re.compile(r"^([CKPW])(\d+)$")
+_TOO_SMALL = {
+    "C": "cycle needs k >= 3",
+    "W": "wheel needs rim size k >= 3",
+    "K": "complete graph needs n >= 1",
+    "P": "path needs n >= 1",
+}
 
 
 def fixture(name: str) -> Graph:
     """Named graphs: house, domino, gem, permutation, and C<k>/W<k>/K<n>/P<n>."""
     if name in _NAMED:
-        return _NAMED[name]()
+        return Graph.from_edge_list(*_NAMED[name])
     match = _PARAMETRIC.match(name)
-    if match:
-        kind, num = match.group(1), int(match.group(2))
-        check_size(num + 1 if kind == "W" else num)
-        if kind == "C":
-            return _cycle(num)
-        if kind == "W":
-            return _wheel(num)
-        if kind == "K":
-            return _complete(num)
-        if kind == "P":
-            return _path(num)
-    raise ValueError(f"unknown fixture {name!r}")
+    if not match:
+        raise ValueError(f"unknown fixture {name!r}")
+    kind, k = match.group(1), int(match.group(2))
+    check_size(k + 1 if kind == "W" else k)
+    if k < (3 if kind in "CW" else 1):
+        raise ValueError(_TOO_SMALL[kind])
+    # K<k> joins all pairs; C<k> and W<k> close the path P<k>; W<k> adds hub k
+    full = (1 << k) - 1
+    rows = [full ^ 1 << v if kind == "K" else 0b101 << v >> 1 & full for v in range(k)]
+    if kind in "CW":
+        rows[0] |= 1 << k - 1
+        rows[-1] |= 1
+    if kind == "W":
+        rows = [row | 1 << k for row in rows] + [full]
+    return Graph._of(len(rows), rows)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import accumulate, islice
 from typing import Optional
 
-from .detectors import is_chordal
+from .detectors import is_square_chordal
 from .errors import BudgetExceededError
 from .graphs import Graph, _distance_row, bits
 
@@ -239,4 +239,4 @@ def all_extended_squares_suspended(g: Graph) -> bool:
 
 def is_dually_chordal(g: Graph) -> bool:
     """Neighborhood-Helly with a chordal square."""
-    return is_neighborhood_helly(g) and is_chordal(g.power(2))
+    return is_neighborhood_helly(g) and is_square_chordal(g)

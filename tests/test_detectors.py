@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from oracles import brute_force_chordal
+from oracles import brute_force_chordal, random_connected_graph
 from strategies import connected_graphs
 from tightspan import (
     build_injective_hull,
@@ -158,6 +158,19 @@ def test_cocomparability_rejects_non_permutation():
 @settings(max_examples=40, deadline=None)
 def test_chordal_matches_brute_force(g):
     assert is_chordal(g) == brute_force_chordal(g)
+
+
+@pytest.mark.parametrize("seed", range(0, 120, 10))
+def test_chordal_matches_brute_force_and_cycle_witness_on_seeded_graphs(seed):
+    # Graphs and their squares: the earlier-neighbour clique check against the
+    # induced-cycle search, and against the exhaustive scan up to 9 vertices.
+    for s in range(seed, seed + 10):
+        for n_max in (9, 24):
+            g = random_connected_graph(s, 4, n_max)
+            for h in (g, g.power(2)):
+                assert is_chordal(h) == (find_long_induced_cycle(h) is None)
+                if h.n <= 9:
+                    assert is_chordal(h) == brute_force_chordal(h)
 
 
 @given(connected_graphs(max_n=7))

@@ -1,3 +1,6 @@
+import hashlib
+import io
+
 import pytest
 
 from tightspan import (
@@ -6,6 +9,7 @@ from tightspan import (
     cocomparability_family,
     crown_family,
     fixture,
+    format_edge_list,
     helly_gap,
     is_at_free,
     is_chordal,
@@ -17,6 +21,7 @@ from tightspan import (
     split_family,
     verify_cocomparability_ordering,
 )
+from tightspan.cli import run
 
 
 def _ids(k):
@@ -282,3 +287,47 @@ def test_permutation_fixture_regression():
     assert not h.hull.has_edge(h1, label["e"])
     assert is_at_free(h.hull)
     assert helly_gap(h) == 1
+
+
+def _pinned_graphs():
+    names = ["house", "domino", "gem", "permutation"]
+    names += [f"C{k}" for k in range(3, 13)] + [f"W{k}" for k in range(3, 9)]
+    names += [f"K{n}" for n in range(1, 7)] + [f"P{n}" for n in range(1, 10)]
+    for name in names:
+        yield name, fixture(name)
+    for n in (1, 2, 17, 160, 320):
+        for seed in (0, 1, 2):
+            yield f"random_chordal({n}, {seed})", random_chordal(n, seed)
+
+
+def test_generated_graphs_are_pinned():
+    # One digest over every pinned graph's edge list and labels. A rewrite of
+    # the generators must leave it as it is; only an intended change of a
+    # generated graph updates the literal.
+    h = hashlib.sha256()
+    for name, g in _pinned_graphs():
+        labels = " ".join(g.labels) if g.labels is not None else "-"
+        h.update(f"{name}\n{format_edge_list(g)}labels {labels}\n".encode())
+    assert h.hexdigest() == "11dd5ff0ec2e6cfe6f57e82de9aaceab6bb5ed3bd52883e4dcf7bdebd9f3430b"
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: fixture("C0"), "cycle needs k >= 3"),
+    (lambda: fixture("C2"), "cycle needs k >= 3"),
+    (lambda: fixture("W2"), "wheel needs rim size k >= 3"),
+    (lambda: fixture("K0"), "complete graph needs n >= 1"),
+    (lambda: fixture("P0"), "path needs n >= 1"),
+    (lambda: fixture("nope"), "unknown fixture 'nope'"),
+    (lambda: random_chordal(0, 1), "n must be >= 1"),
+])
+def test_generator_messages_are_pinned(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_generate_fixture_without_name_is_a_usage_error(capsys):
+    out = io.StringIO()
+    assert run(["generate", "fixture"], out=out) == 1
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == "usage error: generate fixture needs --name\n"
