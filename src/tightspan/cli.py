@@ -141,22 +141,18 @@ def _recognize_lines(
     yield "square-chordal", square_chordal, None
 
     # Helly = pseudo-modular + neighborhood-Helly; dually chordal =
-    # neighborhood-Helly + chordal square. The 2-sets are enumerated once, at
-    # the first line that needs them, so a budget error cuts the same output.
-    @functools.cache
-    def unsuspended() -> Optional[helly.TwoSet]:
-        return next((ts for ts in helly.maximal_two_sets(g, budget) if not ts.suspended), None)
-
+    # neighborhood-Helly + chordal square. The 2-sets are enumerated once, after
+    # the helly=no line of a violation, so a budget error cuts the output there.
     # DH graphs are pseudo-modular (Bandelt and Mulder, JCTB 1986), so skip the scan.
     violation = None if distance_hereditary else helly.find_pseudo_modular_violation(g)
     if violation is not None:
         yield "helly", False, lambda: "non-pseudo-modular:" + _ids(violation)
-    else:
-        ts = unsuspended()
+    ts = next((ts for ts in helly.maximal_two_sets(g, budget) if not ts.suspended), None)
+    if violation is None:
         yield "helly", ts is None, None if ts is None else (
             lambda: "unsuspended:" + _ids(ts.members)
         )
-    yield "dually-chordal", unsuspended() is None and square_chordal, None
+    yield "dually-chordal", ts is None and square_chordal, None
 
 
 def _cmd_recognize(args, out) -> int:

@@ -3,12 +3,15 @@
 Chordality goes through maximum cardinality search, kept as one mask of
 unnumbered vertices per weight with ties to the lowest id, and a check that
 each vertex's earlier neighbours in that order form a clique; bipartiteness
-and splitness return explicit partitions, the colouring from one BFS forest
-and the split from the degree sequence; AT-freeness decomposes the graph
-around each closed neighborhood into component masks and scans candidate
-triples on bit rows. Full cocomparability recognition is deliberately out of
-scope: generators supply orderings and this module only verifies them, on
-rows relabelled to order positions.
+and splitness return explicit partitions, the colouring from the odd BFS
+layers and the split from the degree sequence; AT-freeness decomposes the
+graph around each closed neighborhood into component masks and scans
+candidate triples on bit rows. Every search here runs on the layer masks of
+``Graph._frontiers``, and the induced-cycle and odd-cycle witnesses are least
+paths read off them, the paths a queue BFS in id order would record. Full
+cocomparability recognition is deliberately out of scope: generators supply
+orderings and this module only verifies them, on rows relabelled to order
+positions.
 """
 
 from __future__ import annotations
@@ -75,44 +78,37 @@ def find_long_induced_cycle(g: Graph) -> Optional[tuple[int, ...]]:
 
     A witness exists iff the graph is not chordal: pick non-adjacent u, p with
     a common neighbor v, then a shortest u-p path avoiding the rest of N[v]
-    closes an induced cycle through v.
+    closes an induced cycle through v; the least such path is taken.
     """
-    n = g.n
-    full = (1 << n) - 1
-    for v in range(n):
+    full = (1 << g.n) - 1
+    for v in range(g.n):
         nbrs = list(bits(g.adj[v]))
         for i, u in enumerate(nbrs):
             for p in nbrs[i + 1 :]:
                 if g.has_edge(u, p):
                     continue
                 allowed = full & ~((g.adj[v] | 1 << v) & ~((1 << u) | (1 << p)))
-                path = _shortest_path(g, u, p, allowed)
-                if path is not None:
-                    return (v, *path)
+                layers = []
+                for layer in g._frontiers(1 << u, allowed):
+                    layers.append(layer)
+                    if layer >> p & 1:
+                        return (v, *_least_path(g, layers, 1 << p))
     return None
 
 
-def _shortest_path(g: Graph, src: int, dst: int, allowed: int) -> Optional[list[int]]:
-    if not (allowed >> src & 1 and allowed >> dst & 1):
-        return None
-    parent = {src: -1}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in bits(g.adj[v] & allowed):
-                if u not in parent:
-                    parent[u] = v
-                    nxt.append(u)
-        if dst in parent:
-            break
-        frontier = nxt
-    if dst not in parent:
-        return None
-    path = [dst]
-    while path[-1] != src:
-        path.append(parent[path[-1]])
-    path.reverse()
+def _least_path(g: Graph, layers: list[int], ends: int) -> list[int]:
+    """The lexicographically least shortest path from the root ``layers[0]`` to
+    ``ends`` in ``layers[-1]``: the first-discoverer parent chain of a queue BFS
+    that scans neighbours in id order, since it meets each layer in that order.
+    Walk up, keeping the vertices with a neighbour kept below, then walk down."""
+    adj = g.adj
+    kept = [layers[-1] & ends]
+    for layer in reversed(layers[1:-1]):
+        kept.append(sum(1 << x for x in bits(layer) if adj[x] & kept[-1]))
+    path = [layers[0].bit_length() - 1]
+    for mask in reversed(kept):
+        step = adj[path[-1]] & mask  # the lowest kept neighbour
+        path.append((step & -step).bit_length() - 1)
     return path
 
 
@@ -120,28 +116,28 @@ def is_square_chordal(g: Graph) -> bool:
     return is_chordal(g.power(2))
 
 
-def _bfs_forest(g: Graph) -> tuple[list[int], list[int], Optional[tuple[int, int]]]:
-    """BFS from each unseen vertex in id order: depth, parent, and the first
-    edge (v, u) with u > v inside one layer, where the search stops."""
-    depth = [-1] * g.n
-    parent = [-1] * g.n
-    for start in range(g.n):
-        if depth[start] != -1:
-            continue
-        depth[start] = 0
-        queue = [start]
-        for v in queue:  # the queue grows while it is read: BFS layer by layer
-            for u in bits(g.adj[v]):
-                if depth[u] == -1:
-                    depth[u] = depth[v] + 1
-                    parent[u] = v
-                    queue.append(u)
-                elif depth[u] == depth[v] and u > v:
-                    return depth, parent, (v, u)
-    return depth, parent, None
+def _bfs_forest(g: Graph) -> tuple[list[int], Optional[tuple[int, int]], int]:
+    """BFS layers from the lowest unseen vertex of each component up to the
+    first layer with an edge (v, u), u > v, inside it: v the first such vertex
+    a queue BFS meets, u its lowest such neighbour. Returns the last component's
+    layers, (v, u) or None, and the odd layers, a 2-colouring if there is no edge."""
+    adj, full = g.adj, (1 << g.n) - 1
+    seen = odd = 0
+    while seen != full:
+        layers = []
+        for layer in g._frontiers(~seen & (seen + 1), full):
+            layers.append(layer)
+            ends = sum(1 << x for x in bits(layer) if (adj[x] & layer) >> (x + 1))
+            if ends:
+                v = _least_path(g, layers, ends)[-1]
+                above = (adj[v] & layer) >> (v + 1) << (v + 1)
+                return layers, (v, (above & -above).bit_length() - 1), odd
+        seen |= sum(layers)
+        odd |= sum(layers[1::2])
+    return layers, None, odd
 
 
-def _forest(g: Graph) -> tuple[list[int], list[int], Optional[tuple[int, int]]]:
+def _forest(g: Graph) -> tuple[list[int], Optional[tuple[int, int]], int]:
     """:func:`_bfs_forest` of g, built once per graph."""
     if g._forest is None:
         g._forest = _bfs_forest(g)
@@ -150,20 +146,19 @@ def _forest(g: Graph) -> tuple[list[int], list[int], Optional[tuple[int, int]]]:
 
 def is_bipartite(g: Graph) -> Optional[tuple[int, ...]]:
     """A BFS 2-coloring (tuple of 0/1 per vertex), or None on an odd cycle."""
-    depth, _, odd = _forest(g)
-    return None if odd else tuple(d & 1 for d in depth)
+    _, edge, odd = _forest(g)
+    return None if edge else tuple(odd >> v & 1 for v in range(g.n))
 
 
 def find_odd_cycle(g: Graph) -> Optional[tuple[int, ...]]:
     """An odd closed walk witnessing non-bipartiteness (not necessarily induced)."""
-    _, parent, odd = _forest(g)
-    if odd is None:
+    layers, edge, _ = _forest(g)
+    if edge is None:
         return None
-    left, right = [odd[0]], [odd[1]]
-    while left[-1] != right[-1]:
-        left.append(parent[left[-1]])
-        right.append(parent[right[-1]])
-    return tuple(left[:-1] + right[::-1])
+    # both least paths run down one BFS tree: equal up to their last common vertex
+    left, right = (_least_path(g, layers, 1 << x) for x in edge)
+    k = sum(a == b for a, b in zip(left, right)) - 1
+    return tuple(left[:k:-1] + right[k:])
 
 
 def is_split(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -197,7 +192,7 @@ def find_asteroidal_triple(g: Graph) -> Optional[tuple[int, int, int]]:
         row = [0] * n
         allowed = rest = ((1 << n) - 1) & ~(g.adj[v] | 1 << v)
         while rest:
-            reach = g._bfs_reach(rest & -rest, allowed)
+            reach = sum(g._frontiers(rest & -rest, allowed))
             for u in bits(reach):
                 row[u] = reach
             rest ^= reach

@@ -162,7 +162,8 @@ def pruning_sequence(g: Graph) -> Optional[PruningSequence]:
         _leave(buckets, row | bit, bit)
         _leave(buckets, row, bit)
         # Only v's neighbours change rows; a vertex elsewhere can become
-        # prunable only by gaining a bucket partner, and is scheduled then.
+        # prunable only by gaining a bucket partner, so u's new bucket-mates
+        # are scheduled. A live vertex that had a partner is in todo already.
         for u in bits(row):
             old = adj[u]
             ubit = 1 << u
@@ -171,8 +172,7 @@ def pruning_sequence(g: Graph) -> Optional[PruningSequence]:
             adj[u] = new = old ^ bit
             for key in (new | ubit, new):
                 members = buckets.get(key, 0)
-                if members and not members & (members - 1):
-                    todo |= members
+                todo |= members
                 buckets[key] = members | ubit
             todo |= ubit
     order = [live.bit_length() - 1] + [step.vertex for step in reversed(removed)]

@@ -197,10 +197,11 @@ class Graph:
 
     def is_connected(self) -> bool:
         full = (1 << self.n) - 1
-        return self._bfs_reach(1, full) == full
+        return sum(self._frontiers(1, full)) == full
 
     def _frontiers(self, start_mask: int, allowed: int) -> Iterator[int]:
-        """Yield the BFS layers from ``start_mask`` inside ``allowed`` as masks."""
+        """Yield the BFS layers from ``start_mask`` inside ``allowed`` as masks.
+        The library's one BFS; the layers are disjoint, their sum is the reach."""
         adj = self.adj
         seen = frontier = start_mask & allowed
         while frontier:
@@ -210,13 +211,6 @@ class Graph:
                 nxt |= adj[v]
             frontier = nxt & allowed & ~seen
             seen |= frontier
-
-    def _bfs_reach(self, start_mask: int, allowed: int) -> int:
-        """Set of vertices reachable from ``start_mask`` inside ``allowed``."""
-        seen = 0
-        for layer in self._frontiers(start_mask, allowed):
-            seen |= layer
-        return seen
 
     def _require_connected(self, what: str) -> None:
         if not self.is_connected():

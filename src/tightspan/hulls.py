@@ -266,8 +266,7 @@ def disk_separates(g: Graph, z: int, k: int, x: int, y: int) -> bool:
     if forbidden >> x & 1 or forbidden >> y & 1:
         raise ValueError(f"vertices {x},{y} must lie outside D({z},{k})")
     allowed = ((1 << g.n) - 1) & ~forbidden
-    reach = g._bfs_reach(1 << x, allowed)
-    return not reach >> y & 1
+    return not sum(g._frontiers(1 << x, allowed)) >> y & 1
 
 
 # -- serialization ---------------------------------------------------------

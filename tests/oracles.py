@@ -17,6 +17,9 @@ the plain quadruple sweep, with the defect of one quadruple beside it. The
 class recognizers, suspension witnesses, extended squares, intervals, disks
 and peripheral vertices are the direct vertex scans the library used before
 its bit-row rewrites, and the disk oracles build their disks with that scan.
+All-pairs distances and the components around a removed set come from a
+plain queue BFS over neighbour sets, and the induced-cycle witness from the
+library's former parent-dict search, ``shortest_path_bfs``.
 ``canonical_hull`` puts a Hellification hull into the enumeration hull's
 order, so the two compare exactly. ``TwinClassPoset`` is the library's
 former dominator structure, with containment edges between true-twin
@@ -24,6 +27,7 @@ classes, and ``poset_snapshot`` reads it as value objects.
 """
 
 import json
+from collections import deque
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -31,7 +35,7 @@ import numpy as np
 
 from tightspan import Graph, SplitMix64
 from tightspan.dh import FALSE_TWIN, PENDANT, TRUE_TWIN, PruningSequence, PruningStep
-from tightspan.graphs import DistanceMatrix, _distance_row, bits
+from tightspan.graphs import DistanceMatrix, bits
 from tightspan.helly import ExtendedSquare, maximal_cliques
 from tightspan.hyperbolicity import HyperbolicityReport
 
@@ -572,6 +576,50 @@ def mcs_order_sorted(g: Graph) -> list[int]:
     return order
 
 
+def shortest_path_bfs(g: Graph, src: int, dst: int, allowed: int) -> Optional[list[int]]:
+    """A shortest src-dst path inside ``allowed``, each vertex reached from the
+    first frontier vertex that sees it, or None when dst is out of reach."""
+    if not (allowed >> src & 1 and allowed >> dst & 1):
+        return None
+    parent = {src: -1}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for u in bits(g.adj[v] & allowed):
+                if u not in parent:
+                    parent[u] = v
+                    nxt.append(u)
+        if dst in parent:
+            break
+        frontier = nxt
+    if dst not in parent:
+        return None
+    path = [dst]
+    while path[-1] != src:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
+
+
+def find_long_induced_cycle_bfs(g: Graph) -> Optional[tuple[int, ...]]:
+    """Some induced cycle of length >= 4, or None: for the first common
+    neighbour v of non-adjacent u < p, in id order, that closes one, v and a
+    :func:`shortest_path_bfs` from u to p avoiding the rest of N[v]."""
+    full = (1 << g.n) - 1
+    for v in range(g.n):
+        nbrs = list(bits(g.adj[v]))
+        for i, u in enumerate(nbrs):
+            for p in nbrs[i + 1 :]:
+                if g.has_edge(u, p):
+                    continue
+                allowed = full & ~((g.adj[v] | 1 << v) & ~((1 << u) | (1 << p)))
+                path = shortest_path_bfs(g, u, p, allowed)
+                if path is not None:
+                    return (v, *path)
+    return None
+
+
 def is_bipartite_bfs(g: Graph) -> Optional[tuple[int, ...]]:
     """A BFS 2-coloring (tuple of 0/1 per vertex), or None on an odd cycle."""
     color = [-1] * g.n
@@ -640,16 +688,21 @@ def is_split_by_prefixes(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int,
 
 
 def component_labels(g: Graph, removed_mask: int) -> list[int]:
-    """Connected component id per vertex of g minus ``removed_mask`` (-1 inside)."""
+    """Connected component id per vertex of g minus ``removed_mask`` (-1 inside),
+    each component found by a queue BFS over neighbour sets."""
+    adj = [set(bits(row & ~removed_mask)) for row in g.adj]
     labels = [-1] * g.n
-    allowed = ((1 << g.n) - 1) & ~removed_mask
     comp = 0
     for v in range(g.n):
-        if labels[v] != -1 or not allowed >> v & 1:
+        if labels[v] != -1 or removed_mask >> v & 1:
             continue
-        reach = g._bfs_reach(1 << v, allowed)
-        for u in bits(reach):
-            labels[u] = comp
+        labels[v] = comp
+        queue = deque([v])
+        while queue:
+            for u in adj[queue.popleft()]:
+                if labels[u] == -1:
+                    labels[u] = comp
+                    queue.append(u)
         comp += 1
     return labels
 
@@ -764,16 +817,24 @@ def peripheral_vertices_scan(g: Graph) -> dict[int, int]:
 
 
 def distances_bfs(g: Graph) -> DistanceMatrix:
-    """All-pairs distances via n BFS runs of their own, with no cache read or
-    written; ``Graph.distances`` reads the same rows off the level masks."""
+    """All-pairs distances by a plain queue BFS from each vertex over
+    neighbour sets, with no cache read or written."""
     g._require_connected("distances")
-    full = (1 << g.n) - 1
-    rows = tuple(
-        _distance_row(g.n, g._frontiers(1 << v, full))
-        for v in range(g.n)
-    )
+    adj = [set(bits(row)) for row in g.adj]
+    rows = []
+    for s in range(g.n):
+        dist = [-1] * g.n
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            for u in adj[v]:
+                if dist[u] < 0:
+                    dist[u] = dist[v] + 1
+                    queue.append(u)
+        rows.append(tuple(dist))
     ecc = tuple(max(row) for row in rows)
-    return DistanceMatrix(rows, ecc, min(ecc), max(ecc))
+    return DistanceMatrix(tuple(rows), ecc, min(ecc), max(ecc))
 
 
 def interval_scan(g: Graph, x: int, y: int) -> frozenset[int]:

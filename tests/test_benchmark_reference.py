@@ -6,9 +6,11 @@ through ``tightspan.cli.run`` makes a byte change in that output fail
 pytest, not only the benchmark's gate. The traced run's wrappers are
 installed and removed once, so a renamed or deleted function that
 ``perfbench/spans.py`` wraps fails here too. Files under ``perfbench/`` are
-only read.
+only read. The seed-2 ``recognize`` inputs are pinned by one digest, so
+the witnesses are checked on a second set of graphs as well.
 """
 
+import hashlib
 import io
 import json
 import sys
@@ -52,6 +54,22 @@ def test_hull_outputs_match_benchmark_reference(monkeypatch):
 
 def test_recognize_outputs_match_benchmark_reference(monkeypatch):
     _replay("recognize", monkeypatch)
+
+
+def test_recognize_witnesses_on_seed_2_match_pinned_digest(monkeypatch):
+    # One sha256 over each seed-2 input's label, exit code and stdout. An
+    # intended change to the recognize output updates this literal, as it
+    # re-records perfbench/reference.json.
+    inputs, _ = workloads.build_inputs(tightspan, "recognize", 2)
+    h = hashlib.sha256()
+    for inp in inputs:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(inp.text))
+        out = io.StringIO()
+        code = run(["recognize", "-", "--witness"], out)
+        h.update(json.dumps([inp.label, code, out.getvalue()]).encode() + b"\n")
+    assert (len(inputs), h.hexdigest()) == (
+        35, "e97544c4d86295a1872c85bba612054f76d32b2e5f0828d70c99046b823fa049"
+    )
 
 
 def test_traced_run_installs_and_uninstalls():

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from oracles import (
     asteroidal_triple_by_labels,
     cocomparability_violation_scan,
+    component_labels,
     distances_bfs,
     disk_mask_scan,
     extended_squares_scan,
+    find_long_induced_cycle_bfs,
     find_odd_cycle_bfs,
     interval_scan,
     interval_slice_scan,
@@ -19,6 +21,7 @@ from oracles import (
     is_split_by_prefixes,
     mcs_order_sorted,
     peripheral_vertices_scan,
+    random_connected_graph,
     suspension_witness_scan,
     tree_plus_chords,
 )
@@ -27,9 +30,11 @@ from tightspan import (
     DisconnectedGraphError,
     Graph,
     SplitMix64,
+    crown_family,
     extended_squares,
     find_asteroidal_triple,
     find_cocomparability_violation,
+    find_long_induced_cycle,
     find_odd_cycle,
     fixture,
     is_bipartite,
@@ -155,6 +160,59 @@ def test_mcs_order_matches_oracle_on_squares_cliques_and_disconnected_graphs():
     for g in cases:
         assert _mcs_order(g) == mcs_order_sorted(g)
     assert sum(not g.is_connected() for g in cases) > 20
+
+
+@pytest.mark.parametrize("seed", range(0, 120, 20))
+def test_induced_cycle_witness_matches_oracle_on_seeded_graphs_and_squares(seed):
+    witnesses = 0
+    for s in range(seed, seed + 20):
+        for n_max in (9, 24):
+            g = random_connected_graph(s, 4, n_max)
+            for h in (g, g.power(2)):
+                cycle = find_long_induced_cycle(h)
+                assert cycle == find_long_induced_cycle_bfs(h)
+                witnesses += cycle is not None
+    assert witnesses > 0
+
+
+def test_induced_cycle_witness_matches_oracle_on_families_and_fixtures():
+    cases = [fixture(name) for name in ("house", "domino", "gem", "permutation")]
+    cases += [fixture(f"C{k}") for k in range(4, 12)]
+    cases += [make(n, seed) for make in FAMILIES for n in (12, 40) for seed in range(3)]
+    witnesses = 0
+    for g in cases:
+        for h in (g, g.power(2)):
+            cycle = find_long_induced_cycle(h)
+            assert cycle == find_long_induced_cycle_bfs(h)
+            witnesses += cycle is not None
+    assert witnesses > 10
+
+
+def test_odd_cycle_edge_is_the_first_in_queue_order_not_in_id_order():
+    # Layer 2 from vertex 0 is queued 4, 5, 3, 6, so the edge 4-5 is met
+    # before 3-6, whose lower end has the lower id.
+    edges = [(0, 1), (0, 2), (1, 4), (1, 5), (2, 3), (2, 6), (4, 5), (3, 6)]
+    g = Graph.from_edge_list(7, edges)
+    assert find_odd_cycle(g) == find_odd_cycle_bfs(g) == (4, 1, 5)
+
+
+def test_bipartite_and_odd_cycle_match_oracles_on_disconnected_graphs():
+    # Interleaved components: the odd cycle sits in a later component than
+    # vertex 0's, and bipartite unions have several components.
+    later = several = 0
+    for seed in range(30):
+        even = [fixture("C6"), crown_family(3 + seed % 3), fixture(f"P{1 + seed % 5}")]
+        odd = (fixture(f"C{5 + 2 * (seed % 3)}"), random_dh(8 + seed, seed),
+               random_chordal(8 + seed, seed))[seed % 3]
+        for parts in (even, [*even, odd], [odd, *even]):
+            g = _shuffled_union(parts, seed % 3, seed)
+            coloring, cycle = is_bipartite(g), find_odd_cycle(g)
+            assert coloring == is_bipartite_bfs(g)
+            assert cycle == find_odd_cycle_bfs(g)
+            labels = component_labels(g, 0)
+            later += cycle is not None and labels[cycle[0]] != labels[0]
+            several += coloring is not None and max(labels) > 0
+    assert later > 5 and several > 5
 
 
 @pytest.mark.parametrize("make", FAMILIES)
