@@ -39,7 +39,6 @@ from .generators import (
     split_family,
 )
 from .graphs import (
-    DistanceMatrix,
     Graph,
     format_edge_list,
     is_isometric_subgraph,

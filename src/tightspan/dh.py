@@ -81,9 +81,6 @@ class PruningSequence:
             if i == 0 and step.kind == FALSE_TWIN:
                 raise ValueError(f"step 0: false twin of isolated vertex {step.anchor}")
 
-    def __len__(self) -> int:
-        return len(self.order)
-
 
 def replay(seq: PruningSequence) -> Graph:
     """Rebuild the exact graph a pruning sequence describes.

@@ -9,7 +9,6 @@ function of its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -49,19 +48,6 @@ def _layer_masks(row: Sequence[int]) -> list[int]:
     return layers
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """All-pairs BFS hop distances plus the derived eccentricity data."""
-
-    rows: tuple[tuple[int, ...], ...]
-    ecc: tuple[int, ...]
-    radius: int
-    diameter: int
-
-    def dist(self, u: int, v: int) -> int:
-        return self.rows[u][v]
-
-
 class Graph:
     """Simple undirected graph with one integer bit-row per vertex.
 
@@ -95,7 +81,7 @@ class Graph:
         self.labels = tuple(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != n:
             raise ValueError("label count does not match n")
-        self._dm: Optional[DistanceMatrix] = None
+        self._dm: Optional[tuple[tuple[int, ...], ...]] = None
         self._square: Optional[Graph] = None
         self._forest: Optional[tuple] = None  # detectors' BFS forest
 
@@ -216,45 +202,20 @@ class Graph:
         if not self.is_connected():
             raise DisconnectedGraphError(f"{what} need a connected graph")
 
-    def distances(self) -> DistanceMatrix:
-        """All-pairs distances, cached on first use: row u is read off one BFS
-        from u. It is the one all-pairs structure a graph caches."""
+    def distances(self) -> tuple[tuple[int, ...], ...]:
+        """All-pairs distance rows, cached on first use: row u is read off one
+        BFS from u. They are the one all-pairs structure a graph caches."""
         if self._dm is None:
             self._require_connected("distances")
             full = (1 << self.n) - 1
-            rows = tuple(_distance_row(self.n, self._frontiers(1 << u, full)) for u in range(self.n))
-            ecc = tuple(max(row) for row in rows)
-            self._dm = DistanceMatrix(rows, ecc, min(ecc), max(ecc))
+            self._dm = tuple(
+                _distance_row(self.n, self._frontiers(1 << u, full)) for u in range(self.n)
+            )
         return self._dm
-
-    def interval_mask(self, x: int, y: int) -> int:
-        """Mask of the vertices z on some shortest (x, y)-path, those with
-        d(x, z) + d(z, y) = d(x, y)."""
-        rows = self.distances().rows
-        d = rows[x][y]
-        return sum(1 << z for z, (a, b) in enumerate(zip(rows[x], rows[y])) if a + b == d)
-
-    def interval(self, x: int, y: int) -> frozenset[int]:
-        """Vertices on some shortest (x, y)-path."""
-        return frozenset(bits(self.interval_mask(x, y)))
-
-    def interval_slice(self, x: int, y: int, k: int) -> frozenset[int]:
-        """Vertices of the (x, y) interval at distance exactly k from x."""
-        rows = self.distances().rows
-        dxy = rows[x][y]
-        if not 0 <= k <= dxy:
-            raise ValueError(f"slice index {k} outside 0..{dxy}")
-        return frozenset(z for z in bits(self.interval_mask(x, y)) if rows[x][z] == k)
-
-    def disk(self, v: int, r: int) -> frozenset[int]:
-        """All vertices within distance r of v."""
-        if r < 0:
-            raise ValueError("negative radius")
-        return frozenset(bits(self.disk_mask(v, r)))
 
     def disk_mask(self, v: int, r: int) -> int:
         """Mask of the vertices within distance r of v (none for r < 0)."""
-        return sum(1 << z for z, d in enumerate(self.distances().rows[v]) if d <= r)
+        return sum(1 << z for z, d in enumerate(self.distances()[v]) if d <= r)
 
     def power(self, k: int) -> "Graph":
         """Graph on the same vertices with edges between all pairs at distance <= k.
@@ -280,11 +241,11 @@ def is_isometric_subgraph(sub: Graph, host: Graph, embed: Sequence[int]) -> bool
 
     Reads each embedded vertex's host distance row off one BFS, as
     ``InjectiveHull.vectors`` does, and compares it at the embedded vertices
-    with ``sub``'s row. The host's distance matrix is never built, so checking
-    a small graph inside its large hull costs ``sub.n`` BFS runs, not the
-    hull's all-pairs distances. Raises ValueError when ``embed`` is not an
-    injective map into the host's vertices, and DisconnectedGraphError when
-    either graph is disconnected.
+    with the vertex's row of ``sub.distances()``. The host's distance rows
+    are never built, so checking a small graph inside its large hull costs
+    ``sub.n`` BFS runs, not the hull's all-pairs distances. Raises ValueError
+    when ``embed`` is not an injective map into the host's vertices, and
+    DisconnectedGraphError when either graph is disconnected.
     """
     if len(embed) != sub.n:
         raise ValueError("embedding must cover every vertex of the subgraph")
@@ -292,7 +253,7 @@ def is_isometric_subgraph(sub: Graph, host: Graph, embed: Sequence[int]) -> bool
         raise ValueError("embedding is not injective")
     if not 0 <= min(embed) <= max(embed) < host.n:
         raise ValueError(f"embedding has vertices outside 0..{host.n - 1}")
-    rows = sub.distances().rows
+    rows = sub.distances()
     host._require_connected("distances")
     full = (1 << host.n) - 1
     for z, want in zip(embed, rows):

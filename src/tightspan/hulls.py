@@ -64,7 +64,7 @@ def enumerate_extremal_functions(
     all blocks pass ``max_nodes``, or past the recursion limit, which a
     block's size counts against; results are never silently truncated.
     """
-    d = g.distances().rows
+    d = g.distances()
     found, nodes = set(d), 0
     for block in (b for b in _blocks(g) if len(b) > 2):
         gate = [min((d[a][x], i) for i, a in enumerate(block)) for x in range(g.n)]
@@ -165,9 +165,6 @@ class InjectiveHull:
     def is_real(self, hull_vertex: int) -> bool:
         return hull_vertex < self.n_real
 
-    def helly_vertices(self) -> range:
-        return range(self.n_real, self.hull.n)
-
 
 def _chebyshev_pairs(vectors: list[Vector]) -> list[tuple[int, int]]:
     """Index pairs i < j of the sorted, distinct ``vectors`` at Chebyshev distance 1.
@@ -201,7 +198,7 @@ def _chebyshev_pairs(vectors: list[Vector]) -> list[tuple[int, int]]:
 def build_injective_hull(g: Graph, max_nodes: int = DEFAULT_MAX_NODES) -> InjectiveHull:
     """Construct H(g) on its extremal vectors, its blocks' glued at the cut
     vertices, and check its vectors, read off the hull."""
-    reals = g.distances().rows
+    reals = g.distances()
     vectors = enumerate_extremal_functions(g, max_nodes)
     real_set = set(reals)
     # canonical order: reals in source order, then the Helly vectors sorted
@@ -242,7 +239,7 @@ def peripheral_vertices(g: Graph) -> dict[int, int]:
     Returns {x: least witness y}. Subset comparison is proper: equality of
     intervals does not disqualify a witness.
     """
-    rows = g.distances().rows
+    rows = g.distances()
     layers = [_layer_masks(row) for row in rows]
     # I(y, x) is the sum over k of L_k(y) & L_{d-k}(x) with d = d(y, x), L the layers
     imask = [

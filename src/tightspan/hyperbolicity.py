@@ -60,14 +60,10 @@ class HyperbolicityReport:
     def render(self) -> str:
         return f"{self.delta2}/2"
 
-    @property
-    def delta(self) -> float:
-        return self.delta2 / 2
-
 
 def hyperbolicity(g: Graph) -> HyperbolicityReport:
     """Exact hyperbolicity with the least maximizing quadruple as witness."""
-    d = g.distances().rows
+    d = g.distances()
     if g.n < 4:
         return HyperbolicityReport(0, (0,) * 4)
     report = HyperbolicityReport(0, (0, 1, 2, 3))
@@ -138,7 +134,7 @@ def _scan(
 def find_alpha1_violation(g: Graph):
     """First (x, y, z, v) with zy an edge, z in I(x,y), y in I(z,v), yet
     d(x,v) < d(x,y) + d(y,v) - 1. None when the metric is alpha_1."""
-    d = g.distances().rows
+    d = g.distances()
     n = g.n
     for x in range(n):
         for y in range(n):

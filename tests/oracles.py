@@ -14,12 +14,14 @@ of disks, pseudo-modularity is a direct triple scan over the distance
 matrix, DH pruning sequences come from a per-round rescan, DH recognition
 checks every connected induced subgraph for isometry, and hyperbolicity is
 the plain quadruple sweep, with the defect of one quadruple beside it. The
-class recognizers, suspension witnesses, extended squares, intervals, disks
-and peripheral vertices are the direct vertex scans the library used before
-its bit-row rewrites, and the disk oracles build their disks with that scan.
-All-pairs distances and the components around a removed set come from a
-plain queue BFS over neighbour sets, and the induced-cycle witness from the
-library's former parent-dict search, ``shortest_path_bfs``.
+class recognizers, suspension witnesses, extended squares, disks and
+peripheral vertices are the direct vertex scans the library used before its
+bit-row rewrites, and the disk oracles build their disks with that scan;
+``interval_scan`` reads one interval I(x, y) off the distance rows, for
+checking peripheral witnesses by hand. All-pairs distance rows and the
+components around a removed set come from a plain queue BFS over neighbour
+sets, and the induced-cycle witness from the library's former parent-dict
+search, ``shortest_path_bfs``.
 ``canonical_hull`` puts a Hellification hull into the enumeration hull's
 order, so the two compare exactly. ``TwinClassPoset`` is the library's
 former dominator structure, with containment edges between true-twin
@@ -35,15 +37,15 @@ import numpy as np
 
 from tightspan import Graph, SplitMix64
 from tightspan.dh import FALSE_TWIN, PENDANT, TRUE_TWIN, PruningSequence, PruningStep
-from tightspan.graphs import DistanceMatrix, bits
+from tightspan.graphs import bits
 from tightspan.helly import ExtendedSquare, maximal_cliques
 from tightspan.hyperbolicity import HyperbolicityReport
 
 
 def brute_force_extremal(g: Graph) -> list[tuple[int, ...]]:
     """Scan every vector with 0 <= f(x) <= ecc(x) for feasibility and tightness."""
-    dm = g.distances()
-    n, d, ecc = g.n, dm.rows, dm.ecc
+    n, d = g.n, g.distances()
+    ecc = [max(row) for row in d]
     grids = np.meshgrid(*[np.arange(e + 1, dtype=np.int16) for e in ecc], indexing="ij")
     F = np.stack([ax.ravel() for ax in grids], axis=1)
     keep = np.ones(len(F), dtype=bool)
@@ -69,9 +71,8 @@ def extremal_dfs(g: Graph) -> tuple[list[tuple[int, ...]], int]:
     the same values and prune the same branches, so a budget of exactly
     ``nodes`` passes and one less fails.
     """
-    dm = g.distances()
-    d = [list(row) for row in dm.rows]
-    ecc = dm.ecc
+    d = [list(row) for row in g.distances()]
+    ecc = [max(row) for row in d]
     n = g.n
 
     out: list[tuple[int, ...]] = []
@@ -218,8 +219,8 @@ def hull_json_dumps(h) -> str:
 
 def is_isometric_subgraph_apsp(sub: Graph, host: Graph, embed) -> bool:
     """Compare every embedded pair's distance with both all-pairs matrices."""
-    ds = sub.distances().rows
-    dh = host.distances().rows
+    ds = sub.distances()
+    dh = host.distances()
     return all(
         ds[u][v] == dh[embed[u]][embed[v]] for u in range(sub.n) for v in range(u + 1, sub.n)
     )
@@ -230,11 +231,11 @@ def triple_disk_pseudo_modular(g: Graph) -> bool:
 
     Radii range over 0..diameter; larger radii are full disks and redundant.
     """
-    dm = g.distances()
+    diameter = max(map(max, g.distances()))
     disks = [
         frozenset(bits(disk_mask_scan(g, v, r)))
         for v in range(g.n)
-        for r in range(dm.diameter + 1)
+        for r in range(diameter + 1)
     ]
     for a, b, c in combinations(disks, 3):
         if a & b and a & c and b & c and not (a & b & c):
@@ -250,10 +251,9 @@ def pseudo_modular_violation_scan(g: Graph) -> Optional[tuple[int, int, int]]:
     distance matrix, O(n^3) per source; the library's bitset scan must return
     the same triple.
     """
-    dm = g.distances()
-    d = dm.rows
+    d = g.distances()
     n = g.n
-    level = [[0] * (dm.ecc[u] + 1) for u in range(n)]
+    level = [[0] * (max(d[u]) + 1) for u in range(n)]
     for u in range(n):
         for v in range(n):
             level[u][d[u][v]] |= 1 << v
@@ -324,7 +324,7 @@ def disk_helly_by_definition(g: Graph, r: Optional[int] = None) -> bool:
     Only usable on tiny graphs: iterates every subset of the distinct disks.
     """
     if r is None:
-        r = g.distances().diameter
+        r = max(map(max, g.distances()))
     disks = sorted(
         {frozenset(bits(disk_mask_scan(g, v, i))) for v in range(g.n) for i in range(r + 1)},
         key=sorted,
@@ -361,9 +361,9 @@ def disk_helly_pairwise(g: Graph, r: int) -> bool:
     return True
 
 
-def four_point_hyp2(dm: DistanceMatrix, u: int, v: int, w: int, x: int) -> int:
-    """Twice the four-point defect: largest distance-sum minus the second largest."""
-    d = dm.rows
+def four_point_hyp2(d: Sequence[Sequence[int]], u: int, v: int, w: int, x: int) -> int:
+    """Twice the four-point defect on distance rows ``d``: largest distance-sum
+    minus the second largest."""
     sums = sorted((d[u][v] + d[w][x], d[u][x] + d[v][w], d[u][w] + d[v][x]))
     return sums[2] - sums[1]
 
@@ -374,10 +374,9 @@ def hyperbolicity_scan(g: Graph) -> HyperbolicityReport:
     Keeps the first quadruple whose doubled defect strictly beats the best so
     far; the library's pruned lane-parallel scan must return the same report.
     """
-    dm = g.distances()
+    d = g.distances()
     if g.n < 4:
         return HyperbolicityReport(0, (0,) * 4)
-    d = dm.rows
     best = 0
     witness = (0, 1, 2, 3)
     for u, v, w, x in combinations(range(g.n), 4):
@@ -400,13 +399,13 @@ def is_dh_by_definition(g: Graph) -> bool:
     induced subgraph keeps the distances of g. Direct subset sweep."""
     if not g.is_connected():
         return False
-    d = g.distances().rows
+    d = g.distances()
     for size in range(3, g.n + 1):
         for verts in combinations(range(g.n), size):
             sub = g.induced(verts)
             if not sub.is_connected():
                 continue
-            ds = sub.distances().rows
+            ds = sub.distances()
             if any(ds[i][j] != d[u][v] for i, u in enumerate(verts) for j, v in enumerate(verts)):
                 return False
     return True
@@ -420,7 +419,7 @@ def canonical_hull(hull: Graph, n_real: int) -> tuple[Graph, tuple[tuple[int, ..
     read off ``hull.distances()``, so a hull whose real vertices come first
     can be compared with ``==`` against the enumeration hull.
     """
-    d = hull.distances().rows
+    d = hull.distances()
     vector = [tuple(d[h][:n_real]) for h in range(hull.n)]
     order = list(range(n_real)) + sorted(range(n_real, hull.n), key=vector.__getitem__)
     return hull.induced(order), tuple(vector[h] for h in order)
@@ -785,8 +784,7 @@ def peripheral_vertices_scan(g: Graph) -> dict[int, int]:
     Returns {x: least witness y}. Subset comparison is proper: equality of
     intervals does not disqualify a witness.
     """
-    dm = g.distances()
-    d = dm.rows
+    d = g.distances()
     n = g.n
     imask = [[0] * n for _ in range(n)]
     for y in range(n):
@@ -816,8 +814,8 @@ def peripheral_vertices_scan(g: Graph) -> dict[int, int]:
     return out
 
 
-def distances_bfs(g: Graph) -> DistanceMatrix:
-    """All-pairs distances by a plain queue BFS from each vertex over
+def distances_bfs(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """All-pairs distance rows by a plain queue BFS from each vertex over
     neighbour sets, with no cache read or written."""
     g._require_connected("distances")
     adj = [set(bits(row)) for row in g.adj]
@@ -833,31 +831,19 @@ def distances_bfs(g: Graph) -> DistanceMatrix:
                     dist[u] = dist[v] + 1
                     queue.append(u)
         rows.append(tuple(dist))
-    ecc = tuple(max(row) for row in rows)
-    return DistanceMatrix(tuple(rows), ecc, min(ecc), max(ecc))
+    return tuple(rows)
 
 
 def interval_scan(g: Graph, x: int, y: int) -> frozenset[int]:
     """Vertices on some shortest (x, y)-path."""
-    d = g.distances().rows
+    d = g.distances()
     dxy = d[x][y]
     return frozenset(v for v in range(g.n) if d[x][v] + d[v][y] == dxy)
 
 
-def interval_slice_scan(g: Graph, x: int, y: int, k: int) -> frozenset[int]:
-    """Vertices of the (x, y) interval at distance exactly k from x."""
-    d = g.distances().rows
-    dxy = d[x][y]
-    if not 0 <= k <= dxy:
-        raise ValueError(f"slice index {k} outside 0..{dxy}")
-    return frozenset(
-        v for v in range(g.n) if d[x][v] == k and d[x][v] + d[v][y] == dxy
-    )
-
-
 def disk_mask_scan(g: Graph, v: int, r: int) -> int:
     """Disk D(v, r) as a mask, one distance comparison per vertex."""
-    d = g.distances().rows[v]
+    d = g.distances()[v]
     mask = 0
     for u in range(g.n):
         if d[u] <= r:

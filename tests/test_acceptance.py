@@ -7,6 +7,7 @@ random connected graphs, all n <= 8) and its hulls come from conftest.
 
 import math
 import time
+from functools import cache
 
 from oracles import brute_force_extremal, canonical_hull
 from tightspan import (
@@ -50,6 +51,19 @@ def _dh_seed_instances(count=100, max_n=12):
         n = 2 + rng.below(max_n - 1)  # 2..max_n
         out.append((seed, random_dh(n, seed)))
     return out
+
+
+@cache
+def _seeded_hulls():
+    """(kind, n, seed, G, H(G)) for random chordal and DH graphs at the sizes
+    the hull reaches, n = 20, 30, 40 and seeds 0-9; no oracle runs this big."""
+    return tuple(
+        (make.__name__, n, seed, g, build_injective_hull(g))
+        for make in (random_chordal, random_dh)
+        for n in (20, 30, 40)
+        for seed in range(10)
+        for g in (make(n, seed),)
+    )
 
 
 def test_criterion_1_hull_oracle_correctness(corpus):
@@ -135,17 +149,26 @@ def test_criterion_6_hyperbolicity_preserved(corpus, corpus_hulls):
     for name, g in corpus:
         hull = corpus_hulls[name].hull
         assert hyperbolicity(g).delta2 == hyperbolicity(hull).delta2, name
-    # hulls above the 128-vertex CLI cap: 365, 261 and 142 vertices
+    # hulls above the 128-vertex CLI cap: 365, 261, 142 and 272 vertices
     pinned = [
         (fixture("C12"), 6, (0, 3, 6, 9)),
         (fixture("C13"), 5, (0, 3, 6, 9)),
         (crown_family(7), 2, (0, 1, 2, 7)),
+        (crown_family(8), 2, (0, 1, 2, 8)),
     ]
     for g, delta2, witness in pinned:
         hull = build_injective_hull(g).hull
         for r in (hyperbolicity(g), hyperbolicity(hull)):
             assert (r.delta2, r.witness) == (delta2, witness), g.n
-    report(6, True, f"delta(G)=delta(H(G)) on {len(corpus)} graphs and H(C12), H(C13), H(crown7)")
+    seeded = _seeded_hulls()
+    for kind, n, seed, g, h in seeded:
+        assert hyperbolicity(g).delta2 == hyperbolicity(h.hull).delta2, (kind, n, seed)
+    report(
+        6,
+        True,
+        f"delta(G)=delta(H(G)) on {len(corpus)} graphs, {len(seeded)} seeded chordal and DH"
+        " graphs with n = 20..40, and H(C12), H(C13), H(crown7), H(crown8)",
+    )
 
 
 def test_criterion_7_closure_properties(corpus, corpus_hulls):
@@ -154,6 +177,13 @@ def test_criterion_7_closure_properties(corpus, corpus_hulls):
         n = 3 + rng.below(7)  # 3..9
         g = random_chordal(n, seed)
         assert is_chordal(build_injective_hull(g).hull), seed
+    seeded = _seeded_hulls()
+    for kind, n, seed, g, h in seeded:
+        if kind == "random_chordal":
+            assert is_chordal(h.hull), (n, seed)
+        else:
+            assert pruning_sequence(h.hull) is not None, (n, seed)
+            assert sorted(h.vectors) == sorted(hellify_dh(g).vectors), (n, seed)
     square_chordal = dh = 0
     for name, g in corpus:
         hull = corpus_hulls[name].hull
@@ -164,7 +194,12 @@ def test_criterion_7_closure_properties(corpus, corpus_hulls):
         if pruning_sequence(g) is not None:
             dh += 1
             assert pruning_sequence(hull) is not None, name
-    report(7, True, f"100 chordal, {square_chordal} square-chordal, {dh} DH closures")
+    report(
+        7,
+        True,
+        f"100 chordal, {square_chordal} square-chordal, {dh} DH closures, and"
+        f" {len(seeded)} seeded chordal and DH closures with n = 20..40",
+    )
 
 
 def test_criterion_8_characterization_properties(corpus, corpus_hulls):
@@ -180,7 +215,7 @@ def test_criterion_8_characterization_properties(corpus, corpus_hulls):
     for name, g in corpus:
         h = corpus_hulls[name]
         assert all(p < h.n_real for p in peripheral_vertices(h.hull)), name
-        d = g.distances().rows
+        d = g.distances()
         for z in range(g.n):
             for x in range(g.n):
                 if x == z:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from oracles import brute_force_chordal, random_connected_graph
 from strategies import connected_graphs
 from tightspan import (
+    Graph,
     build_injective_hull,
     cocomparability_family,
     crown_family,
@@ -39,6 +40,23 @@ def test_chordal_witness_is_induced_long_cycle():
                 expected = j - i == 1 or (i, j) == (0, k - 1)
                 assert g.has_edge(u, cycle[j]) == expected
     assert find_long_induced_cycle(fixture("gem")) is None
+
+
+def test_induced_cycle_runs_no_search_on_chordal_input(monkeypatch):
+    # a chordal graph has no witness, so no BFS per pair of neighbours runs
+    graphs = [random_chordal(120, seed) for seed in range(4)]
+    calls, frontiers = [], Graph._frontiers
+
+    def counted(self, start_mask, allowed):
+        calls.append(start_mask)
+        return frontiers(self, start_mask, allowed)
+
+    monkeypatch.setattr(Graph, "_frontiers", counted)
+    for g in graphs:
+        assert find_long_induced_cycle(g) is None
+    assert calls == []
+    assert find_long_induced_cycle(fixture("C4")) == (0, 1, 2, 3)
+    assert calls
 
 
 def test_chordal_closure_of_random_chordal():

@@ -72,7 +72,7 @@ def test_families_follow_the_docstring_rules(k):
 def test_split_family_distance_properties(k):
     g = split_family(k)
     assert g.n == 6 * k
-    d = g.distances().rows
+    d = g.distances()
     xs, ys, ms = _ids(k)
     for i in range(k):
         for m in ms:
@@ -112,7 +112,7 @@ def test_split_family_rejects_small_k():
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_cocomparability_family_distance_properties(k):
     g, _ = cocomparability_family(k)
-    d = g.distances().rows
+    d = g.distances()
     xs, ys, ms = _ids(k)
     for i in range(k):
         for j in range(k):
@@ -143,7 +143,7 @@ def test_cocomparability_family_two_set_counts():
 def test_crown_family_distance_properties(k):
     g = crown_family(k)
     assert g.n == 2 * k
-    d = g.distances().rows
+    d = g.distances()
     for i in range(k):
         assert d[i][k + i] == 3
         for j in range(k):

@@ -28,7 +28,7 @@ from tightspan.graphs import _layer_masks
 def test_single_vertex():
     g = Graph.from_edge_list(1, [])
     assert g.n == 1 and g.m == 0
-    assert g.distances().diameter == 0
+    assert g.distances() == ((0,),)
 
 
 def test_c4_construction():
@@ -98,48 +98,15 @@ def test_library_has_no_size_cap():
 
 
 def test_distances_c4():
-    dm = fixture("C4").distances()
-    assert dm.diameter == 2 and dm.radius == 2
-    assert dm.dist(0, 2) == 2
+    assert fixture("C4").distances() == ((0, 1, 2, 1), (1, 0, 1, 2), (2, 1, 0, 1), (1, 2, 1, 0))
 
 
 def test_distances_p4():
-    dm = fixture("P4").distances()
-    assert dm.diameter == 3 and dm.radius == 2
+    assert fixture("P4").distances() == ((0, 1, 2, 3), (1, 0, 1, 2), (2, 1, 0, 1), (3, 2, 1, 0))
 
 
 def test_distances_split_family_diameter():
-    assert split_family(4).distances().diameter == 3
-
-
-def test_interval_c4_opposite():
-    g = fixture("C4")
-    assert g.interval(0, 2) == {0, 1, 2, 3}
-
-
-def test_interval_degenerate():
-    g = fixture("C4")
-    assert g.interval(1, 1) == {1}
-
-
-def test_interval_c5():
-    g = fixture("C5")
-    assert g.interval(0, 2) == {0, 1, 2}
-
-
-def test_interval_slice():
-    g = fixture("C5")
-    assert g.interval_slice(0, 2, 0) == {0}
-    assert g.interval_slice(0, 2, 1) == {1}
-    with pytest.raises(ValueError):
-        g.interval_slice(0, 2, 3)
-
-
-def test_disk():
-    g = fixture("C4")
-    assert g.disk(1, 0) == {1}
-    assert g.disk(1, 1) == {0, 1, 2}
-    assert fixture("C5").disk(0, 2) == {0, 1, 2, 3, 4}
+    assert max(map(max, split_family(4).distances())) == 3
 
 
 def test_power_identity():
@@ -153,7 +120,7 @@ def test_power_c5_squared_is_complete():
 
 def test_power_c6_squared_from_distance_table():
     g = fixture("C6")
-    d = g.distances().rows
+    d = g.distances()
     expected = Graph.from_edge_list(
         6, [(u, v) for u in range(6) for v in range(u + 1, 6) if d[u][v] <= 2]
     )
@@ -175,8 +142,6 @@ def test_level_masks_need_connected_graph():
     g = Graph(4, [0b0010, 0b0001, 0b1000, 0b0100])  # edges 0-1 and 2-3
     for read in (
         g.distances,
-        lambda: g.interval_mask(0, 1),
-        lambda: g.interval_slice(0, 1, 0),
         lambda: g.disk_mask(0, 1),
         lambda: g.power(2),
         lambda: disk_helly_up_to_radius(g, 2),
@@ -421,7 +386,7 @@ def test_to_dot_escapes_labels():
 @given(connected_graphs())
 @settings(max_examples=60)
 def test_metric_axioms(g):
-    d = g.distances().rows
+    d = g.distances()
     for u in range(g.n):
         assert d[u][u] == 0
         for v in range(g.n):
@@ -429,16 +394,6 @@ def test_metric_axioms(g):
             assert (d[u][v] == 0) == (u == v)
             for w in range(g.n):
                 assert d[u][v] <= d[u][w] + d[w][v]
-
-
-@given(connected_graphs())
-@settings(max_examples=40)
-def test_interval_contains_endpoints_and_slice_zero(g):
-    for x in range(g.n):
-        for y in range(g.n):
-            iv = g.interval(x, y)
-            assert x in iv and y in iv
-            assert g.interval_slice(x, y, 0) == {x}
 
 
 @given(connected_graphs())
@@ -459,7 +414,7 @@ def test_every_graph_isometric_in_itself(g):
 @settings(max_examples=60)
 def test_level_masks_match_distance_rows(g):
     # each BFS layer from u is the ring between two disks, and the row's layers
-    d = g.distances().rows
+    d = g.distances()
     full = (1 << g.n) - 1
     for u in range(g.n):
         layers = list(g._frontiers(1 << u, full))
@@ -474,7 +429,7 @@ def test_level_masks_match_distance_rows(g):
 @given(connected_graphs())
 @settings(max_examples=60)
 def test_power_matches_distance_rows(g):
-    d = g.distances().rows
+    d = g.distances()
     for k in (1, 2, 3, 4, g.n):
         rows = tuple(
             sum(1 << v for v in range(g.n) if 1 <= d[u][v] <= k) for u in range(g.n)

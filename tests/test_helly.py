@@ -75,7 +75,7 @@ def test_pseudo_modular():
     violation = find_pseudo_modular_violation(fixture("C6"))
     assert violation is not None
     u, v, w = violation
-    d = fixture("C6").distances().rows
+    d = fixture("C6").distances()
     assert d[u][v] == d[u][w] >= 2 and 1 <= d[v][w] <= 2
 
 
@@ -184,7 +184,7 @@ def test_disk_helly_radius_validation():
 def test_disk_helly_monotone(name):
     g = fixture(name)
     seen_false = False
-    for r in range(1, g.distances().diameter + 2):
+    for r in range(1, max(map(max, g.distances())) + 2):
         ok = disk_helly_up_to_radius(g, r)
         if seen_false:
             assert not ok
@@ -263,7 +263,7 @@ def test_pseudo_modular_triple_disk_consistency_corpus(corpus):
 @pytest.mark.parametrize("name", ["C4", "C5", "P4", "K4", "house"])
 def test_disk_helly_matches_definition(name):
     g = fixture(name)
-    for r in range(1, g.distances().diameter + 1):
+    for r in range(1, max(map(max, g.distances())) + 1):
         assert disk_helly_up_to_radius(g, r) == disk_helly_by_definition(g, r)
 
 
@@ -279,7 +279,7 @@ def test_disk_helly_matches_pairwise_rows(corpus):
 
 def test_disk_helly_radius_above_diameter_changes_nothing(corpus):
     for name, g in corpus:
-        d = g.distances().diameter
+        d = max(map(max, g.distances()))
         expected = disk_helly_up_to_radius(g, d)
         for r in range(d + 1, d + 4):
             assert disk_helly_up_to_radius(g, r) == expected, (name, r)

@@ -26,23 +26,23 @@ from tightspan.hyperbolicity import _scan
 
 
 def test_four_point_tree_is_zero():
-    dm = fixture("P8").distances()
-    assert four_point_hyp2(dm, 0, 3, 5, 7) == 0
+    d = fixture("P8").distances()
+    assert four_point_hyp2(d, 0, 3, 5, 7) == 0
 
 
 def test_four_point_c4():
-    dm = fixture("C4").distances()
-    assert four_point_hyp2(dm, 0, 1, 2, 3) == 2  # sums 4,2,2
+    d = fixture("C4").distances()
+    assert four_point_hyp2(d, 0, 1, 2, 3) == 2  # sums 4,2,2
 
 
 def test_four_point_c5():
-    dm = fixture("C5").distances()
-    assert four_point_hyp2(dm, 0, 1, 2, 3) == 1  # sums 4,3,2
+    d = fixture("C5").distances()
+    assert four_point_hyp2(d, 0, 1, 2, 3) == 1  # sums 4,3,2
 
 
 def test_four_point_with_repeats():
-    dm = fixture("C4").distances()
-    assert four_point_hyp2(dm, 0, 0, 2, 2) == 0
+    d = fixture("C4").distances()
+    assert four_point_hyp2(d, 0, 0, 2, 2) == 0
 
 
 def test_delta_tree_zero():
@@ -73,8 +73,8 @@ def test_delta_split_family_at_most_one():
 def test_delta_witness_attains_max():
     g = fixture("C8")
     report = hyperbolicity(g)
-    dm = g.distances()
-    assert four_point_hyp2(dm, *report.witness) == report.delta2
+    d = g.distances()
+    assert four_point_hyp2(d, *report.witness) == report.delta2
 
 
 def test_alpha1_tree():
@@ -90,7 +90,7 @@ def test_alpha1_c6_violates():
     violation = find_alpha1_violation(fixture("C6"))
     assert violation is not None
     x, y, z, v = violation
-    d = fixture("C6").distances().rows
+    d = fixture("C6").distances()
     assert d[x][z] + 1 == d[x][y] and d[z][v] == 1 + d[y][v]
     assert d[x][v] < d[x][y] + d[y][v] - 1
 
@@ -105,11 +105,11 @@ def test_delta_preserved_in_hull(name):
 @given(connected_graphs(min_n=4, max_n=7), st.randoms(use_true_random=False))
 @settings(max_examples=30, deadline=None)
 def test_hyp2_permutation_invariant(g, rnd):
-    dm = g.distances()
+    d = g.distances()
     quad = [rnd.randrange(g.n) for _ in range(4)]
-    base = four_point_hyp2(dm, *quad)
+    base = four_point_hyp2(d, *quad)
     for perm in permutations(quad):
-        assert four_point_hyp2(dm, *perm) == base
+        assert four_point_hyp2(d, *perm) == base
 
 
 def test_delta_block_graph_zero():
@@ -137,10 +137,10 @@ def _lollipop(cycle: int, tail: int) -> Graph:
 
 def _improvements(g: Graph) -> list:
     """The quadruples at which the lexicographic sweep raises its best defect."""
-    dm = g.distances()
+    d = g.distances()
     best, out = 0, []
     for quad in combinations(range(g.n), 4):
-        defect = four_point_hyp2(dm, *quad)
+        defect = four_point_hyp2(d, *quad)
         if defect > best:
             best = defect
             out.append(quad)
@@ -189,11 +189,11 @@ def test_best_rises_several_times_in_one_lane_word():
 def test_tied_maxima_give_least_witness():
     edges = [(0, 1), (0, 2), (0, 4), (1, 2), (1, 5), (1, 6), (2, 3), (3, 6), (6, 7)]
     g = Graph.from_edge_list(8, edges)
-    dm = g.distances()
+    d = g.distances()
     report = hyperbolicity(g)
     maximizers = [
         quad for quad in combinations(range(g.n), 4)
-        if four_point_hyp2(dm, *quad) == report.delta2
+        if four_point_hyp2(d, *quad) == report.delta2
     ]
     # (1, 2, 3, 7) ties the witness inside its own lane word.
     assert maximizers == [(1, 2, 3, 6), (1, 2, 3, 7), (2, 3, 5, 6), (2, 3, 5, 7)]
@@ -264,7 +264,7 @@ def test_scan_matches_plain_lane_scan(make, seed):
     # lane scan with no blocks and no stop.
     g = make(48 + 16 * seed, seed)
     report = hyperbolicity(g)
-    assert report == _scan(g.distances().rows, 0)
+    assert report == _scan(g.distances(), 0)
     assert report.delta2 == _delta2_of_blocks(g, _blocks(g))
 
 

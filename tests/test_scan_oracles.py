@@ -15,8 +15,6 @@ from oracles import (
     extended_squares_scan,
     find_long_induced_cycle_bfs,
     find_odd_cycle_bfs,
-    interval_scan,
-    interval_slice_scan,
     is_bipartite_bfs,
     is_split_by_prefixes,
     mcs_order_sorted,
@@ -83,19 +81,14 @@ def check_classes(g: Graph, seed: int = 0) -> tuple[bool, bool, bool]:
 
 
 def check_metric(g: Graph) -> int:
-    """Compare distances, intervals, slices, disks, extended squares and
-    peripheral vertices with their oracles on a connected g.
+    """Compare distances, disks, extended squares and peripheral vertices
+    with their oracles on a connected g.
 
     Returns the number of extended squares.
     """
     assert Graph(g.n, g.adj).distances() == distances_bfs(g)
-    d = g.distances().rows
-    for x in range(g.n):
-        for y in range(g.n):
-            assert g.interval(x, y) == interval_scan(g, x, y)
-            for k in range(d[x][y] + 1):
-                assert g.interval_slice(x, y, k) == interval_slice_scan(g, x, y, k)
-        for r in range(-2, g.distances().ecc[x] + 2):
+    for x, row in enumerate(g.distances()):
+        for r in range(-2, max(row) + 2):
             assert g.disk_mask(x, r) == disk_mask_scan(g, x, r)
     squares = extended_squares(g)
     assert squares == extended_squares_scan(g)
