@@ -9,12 +9,15 @@ tracks n + m, and m itself grows superlinearly for uniformly random
 twin-heavy instances).
 
 The pendant/twin *search* that turns an arbitrary graph back into a sequence
-is a separate worklist pass: it re-keys only the neighbours of each removed
-vertex, so it does O(n + m) bucket updates, each hashing an n-bit row. Time it
+is a separate worklist pass: a removed twin becomes a ghost of its anchor in
+every other key, so a removal re-keys only the anchor (at most four bucket
+updates), but each update and each pop still works on n-bit masks. Time it
 with --with-builder. On random DH graphs (seed 1, 2-vCPU host), eight runs over
-the default n = 500..4000 measured time growth exponents of 1.48-1.75, and four
-runs over n = 500..8000 measured 1.79-1.94, while m grows as about n^1.35: the
-per-update cost grows with n.
+the default n = 500..4000 measured time growth exponents of 1.53-1.64, and four
+runs over n = 500..8000 measured 1.55-1.66, while m grows as about n^1.35: the
+per-update cost grows with n. The former builder, which re-keyed every
+neighbour, measured 1.48-1.75 and 1.66-1.94 and was about 4x slower at
+n = 8000 (1.7-1.8 s against 0.41-0.47 s): the constant fell, not the exponent.
 
 Usage: python scripts/scaling_hellify.py [--sizes 1000,3000,10000,30000]
        [--seed 1] [--with-builder]
@@ -85,8 +88,9 @@ def main():
             print(f"{n:>8} {m:>10} {elapsed:>8.3f}")
         slope = loglog_slope([(r[0], r[2]) for r in brows])
         print(
-            f"builder time growth exponent ~ {slope:.2f} (1.48-1.75 measured for"
-            " n = 500..4000, 1.79-1.94 for n = 500..8000)"
+            f"builder time growth exponent ~ {slope:.2f} (1.53-1.64 measured for"
+            " n = 500..4000, 1.55-1.66 for n = 500..8000; about 4x below the"
+            " former neighbour re-keying builder, same exponent)"
         )
 
 

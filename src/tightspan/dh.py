@@ -16,12 +16,18 @@ and returned as a ``hulls.InjectiveHull``, whose vectors cost nothing unread.
 The sequence builder keeps the live vertices in one bucket map keyed by closed
 rows N[v] and open rows N(v), and a worklist mask of vertices whose status may
 have changed, popped lowest bit first, after Hammer and Maffray (1990) and
-Damiand, Habib and Paul (2001). The two kinds of key never collide:
-N[u] = N(w) puts u in N(w), so w is in N[u] = N(w), which is a loop. Removing
-a vertex re-keys only its neighbours, so a run makes O(n + m) bucket updates,
-each costing O(n / word size) on the bit-rows; the rows themselves stay the
-exact keys, so the result is deterministic. The replay and the
-Hellification core are linear in the size of the host.
+Damiand, Habib and Paul (2001). A removed twin v becomes a *ghost* of its
+anchor a, and a live row R is keyed as R plus the ghosts of its members. Ghost
+sets are disjoint from each other and from the live set, so keys are equal
+exactly when live rows are, and the two kinds of key never collide:
+N[u] = N(w) puts u in N(w), so w is in N[u] = N(w), which is a loop. Any
+x != a sees v exactly when it sees a, so x's keys already hold v as a ghost of
+a and do not move; only a's keys do: v leaves a true twin's open key and joins
+a false twin's closed key, and a pendant's one neighbour drops v and its
+ghosts from both. A run makes at most four bucket updates per removal, each
+costing O(n / word size) on the keys, and the keys stay exact, so the result
+is deterministic. The replay and the Hellification core are linear in the
+size of the host.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NotDistanceHereditaryError
-from .graphs import Graph, bits
+from .graphs import Graph
 from .hulls import InjectiveHull
 
 PENDANT = "pendant"
@@ -128,13 +134,15 @@ def pruning_sequence(g: Graph) -> Optional[PruningSequence]:
     """
     if not g.is_connected():
         return None
-    adj = list(g.adj)
-    # Live vertices as masks, bucketed by closed row N[v] and by open row N(v).
+    adj = g.adj
+    # Keys of live vertices: open and closed rows, each plus its members' ghosts.
+    okey = list(adj)
+    ckey = [row | 1 << v for v, row in enumerate(adj)]
+    ghosts = [0] * g.n
     buckets: dict[int, int] = {}
-    for v, row in enumerate(adj):
-        bit = 1 << v
-        buckets[row | bit] = buckets.get(row | bit, 0) | bit
-        buckets[row] = buckets.get(row, 0) | bit
+    for v in range(g.n):
+        for key in (okey[v], ckey[v]):
+            buckets[key] = buckets.get(key, 0) | 1 << v
     # Vertices whose status may have changed, lowest first; the live vertices.
     todo = live = (1 << g.n) - 1
     removed: list[PruningStep] = []
@@ -144,34 +152,38 @@ def pruning_sequence(g: Graph) -> Optional[PruningSequence]:
         bit = todo & -todo
         todo ^= bit
         v = bit.bit_length() - 1
-        row = adj[v]
+        row = adj[v] & live
         if row.bit_count() == 1:
             step = PruningStep(v, PENDANT, row.bit_length() - 1)
         else:
-            kind, partners = TRUE_TWIN, buckets[row | bit] ^ bit
+            kind, partners = TRUE_TWIN, buckets[ckey[v]] ^ bit
             if not partners:
-                kind, partners = FALSE_TWIN, buckets[row] ^ bit
+                kind, partners = FALSE_TWIN, buckets[okey[v]] ^ bit
                 if not partners:
                     continue
             step = PruningStep(v, kind, (partners & -partners).bit_length() - 1)
         removed.append(step)
         live ^= bit
-        _leave(buckets, row | bit, bit)
-        _leave(buckets, row, bit)
-        # Only v's neighbours change rows; a vertex elsewhere can become
-        # prunable only by gaining a bucket partner, so u's new bucket-mates
-        # are scheduled. A live vertex that had a partner is in todo already.
-        for u in bits(row):
-            old = adj[u]
-            ubit = 1 << u
-            _leave(buckets, old | ubit, ubit)
-            _leave(buckets, old, ubit)
-            adj[u] = new = old ^ bit
-            for key in (new | ubit, new):
-                members = buckets.get(key, 0)
-                todo |= members
-                buckets[key] = members | ubit
-            todo |= ubit
+        _leave(buckets, okey[v], bit)
+        _leave(buckets, ckey[v], bit)
+        # Only a's keys move: v turns into a ghost of a, which leaves a true
+        # twin's open key and enters a false twin's closed key, and a
+        # pendant's one neighbour drops v and its ghosts from both keys.
+        a, gone = step.anchor, ghosts[v] | bit
+        abit = 1 << a
+        if step.kind == PENDANT:
+            moved = (okey, ckey)
+        else:
+            moved = (okey,) if step.kind == TRUE_TWIN else (ckey,)
+            ghosts[a] |= gone
+        for keys in moved:
+            _leave(buckets, keys[a], abit)
+            keys[a] = key = keys[a] ^ gone
+            members = buckets.get(key, 0) | abit
+            buckets[key] = members
+            todo |= members
+        # A neighbour of v may be left a pendant.
+        todo |= row
     order = [live.bit_length() - 1] + [step.vertex for step in reversed(removed)]
     return PruningSequence(tuple(order), tuple(reversed(removed)))
 

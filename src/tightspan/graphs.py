@@ -140,10 +140,12 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         """All edges as sorted ``(u, v)`` pairs with ``u < v``."""
         out = []
-        for u in range(self.n):
-            row = self.adj[u] >> (u + 1) << (u + 1)
-            for v in bits(row):
-                out.append((u, v))
+        for u, row in enumerate(self.adj):
+            row = row >> (u + 1) << (u + 1)
+            while row:
+                low = row & -row
+                out.append((u, low.bit_length() - 1))
+                row ^= low
         return out
 
     def label(self, v: int) -> str:

@@ -11,7 +11,8 @@ coordinate by coordinate, the isometry check reads both all-pairs distance
 matrices, the hull document goes through ``json.dumps``, Helly checks go
 through exhaustive disk families, bounded disk-Helly intersects every pair
 of disks, pseudo-modularity is a direct triple scan over the distance
-matrix, DH pruning sequences come from a per-round rescan, DH recognition
+matrix, DH pruning sequences come from a per-round rescan and from the
+library's former neighbour re-keying worklist, DH recognition
 checks every connected induced subgraph for isometry, and hyperbolicity is
 the plain quadruple sweep, with the defect of one quadruple beside it. The
 class recognizers, suspension witnesses, extended squares, disks and
@@ -314,6 +315,68 @@ def pruning_sequence_rescan(g: Graph) -> Optional[PruningSequence]:
         adj[v] = 0
         alive.remove(v)
     order = [alive[0]] + [step.vertex for step in reversed(removed)]
+    return PruningSequence(tuple(order), tuple(reversed(removed)))
+
+
+def pruning_sequence_rekey(g: Graph) -> Optional[PruningSequence]:
+    """The library's former worklist builder, which re-keys every neighbour.
+
+    Live vertices sit in one bucket map keyed by the exact closed rows N[v]
+    and open rows N(v); removing a vertex moves each of its neighbours to the
+    buckets of its shrunk rows and schedules their new bucket-mates, O(n + m)
+    bucket updates in all. Same rule as ``pruning_sequence_rescan``, fast
+    enough for the differential tests at n in the hundreds and thousands.
+    """
+    if not g.is_connected():
+        return None
+    adj = list(g.adj)
+    buckets: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        bit = 1 << v
+        buckets[row | bit] = buckets.get(row | bit, 0) | bit
+        buckets[row] = buckets.get(row, 0) | bit
+
+    def leave(key: int, bit: int) -> None:
+        members = buckets[key] ^ bit
+        if members:
+            buckets[key] = members
+        else:
+            del buckets[key]
+
+    todo = live = (1 << g.n) - 1
+    removed: list[PruningStep] = []
+    while live & (live - 1):
+        if not todo:
+            return None
+        bit = todo & -todo
+        todo ^= bit
+        v = bit.bit_length() - 1
+        row = adj[v]
+        if row.bit_count() == 1:
+            step = PruningStep(v, PENDANT, row.bit_length() - 1)
+        else:
+            kind, partners = TRUE_TWIN, buckets[row | bit] ^ bit
+            if not partners:
+                kind, partners = FALSE_TWIN, buckets[row] ^ bit
+                if not partners:
+                    continue
+            step = PruningStep(v, kind, (partners & -partners).bit_length() - 1)
+        removed.append(step)
+        live ^= bit
+        leave(row | bit, bit)
+        leave(row, bit)
+        for u in bits(row):
+            old = adj[u]
+            ubit = 1 << u
+            leave(old | ubit, ubit)
+            leave(old, ubit)
+            adj[u] = new = old ^ bit
+            for key in (new | ubit, new):
+                members = buckets.get(key, 0)
+                todo |= members
+                buckets[key] = members | ubit
+            todo |= ubit
+    order = [live.bit_length() - 1] + [step.vertex for step in reversed(removed)]
     return PruningSequence(tuple(order), tuple(reversed(removed)))
 
 

@@ -6,6 +6,7 @@ from oracles import (
     canonical_hull,
     is_dh_by_definition,
     poset_snapshot,
+    pruning_sequence_rekey,
     pruning_sequence_rescan,
     tree_plus_chords,
 )
@@ -133,6 +134,85 @@ def _sequence(order, steps):
 def test_pruning_sequence_lowest_id_rule(g, expected):
     assert pruning_sequence_rescan(g) == expected
     assert pruning_sequence(g) == expected
+
+
+def _ghost_uses(seq):
+    """Kinds with which a vertex that already anchored a removed twin is
+    itself removed later, read off the removal order (steps reversed)."""
+    anchored, kinds = set(), set()
+    for step in reversed(seq.steps):
+        if step.vertex in anchored:
+            kinds.add(step.kind)
+        if step.kind != PENDANT:
+            anchored.add(step.anchor)
+    return kinds
+
+
+def _complete_bipartite(a, b):
+    return Graph.from_edge_list(a + b, [(u, a + w) for u in range(a) for w in range(b)])
+
+
+# Butterfly: 0 leaves as 1's true twin, then 1 as 2's pendant, so 2's keys
+# must drop 1's ghost 0 before 2 and 3 are seen as true twins.
+BUTTERFLY = Graph.from_edge_list(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+# 0 leaves as 1's true twin, then 1, holding 0, as 2's false twin over hubs 3, 4.
+TWIN_OF_GHOST_HOLDER = Graph.from_edge_list(
+    5, [(0, 1), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)]
+)
+
+
+def test_ghost_cases_reach_both_paths():
+    assert PENDANT in _ghost_uses(pruning_sequence(BUTTERFLY))
+    assert FALSE_TWIN in _ghost_uses(pruning_sequence(TWIN_OF_GHOST_HOLDER))
+    assert pruning_sequence(BUTTERFLY) == _sequence(
+        (4, 3, 2, 1, 0), [(PENDANT, 4), (TRUE_TWIN, 3), (PENDANT, 2), (TRUE_TWIN, 1)]
+    )
+
+
+@pytest.mark.parametrize("g", [
+    BUTTERFLY,
+    TWIN_OF_GHOST_HOLDER,
+    *(fixture(f"K{n}") for n in range(2, 9)),
+    *(_complete_bipartite(a, b) for a in range(1, 5) for b in range(a, 7)),
+])
+def test_pruning_sequence_matches_both_oracles_on_ghost_cases(g):
+    expected = pruning_sequence_rescan(g)
+    assert pruning_sequence_rekey(g) == expected
+    assert pruning_sequence(g) == expected
+
+
+def test_pruning_sequence_matches_rekey_at_scale():
+    """Differential check against the former neighbour re-keying builder,
+    past the sizes the per-round rescan can reach: DH graphs up to the cap,
+    chordal and chorded-tree graphs, and squares, which fail part-way."""
+    inputs = [random_dh(n, seed) for n in (256, 384, 512) for seed in range(2)]
+    inputs.append(random_dh(4096, 0))
+    inputs += [random_chordal(200, seed) for seed in range(2)]
+    inputs += [tree_plus_chords(200, seed) for seed in range(2)]
+    inputs += [random_dh(n, seed).power(2) for n, seed in ((60, 0), (120, 1), (200, 2))]
+    results = [pruning_sequence(g) for g in inputs]
+    assert results == [pruning_sequence_rekey(g) for g in inputs]
+    assert {PENDANT, TRUE_TWIN, FALSE_TWIN} <= set().union(
+        *(_ghost_uses(seq) for seq in results if seq is not None)
+    )
+    assert sum(seq is None for seq in results) == 7
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pruning_sequence_bucket_updates_per_removal(monkeypatch, seed):
+    """At most 4 bucket leaves per removed vertex: its own two keys and at
+    most two of its anchor's. Re-keying every neighbour made 2m + 2n."""
+    calls = []
+    leave = dh._leave
+
+    def spy(*args):
+        calls.append(args)
+        leave(*args)
+
+    monkeypatch.setattr(dh, "_leave", spy)
+    g = random_dh(512, seed)
+    seq = pruning_sequence(g)
+    assert len(calls) <= 4 * len(seq.steps) < 2 * g.m
 
 
 @pytest.mark.parametrize("g", [
