@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Soft scaling check for distance-hereditary Hellification.
 
-Times the sequence-to-hull core (an O(1)-per-step twin-class pass plus host
-construction, linear in the size of the host) on random build sequences,
-and reports hull-size growth. The expectation: hull vertex count stays
+Times the sequence-to-hull core (one pass over the sequence that updates
+the twin classes in O(1) per step and writes the host's neighbour lists as
+it goes, linear in the size of the host) on random build sequences, and
+reports hull-size growth. The expectation: hull vertex count stays
 within a small constant of n, and core time grows subquadratically in n (it
 tracks n + m, and m itself grows superlinearly for uniformly random
 twin-heavy instances).
@@ -40,7 +41,7 @@ def measure_core(sizes, seed):
     for n in sizes:
         seq = random_pruning_sequence(n, seed)
         start = time.monotonic()
-        adj, added, _ = hellify_adjacency(seq)
+        adj, added = hellify_adjacency(seq)
         elapsed = time.monotonic() - start
         hull_n = len(adj)
         hull_m = sum(len(a) for a in adj) // 2

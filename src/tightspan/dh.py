@@ -4,14 +4,15 @@ A graph is distance-hereditary exactly when it can be grown from a single
 vertex by pendant, true-twin, and false-twin extensions. Recognition prunes
 such a vertex per round and reverses the removals into a
 :class:`PruningSequence`, and :func:`replay` rebuilds the graph from one.
-Hellification walks the sequence and emits the host's sequence: every step
-is copied, and a false twin of an anchor whose closed neighborhood is not
-contained in any other vertex's is preceded by a fresh true twin of the
-anchor (the new Helly vertex). The dominator query reads the host's
-true-twin classes, each kept with its size and a flag saying that some
-closed neighbourhood strictly contains the class's; a step updates them in
-O(1). The host is built from its sequence by the same code as :func:`replay`
-and returned as a ``hulls.InjectiveHull``, whose vectors cost nothing unread.
+Hellification is one walk over the sequence that writes the host's
+neighbour lists as it goes: a false twin of an anchor whose closed
+neighbourhood is not contained in any other vertex's is preceded by a fresh
+true twin of the anchor (the new Helly vertex). The dominator query reads
+the host's true-twin classes, each kept with its size and a flag saying that
+some closed neighbourhood strictly contains the class's; a step updates them
+in O(1). Every step, Helly or not, meets the lists through the same code as
+:func:`replay`, and the host is returned as a ``hulls.InjectiveHull``, whose
+vectors cost nothing unread.
 
 The sequence builder keeps the live vertices in one bucket map keyed by closed
 rows N[v] and open rows N(v), and a worklist mask of vertices whose status may
@@ -33,7 +34,7 @@ size of the host.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import NotDistanceHereditaryError
 from .graphs import Graph
@@ -49,15 +50,10 @@ KINDS = (PENDANT, TRUE_TWIN, FALSE_TWIN)
 MAX_VERTICES = 4096
 
 
-@dataclass(frozen=True)
-class PruningStep:
+class PruningStep(NamedTuple):
     vertex: int
     kind: str
     anchor: int
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -65,8 +61,9 @@ class PruningSequence:
     """Build order from a single vertex: ``steps[i]`` attaches ``order[i+1]``.
 
     Construction rejects a sequence that does not build a connected graph on
-    0..n-1: the order must be a permutation, each anchor placed before its
-    step, and step 0 no false twin of the isolated first vertex.
+    0..n-1: the order must be a permutation, each step of a known kind with
+    its anchor placed before it, and step 0 no false twin of the isolated
+    first vertex. This is the only check of a step.
     """
 
     order: tuple[int, ...]
@@ -80,6 +77,8 @@ class PruningSequence:
             raise ValueError("order must be a permutation of 0..n-1")
         pos = {v: i for i, v in enumerate(self.order)}
         for i, step in enumerate(self.steps):
+            if step.kind not in KINDS:
+                raise ValueError(f"step {i}: unknown kind {step.kind!r}")
             if step.vertex != self.order[i + 1]:
                 raise ValueError(f"step {i} vertex does not match order")
             if pos.get(step.anchor, n) > i:
@@ -94,24 +93,23 @@ def replay(seq: PruningSequence) -> Graph:
     A :class:`PruningSequence` rejects invalid steps when it is built, so
     every sequence replays to a connected graph.
     """
-    return Graph._of(len(seq.order), _rows(_neighbour_lists(seq)))
-
-
-def _neighbour_lists(seq: PruningSequence) -> list[list[int]]:
-    """Apply every step of ``seq``; the one place a step kind meets adjacency."""
     adj: list[list[int]] = [[] for _ in seq.order]
     for step in seq.steps:
-        a = step.anchor
-        if step.kind == PENDANT:
-            row = [a]
-        elif step.kind == TRUE_TWIN:
-            row = adj[a] + [a]
-        else:
-            row = adj[a][:]
-        adj[step.vertex] = row
-        for u in row:
-            adj[u].append(step.vertex)
-    return adj
+        _attach(adj, *step)
+    return Graph._of(len(adj), _rows(adj))
+
+
+def _attach(adj: list[list[int]], vertex: int, kind: str, anchor: int) -> None:
+    """Place ``vertex`` by one step; the one place a step kind meets adjacency."""
+    if kind == PENDANT:
+        row = [anchor]
+    elif kind == TRUE_TWIN:
+        row = adj[anchor] + [anchor]
+    else:
+        row = adj[anchor][:]
+    adj[vertex] = row
+    for u in row:
+        adj[u].append(vertex)
 
 
 def _rows(adj: list[list[int]]) -> list[int]:
@@ -251,34 +249,30 @@ class _TwinClasses:
         return self.size[s] > 1 or self.strict[s]
 
 
-def hellify_adjacency(
-    seq: PruningSequence,
-) -> tuple[list[list[int]], list[tuple[int, int]], PruningSequence]:
+def hellify_adjacency(seq: PruningSequence) -> tuple[list[list[int]], list[tuple[int, int]]]:
     """Core Hellification: one twin-class pass over a pruning sequence.
 
-    Emits the host's pruning sequence, in which each added Helly vertex is a
-    true twin of its anchor placed just before the false twin that forced
-    it, and builds the host from that sequence. A false twin is forced
-    exactly when its anchor has no dominator; the Helly twin gives it one,
-    so every false twin reaches :class:`_TwinClasses` with a dominated
-    anchor, as its O(1) update requires. Returns (host adjacency lists,
-    added (vertex, anchor) pairs, host pruning sequence).
+    Writes each step into the host's neighbour lists as it goes, and each
+    added Helly vertex, a true twin of its anchor numbered from n on, just
+    before the false twin that forced it. A false twin is forced exactly when
+    its anchor has no dominator; the Helly twin gives it one, so every false
+    twin reaches :class:`_TwinClasses` with a dominated anchor, as its O(1)
+    update requires. Returns (host adjacency lists, added (vertex, anchor)
+    pairs).
     """
-    n = len(seq.order)
+    adj: list[list[int]] = [[] for _ in seq.order]
     classes = _TwinClasses(seq.order[0])
-    steps: list[PruningStep] = []
     added: list[tuple[int, int]] = []
     for step in seq.steps:
         if step.kind == FALSE_TWIN and not classes.dominated(step.anchor):
-            helly = PruningStep(n + len(added), TRUE_TWIN, step.anchor)
+            helly = PruningStep(len(adj), TRUE_TWIN, step.anchor)
+            adj.append([])
             added.append((helly.vertex, step.anchor))
             classes.apply(helly)
-            steps.append(helly)
+            _attach(adj, *helly)
         classes.apply(step)
-        steps.append(step)
-    order = (seq.order[0],) + tuple(step.vertex for step in steps)
-    host_seq = PruningSequence(order, tuple(steps))
-    return _neighbour_lists(host_seq), added, host_seq
+        _attach(adj, *step)
+    return adj, added
 
 
 def hellify_dh(g: Graph) -> InjectiveHull:
@@ -291,7 +285,7 @@ def hellify_dh(g: Graph) -> InjectiveHull:
     seq = pruning_sequence(g)
     if seq is None:
         raise NotDistanceHereditaryError("input graph is not distance-hereditary")
-    adj, added, _ = hellify_adjacency(seq)
+    adj, added = hellify_adjacency(seq)
     labels = [g.label(v) for v in range(g.n)]
     for k, (vertex, anchor) in enumerate(added, start=1):
         labels.append(f"h{k}({g.label(anchor)})")

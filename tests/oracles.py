@@ -26,12 +26,15 @@ search, ``shortest_path_bfs``.
 ``canonical_hull`` puts a Hellification hull into the enumeration hull's
 order, so the two compare exactly. ``TwinClassPoset`` is the library's
 former dominator structure, with containment edges between true-twin
-classes, and ``poset_snapshot`` reads it as value objects.
+classes, and ``poset_snapshot`` reads it as value objects;
+``hellify_sequence`` walks a pruning sequence on it and returns the
+Hellification host's sequence. ``is_comparability`` checks Golumbic's
+implication classes, for pinning which graphs are permutation graphs.
 """
 
 import json
 from collections import deque
-from itertools import combinations
+from itertools import combinations, count
 from typing import Optional, Sequence
 
 import numpy as np
@@ -577,6 +580,55 @@ def poset_snapshot(poset) -> tuple[list[frozenset[int]], set[tuple[frozenset, fr
         for b in targets:
             edges.add((frozenset(poset.members[a]), frozenset(poset.members[b])))
     return classes, edges
+
+
+def hellify_sequence(seq: PruningSequence) -> PruningSequence:
+    """The Hellification host's pruning sequence, walked on ``TwinClassPoset``.
+
+    Every step is kept, and each false twin whose anchor has no dominator is
+    preceded by a fresh true twin of the anchor, numbered from n on.
+    """
+    n = len(seq.order)
+    poset = TwinClassPoset(seq.order[0])
+    steps, helly_ids = [], count(n)
+    for step in seq.steps:
+        if step.kind == FALSE_TWIN and not poset.has_dominator(step.anchor):
+            helly = PruningStep(next(helly_ids), TRUE_TWIN, step.anchor)
+            poset.apply(helly)
+            steps.append(helly)
+        poset.apply(step)
+        steps.append(step)
+    order = (seq.order[0],) + tuple(step.vertex for step in steps)
+    return PruningSequence(order, tuple(steps))
+
+
+def is_comparability(n: int, edges) -> bool:
+    """Is the graph on 0..n-1 transitively orientable?
+
+    Golumbic's implication classes (Algorithmic Graph Theory and Perfect
+    Graphs, 1980): arcs ab and ab' are forced alike when b and b' are
+    distinct and non-adjacent, and so are ba and b'a. The graph is a
+    comparability graph iff no class holds both an arc and its reverse.
+    """
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    parent = {}
+
+    def find(arc):
+        parent.setdefault(arc, arc)
+        while parent[arc] != arc:
+            parent[arc] = parent[parent[arc]]
+            arc = parent[arc]
+        return arc
+
+    for a in range(n):
+        for b, c in combinations(sorted(nbrs[a]), 2):
+            if c not in nbrs[b]:
+                parent[find((a, b))] = find((a, c))
+                parent[find((b, a))] = find((c, a))
+    return all(find((u, v)) != find((v, u)) for u in range(n) for v in nbrs[u])
 
 
 def brute_force_chordal(g: Graph) -> bool:

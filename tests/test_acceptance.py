@@ -9,7 +9,7 @@ import math
 import time
 from functools import cache
 
-from oracles import brute_force_extremal, canonical_hull
+from oracles import brute_force_extremal, canonical_hull, is_comparability
 from tightspan import (
     SplitMix64,
     all_extended_squares_suspended,
@@ -112,6 +112,24 @@ def test_criterion_4_permutation_fixture():
         and is_at_free(h.hull)
     )
     report(4, ok, "2 Helly vertices, h1~{a,b,c,d,f}, hull AT-free")
+
+
+def _comparability_pair(g):
+    """Are G and its complement comparability graphs? Both hold exactly when
+    G is a permutation graph (Pnueli, Lempel and Even, 1971)."""
+    co = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+    return is_comparability(g.n, g.edges()), is_comparability(g.n, co)
+
+
+def test_criterion_4_permutation_graphs_not_closed():
+    # the abstract's claim: the permutation fixture's 8-vertex hull is not one
+    g = fixture("permutation")
+    h = build_injective_hull(g).hull
+    c5, p5 = fixture("C5"), fixture("P5")
+    sanity = not is_comparability(5, c5.edges()) and is_comparability(5, p5.edges())
+    pairs = (_comparability_pair(g), _comparability_pair(h))
+    ok = sanity and h.n == 8 and pairs == ((True, True), (False, True))
+    report(4, ok, "G and its complement comparability, H(G) not")
 
 
 def test_criterion_5_exponential_family_counts():

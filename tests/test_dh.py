@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from oracles import (
     TwinClassPoset,
     canonical_hull,
+    hellify_sequence,
     is_dh_by_definition,
     poset_snapshot,
     pruning_sequence_rekey,
@@ -355,7 +356,7 @@ def test_poset_invariants_along_random_sequences(seed):
 @pytest.mark.parametrize("n", range(2, 13))
 def test_twin_classes_match_closed_rows_along_host_sequences(n):
     for seed in range(40):
-        host = hellify_adjacency(random_pruning_sequence(n, seed))[2]
+        host = hellify_sequence(random_pruning_sequence(n, seed))
         adj = replay(host).adj
         classes = dh._TwinClasses(host.order[0])
         placed = 1 << host.order[0]
@@ -387,7 +388,7 @@ def _assert_twin_classes_match_poset(host, check_all):
 @pytest.mark.parametrize("n", [100, 300, 1000, 3000])
 def test_twin_classes_match_poset_on_long_sequences(n):
     for seed in range(3):
-        host = hellify_adjacency(random_pruning_sequence(n, seed))[2]
+        host = hellify_sequence(random_pruning_sequence(n, seed))
         last = len(host.order)
         _assert_twin_classes_match_poset(host, lambda i: i & (i - 1) == 0 or i == last)
 
@@ -395,7 +396,7 @@ def test_twin_classes_match_poset_on_long_sequences(n):
 @pytest.mark.parametrize("n", [64, 256, 512])
 def test_twin_classes_match_poset_on_random_dh(n):
     for seed in range(3):
-        host = hellify_adjacency(pruning_sequence(random_dh(n, seed)))[2]
+        host = hellify_sequence(pruning_sequence(random_dh(n, seed)))
         _assert_twin_classes_match_poset(host, lambda i: True)
 
 
@@ -421,9 +422,9 @@ def test_hellify_rejects_non_dh():
 def test_hellify_bound_check_fires(monkeypatch):
     # pad the core's host with isolated vertices past 2n, each with a label
     def padded(seq):
-        adj, added, host_seq = hellify_adjacency(seq)
+        adj, added = hellify_adjacency(seq)
         extra = range(len(adj), 2 * len(seq.order) + 1)
-        return adj + [[] for _ in extra], added + [(v, 0) for v in extra], host_seq
+        return adj + [[] for _ in extra], added + [(v, 0) for v in extra]
 
     monkeypatch.setattr(dh, "hellify_adjacency", padded)
     with pytest.raises(RuntimeError, match="internal consistency failure: hull exceeds 2n/4m"):
@@ -456,9 +457,30 @@ def test_hellify_invariants(seed):
     assert result.hull.m <= 4 * g.m
     assert is_helly(result.hull)
     assert pruning_sequence(result.hull) is not None
-    assert replay(hellify_adjacency(pruning_sequence(g))[2]) == result.hull
+    assert replay(hellify_sequence(pruning_sequence(g))) == result.hull
     # source vertex z is hull vertex z
     assert result.hull.induced(range(g.n)) == g
+
+
+@pytest.mark.parametrize("n", [256, 384, 512])
+def test_hellify_matches_poset_host_sequence_at_workload_sizes(n):
+    # the hull against its host sequence walked on the independent poset
+    for seed in range(2):
+        g = random_dh(n, seed)
+        assert replay(hellify_sequence(pruning_sequence(g))) == hellify_dh(g).hull, seed
+
+
+def test_hellify_builds_one_sequence(monkeypatch):
+    built = []
+
+    class Counted(PruningSequence):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(dh, "PruningSequence", Counted)
+    result = hellify_dh(random_dh(64, 0))
+    assert result.added and len(built) == 1
 
 
 def _compacted_prefix(seq, length):
@@ -474,7 +496,7 @@ def _compacted_prefix(seq, length):
 @pytest.mark.parametrize("seed", range(8))
 def test_hellify_host_stays_helly_after_every_insertion(seed):
     g = random_dh(8, seed)
-    seq = hellify_adjacency(pruning_sequence(g))[2]
+    seq = hellify_sequence(pruning_sequence(g))
     for i in range(1, len(seq.order) + 1):
         assert is_helly(replay(_compacted_prefix(seq, i))), (seed, i)
 
