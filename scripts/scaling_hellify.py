@@ -29,7 +29,8 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from spans import loglog_slope  # noqa: E402
 from tightspan.dh import hellify_adjacency, pruning_sequence, replay  # noqa: E402

@@ -40,10 +40,12 @@ EXIT_PRECONDITION = 3
 # algorithms are uncapped; the generators cap n, so `generate` fails before it
 # lists edges. At n = 512 (2-vCPU host, Python 3.11) the hull search of a
 # 2-connected input costs 55-87 us per node, so the default budget would run
-# 9-15 min before exit 2. The four-point scan takes 7-11 s on inputs whose
-# largest block holds about 330 vertices (random_dh 7.0 s, random_chordal
-# 11.3 s) and 2.4 s on C512; P512, all bridges, runs no scan (0.5 s of BFS).
-# The hyperbolicity cap stays until the scan has a work budget.
+# 9-15 min before exit 2. The four-point scan stops at a proven bound on
+# 2*delta: random_dh(512, 1) takes 0.16-0.25 s and random_chordal(512, 1)
+# 0.21-0.24 s (largest blocks of about 330 vertices, bound 2), C512 0.4 s
+# (bound the diameter), and P512, all bridges, runs no scan (0.4 s of BFS).
+# An input whose delta stays below its bound scans in full: C510 and C511 take
+# 1.3-2.3 s. The hyperbolicity cap stays until the scan has a work budget.
 HULL_MAX_VERTICES = 14
 HYPERBOLICITY_MAX_VERTICES = 128
 

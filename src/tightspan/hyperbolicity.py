@@ -16,7 +16,9 @@ that order:
   so subtraction never borrows across lanes and the lane's top bit is set
   exactly when S_i - S_j > best. The lowest marked lane with x > w is the next
   improving quadruple; its defect is taken exactly and only higher lanes are
-  rescanned.
+  rescanned. Lanes are byte-aligned: ``width`` is the item size of the first
+  ``array`` typecode of B, H, I, Q whose signed range holds 4*diam+1, so
+  ``int.from_bytes`` packs a row in C, not one shift per entry.
 * Pruning by distance bounds (Cohen, Coudert and Lancin, "On computing the
   Gromov hyperbolicity", ACM JEA 2015). The doubled defect is at most
   2*d(u,v), so a pair (u,v) with 2*d(u,v) <= best is skipped. By the triangle
@@ -38,15 +40,29 @@ all of g from best = 2*delta - 1 and returns at its first improvement: since
 pruning skips only quadruples with a defect of at most 2*delta - 1, that is
 the least maximizer. A block's own witness would not do, as a quadruple
 through other blocks can come first (a pendant vertex before a C4). When g is
-one block, phase 1 was the whole-graph scan from 0; when delta = 0, every
-quadruple attains it and the witness is (0, 1, 2, 3).
+one block, phase 1 is the whole-graph scan from 0, on g's own rows; when
+delta = 0, every quadruple attains it and the witness is (0, 1, 2, 3).
+
+Every phase-1 scan stops at a proven bound on 2*delta, and phase 1 skips the
+remaining blocks once one reaches it. The bound is the diameter, since by the
+pruning bounds a defect is at most max(d(u,v), d(u,w), d(v,w)). It is 2 when
+g is chordal (Brinkmann, Koolen and Moulton, as above: chordal graphs are
+1-hyperbolic) or distance-hereditary (Wu and Zhang, "Chordality and
+hyperbolicity of a graph", Electron. J. Combin. 18, 2011: a k-chordal graph,
+one with no induced cycle longer than k >= 4, is floor(k/2)/2-hyperbolic; DH
+graphs have no induced cycle longer than 4). A scan that reaches the bound has
+found its maximum, and as it runs in the same order from the same start, it
+stops at the least maximizer, so witnesses are as without the stop.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
+from . import detectors, dh
 from .graphs import Graph, _blocks
 
 
@@ -67,11 +83,31 @@ def hyperbolicity(g: Graph) -> HyperbolicityReport:
     if g.n < 4:
         return HyperbolicityReport(0, (0,) * 4)
     report = HyperbolicityReport(0, (0, 1, 2, 3))
-    for block in (b for b in _blocks(g) if len(b) > 3):
-        report = _scan([[d[a][c] for c in block] for a in block], report.delta2)
-        if len(block) == g.n:  # g is one block: this was the whole-graph scan
-            return report
+    blocks = [b for b in _blocks(g) if len(b) > 3]
+    if not blocks:
+        return report
+    bound = max(map(max, d))
+    if bound > 2 and (detectors.is_chordal(g) or dh.pruning_sequence(g) is not None):
+        bound = 2
+    if len(blocks[0]) == g.n:  # g is one block: phase 1 is the whole-graph scan
+        return _scan(d, 0, bound)
+    for block in blocks:
+        report = _scan([[d[a][c] for c in block] for a in block], report.delta2, bound)
+        if report.delta2 == bound:
+            break
     return _scan(d, report.delta2 - 1, report.delta2) if report.delta2 else report
+
+
+# Array typecodes by item size, each with its width in bits.
+_LANE_CODES = [(code, 8 * array(code).itemsize) for code in "BHIQ"]
+
+
+def _lanes(code: str, values: Iterable[int]) -> int:
+    """One int holding values[x] in lane x, each lane one ``code`` item wide."""
+    packed = array(code, values)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return int.from_bytes(packed, "little")
 
 
 def _scan(
@@ -81,10 +117,10 @@ def _scan(
     returning at the first equal to ``stop``; witness (0, 1, 2, 3) if none."""
     n = len(d)
     span = 4 * max(map(max, d)) + 1
-    width = span.bit_length() + 1
-    ones = sum(1 << (width * x) for x in range(n))
+    code, width = next((c, w) for c, w in _LANE_CODES if span < 1 << (w - 1))
+    ones = _lanes(code, [1] * n)
     guard = ones << (width - 1)
-    rows = [sum(dist << (width * x) for x, dist in enumerate(row)) for row in d]
+    rows = [_lanes(code, row) for row in d]
     # offset[span + c] puts c on top of the guard bit in every lane.
     offset = [guard + c * ones for c in range(-span, span + 1)]
     # above[x]: the guard bits of lanes x+1 .. n-1.

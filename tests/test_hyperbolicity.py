@@ -1,3 +1,4 @@
+import importlib
 from collections import Counter
 from itertools import combinations, permutations
 
@@ -21,8 +22,13 @@ from tightspan import (
     random_dh,
     split_family,
 )
+from tightspan.detectors import is_chordal
+from tightspan.dh import pruning_sequence
 from tightspan.graphs import _blocks
 from tightspan.hyperbolicity import _scan
+
+# The package attribute ``tightspan.hyperbolicity`` is the function.
+hyp_module = importlib.import_module("tightspan.hyperbolicity")
 
 
 def test_four_point_tree_is_zero():
@@ -135,11 +141,11 @@ def _lollipop(cycle: int, tail: int) -> Graph:
     return Graph.from_edge_list(cycle + tail, edges)
 
 
-def _improvements(g: Graph) -> list:
-    """The quadruples at which the lexicographic sweep raises its best defect."""
-    d = g.distances()
+def _improvements(d) -> list:
+    """The quadruples at which the lexicographic sweep of distance rows ``d``
+    raises its best defect."""
     best, out = 0, []
-    for quad in combinations(range(g.n), 4):
+    for quad in combinations(range(len(d)), 4):
         defect = four_point_hyp2(d, *quad)
         if defect > best:
             best = defect
@@ -155,8 +161,10 @@ def test_scan_matches_oracle(g):
 
 @pytest.mark.parametrize("k", range(4, 41))
 def test_scan_matches_oracle_seeded_cycles(k):
-    g = _relabelled_cycle(k, k)
-    assert hyperbolicity(g) == hyperbolicity_scan(g)
+    # C_4m reaches its diameter bound, which stops the scan; the other
+    # residues mod 4 stay below it and scan to the end.
+    for g in (fixture(f"C{k}"), _relabelled_cycle(k, k)):
+        assert hyperbolicity(g) == hyperbolicity_scan(g)
 
 
 @pytest.mark.parametrize("make", [random_dh, random_chordal, tree_plus_chords])
@@ -181,7 +189,7 @@ def test_best_rises_several_times_in_one_lane_word():
     positions += [21, 22, 23]
     label = {p: i for i, p in enumerate(positions)}
     g = Graph.from_edge_list(24, [(label[p], label[(p + 1) % 24]) for p in range(24)])
-    rises = Counter(quad[:3] for quad in _improvements(g))
+    rises = Counter(quad[:3] for quad in _improvements(g.distances()))
     assert rises[(0, 1, 2)] == 4
     assert hyperbolicity(g) == hyperbolicity_scan(g)
 
@@ -273,3 +281,109 @@ def test_trees_give_zero_and_first_quadruple(n):
     rng = SplitMix64(n)
     for g in (fixture(f"P{n}"), Graph.from_edge_list(n, [(rng.below(v), v) for v in range(1, n)])):
         assert hyperbolicity(g) == HyperbolicityReport(0, (0, 1, 2, 3))
+
+
+# -- stopping at a proven bound: 2*delta <= diam, and <= 2 on chordal and DH --
+
+
+def _glued(a: Graph, b: Graph, cut: int) -> Graph:
+    """b glued to a at one vertex: b's vertex 0 becomes a's ``cut`` and b's
+    other vertices follow a's."""
+    image = [cut] + list(range(a.n, a.n + b.n - 1))
+    edges = a.edges() + [(image[u], image[v]) for u, v in b.edges()]
+    return Graph.from_edge_list(a.n + b.n - 1, edges)
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Records (len(d), best, stop) of every ``_scan`` call."""
+    calls = []
+
+    def record(d, best, stop=None):
+        calls.append((len(d), best, stop))
+        return _scan(d, best, stop)
+
+    monkeypatch.setattr(hyp_module, "_scan", record)
+    return calls
+
+
+@pytest.mark.parametrize("make", [random_dh, random_chordal])
+@pytest.mark.parametrize("seed", range(3))
+def test_scan_matches_oracle_on_one_hyperbolic_classes(make, seed):
+    for n in range(8, 41):
+        g = make(n, 100 * seed + n)
+        report = hyperbolicity(g)
+        assert report == hyperbolicity_scan(g), n
+        assert report.delta2 <= 2, n
+
+
+# DH or chordal blocks of delta 1, glued in both orders and at several cut
+# vertices: the first large block reaches the bound 2, the second is skipped,
+# and phase 2 scans all of g from 1. The last graph is neither chordal nor
+# DH, so its bound is its diameter, 4, and both blocks are scanned.
+GLUED = [
+    (random_dh(11, 11), fixture("C4"), 5, [(4, 0, 2), (14, 1, 2)]),
+    (fixture("C4"), random_dh(11, 11), 2, [(11, 0, 2), (14, 1, 2)]),
+    (fixture("C4"), random_dh(11, 11), 0, [(4, 0, 2), (14, 1, 2)]),
+    (random_chordal(13, 4), random_chordal(13, 4), 7, [(13, 0, 2), (25, 1, 2)]),
+    (random_chordal(13, 4), random_chordal(13, 4), 0, [(13, 0, 2), (25, 1, 2)]),
+    (random_chordal(13, 4), fixture("C4"), 3, [(4, 0, 4), (13, 2, 4), (16, 1, 2)]),
+]
+
+
+@pytest.mark.parametrize("a,b,cut,calls", GLUED)
+def test_glued_scans_stop_at_the_bound(a, b, cut, calls, scans):
+    g = _glued(a, b, cut)
+    assert hyperbolicity(g) == hyperbolicity_scan(g)
+    assert scans == calls
+
+
+def test_least_witness_in_a_skipped_block(scans):
+    # C4 - C4 glued at 3: the block {3, 4, 5, 6} is scanned first and reaches
+    # 2, so {0, 1, 2, 3} is skipped, yet holds the least witness.
+    g = _glued(fixture("C4"), fixture("C4"), 3)
+    assert _blocks(g) == [[3, 4, 5, 6], [0, 1, 2, 3]]
+    assert hyperbolicity(g) == HyperbolicityReport(2, (0, 1, 2, 3))
+    assert scans == [(4, 0, 2), (7, 1, 2)]
+
+
+@pytest.mark.parametrize("make", [random_dh, random_chordal])
+def test_every_phase_one_scan_stops_at_two_on_one_hyperbolic_classes(make, scans):
+    for n in (16, 32, 48, 64, 96):
+        for seed in range(3):
+            g = make(n, seed)
+            assert is_chordal(g) or pruning_sequence(g) is not None
+            scans.clear()
+            report = hyperbolicity(g)
+            assert scans, (n, seed)
+            if len(scans) > 1 or scans[0][0] < g.n:  # g is not one block
+                assert scans[-1] == (g.n, report.delta2 - 1, report.delta2)
+                del scans[-1]
+            assert all(stop == 2 for _, _, stop in scans), (n, seed)
+
+
+@pytest.mark.parametrize("k", [8, 12, 40, 128])
+def test_cycle_scan_stops_at_the_diameter(k, scans):
+    report = hyperbolicity(fixture(f"C{k}"))
+    assert scans == [(k, 0, k // 2)]
+    assert report.delta2 == k // 2
+
+
+@pytest.mark.parametrize("name", ["C5", "C6", "C9", "house", "domino"])
+@pytest.mark.parametrize("scale,code", [(1, "B"), (100, "H"), (10_000, "I")])
+def test_lane_widths_on_scaled_metrics(name, scale, code, monkeypatch):
+    # A metric times c is a metric whose defects are c times as large; its
+    # span 4*c*diam+1 picks the lane typecode. The offset table holds
+    # 2*span+1 ints, so a span that needs Q is out of reach.
+    d = [[scale * x for x in row] for row in fixture(name).distances()]
+    codes = set()
+    lanes = hyp_module._lanes
+    monkeypatch.setattr(hyp_module, "_lanes", lambda c, values: codes.add(c) or lanes(c, values))
+    quads = _improvements(d)
+    expected = (
+        HyperbolicityReport(four_point_hyp2(d, *quads[-1]), quads[-1])
+        if quads else HyperbolicityReport(0, (0, 1, 2, 3))
+    )
+    assert _scan(d, 0) == expected
+    assert _scan(d, 0, max(map(max, d))) == expected
+    assert codes == {code}

@@ -1,6 +1,8 @@
 """Smoke runs of the experiment scripts' ``main()`` at tiny sizes."""
 
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -35,6 +37,18 @@ def test_scripts_run_at_tiny_sizes(monkeypatch, capsys):
     assert rows[1][5] == rows[1][6] == "18"
     # the crown's hull: its 2k real vertices and 2^k Helly vertices
     assert int(rows[4][5]) == 2 * 3 + 2**3
+
+
+def test_scaling_script_runs_from_a_source_checkout(tmp_path):
+    # runpy above inherits the suite's sys.path; a fresh interpreter with no
+    # PYTHONPATH finds tightspan only through the script's own path setup.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "scaling_hellify.py"), "--sizes", "300"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "core time growth exponent ~ 0.00" in done.stdout
 
 
 def test_same_bytes_digest_on_trimmed_calls():
