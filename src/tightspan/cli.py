@@ -143,12 +143,17 @@ def _recognize_lines(
     yield "square-chordal", square_chordal, None
 
     # Helly = pseudo-modular + neighborhood-Helly; dually chordal =
-    # neighborhood-Helly + chordal square. The 2-sets are enumerated once, after
-    # the helly=no line of a violation, so a budget error cuts the output there.
-    # DH graphs are pseudo-modular (Bandelt and Mulder, JCTB 1986), so skip the scan.
+    # neighborhood-Helly + chordal square. The 2-sets are enumerated at most
+    # once, for the first line that needs them: helly when there is no
+    # violation, else dually-chordal when the square is chordal. A budget error
+    # cuts the output there. DH graphs are pseudo-modular (Bandelt and Mulder,
+    # JCTB 1986), so they skip the scan.
     violation = None if distance_hereditary else helly.find_pseudo_modular_violation(g)
     if violation is not None:
         yield "helly", False, lambda: "non-pseudo-modular:" + _ids(violation)
+        if not square_chordal:
+            yield "dually-chordal", False, None
+            return
     ts = next((ts for ts in helly.maximal_two_sets(g, budget) if not ts.suspended), None)
     if violation is None:
         yield "helly", ts is None, None if ts is None else (

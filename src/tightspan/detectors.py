@@ -56,21 +56,48 @@ def _mcs_order(g: Graph) -> list[int]:
     return order
 
 
-def is_chordal(g: Graph) -> bool:
-    """True iff each vertex's neighbours earlier in the MCS order form a clique
-    (Tarjan and Yannakakis, SIAM J. Comput. 1984)."""
+def _perfect_order(g: Graph) -> Optional[list[int]]:
+    """The MCS order when each vertex's neighbours earlier in it form a clique,
+    which holds iff g is chordal; None otherwise.
+
+    It is enough that the earlier neighbours other than the latest one, p,
+    are adjacent to p, since they are earlier neighbours of p itself (Tarjan
+    and Yannakakis, SIAM J. Comput. 1984). When p is the vertex numbered just
+    before, that is one mask test; otherwise the earlier neighbours' closed
+    neighbourhoods are ANDed.
+    """
     adj = g.adj
-    earlier = 0
-    for v in _mcs_order(g):
-        prior = common = rest = adj[v] & earlier
-        while rest:  # common: the closed neighbourhoods of prior, ANDed
-            low = rest & -rest
-            common &= adj[low.bit_length() - 1] | low
-            rest ^= low
-        if common != prior:
-            return False
-        earlier |= 1 << v
-    return True
+    earlier = last = closed = 0  # last: the previous vertex's bit; closed: its N[]
+    order = _mcs_order(g)
+    for v in order:
+        prior = adj[v] & earlier
+        if prior & last:
+            if prior & ~closed:
+                return None
+        else:
+            common = rest = prior
+            while rest:
+                low = rest & -rest
+                common &= adj[low.bit_length() - 1] | low
+                rest ^= low
+            if common != prior:
+                return None
+        last = 1 << v
+        closed = adj[v] | last
+        earlier |= last
+    return order
+
+
+def _chordal_order(g: Graph) -> Optional[list[int]]:
+    """:func:`_perfect_order` of g, built once per graph; [] stands for None."""
+    if g._chordal is None:
+        g._chordal = _perfect_order(g) or []
+    return g._chordal or None
+
+
+def is_chordal(g: Graph) -> bool:
+    """True iff g is chordal: :func:`_chordal_order` finds an order."""
+    return _chordal_order(g) is not None
 
 
 def find_long_induced_cycle(g: Graph) -> Optional[tuple[int, ...]]:

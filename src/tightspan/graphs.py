@@ -56,7 +56,7 @@ class Graph:
     by equality.
     """
 
-    __slots__ = ("n", "adj", "labels", "_dm", "_square", "_forest")
+    __slots__ = ("n", "adj", "labels", "_dm", "_square", "_forest", "_chordal")
 
     def __init__(self, n: int, adj: Sequence[int], labels: Optional[Sequence[str]] = None):
         if n < 1:
@@ -84,6 +84,7 @@ class Graph:
         self._dm: Optional[tuple[tuple[int, ...], ...]] = None
         self._square: Optional[Graph] = None
         self._forest: Optional[tuple] = None  # detectors' BFS forest
+        self._chordal: Optional[list[int]] = None  # detectors' chordal MCS order
 
     @classmethod
     def _of(cls, n: int, adj: Sequence[int], labels: Optional[Sequence[str]] = None) -> "Graph":

@@ -3,8 +3,11 @@
 The decision procedure composes two checks: pseudo-modularity, tested per
 source on that source's own BFS layers with one bitset scan per vertex, and
 the neighborhood-Helly property, tested through maximal 2-sets. Maximal
-2-sets are exactly the maximal cliques of the square graph, so they are
-enumerated with pivoting Bron-Kerbosch on bit rows. A bounded
+2-sets are exactly the maximal cliques of the square graph. A chordal square
+has at most n of them, read off one maximum cardinality search; any other
+square goes to pivoting Bron-Kerbosch on bit rows. Dually chordal is
+neighborhood-Helly with a chordal square, and the square is checked first,
+since it alone can answer no. A bounded
 disk-Helly check, which reads the disk intersection graph off BFS layers
 without comparing disks pairwise, and the extended-square
 characterization used for distance-hereditary inputs live here too.
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from itertools import accumulate, islice
 from typing import Optional
 
-from .detectors import is_square_chordal
+from .detectors import _chordal_order, is_square_chordal
 from .errors import BudgetExceededError
 from .graphs import Graph, _distance_row, bits
 
@@ -98,6 +101,27 @@ def maximal_cliques(
     return out
 
 
+def _chordal_cliques(g: Graph) -> Optional[list[int]]:
+    """The maximal cliques of g as sorted masks, or None when g is not chordal.
+
+    With K_i the i-th vertex of a maximum cardinality search order plus its
+    earlier neighbours, the maximal cliques are the K_i with i = n or
+    |K_{i+1}| <= |K_i| (Blair and Peyton, "An introduction to chordal graphs
+    and clique trees", 1993).
+    """
+    order = _chordal_order(g)
+    if order is None:
+        return None
+    adj, earlier, ks = g.adj, 0, []
+    for v in order:
+        bit = 1 << v
+        ks.append(adj[v] & earlier | bit)
+        earlier |= bit
+    ends = zip(ks, ks[1:] + [0])
+    cliques = [k for k, nxt in ends if nxt.bit_count() <= k.bit_count()]
+    return sorted(cliques, key=lambda mask: tuple(bits(mask)))
+
+
 def _suspension_witness(g: Graph, mask: int) -> Optional[int]:
     """Least vertex adjacent to every member of ``mask`` except itself: the
     lowest bit of the AND of N[u] over the members u (0 for an empty mask)."""
@@ -112,12 +136,18 @@ def maximal_two_sets(
 ) -> list[TwoSet]:
     """All maximal 2-sets, each with its suspension witness when one exists.
 
-    Maximal 2-sets correspond one-to-one to maximal cliques of the square, so
-    this enumerates cliques of ``g.power(2)``. Counts can be exponential; the
-    node budget guards against that.
+    Maximal 2-sets correspond one-to-one to maximal cliques of the square.
+    A chordal square has at most n of them, read off one maximum cardinality
+    search whose n steps each cost one node of ``max_nodes``. Otherwise
+    pivoting Bron-Kerbosch enumerates them; counts can be exponential, and
+    the node budget guards against that.
     """
     square = g.power(2)
-    cliques = maximal_cliques(square.adj, g.n, max_nodes)
+    cliques = _chordal_cliques(square)
+    if cliques is None:
+        cliques = maximal_cliques(square.adj, g.n, max_nodes)
+    elif g.n > max_nodes:
+        raise BudgetExceededError(f"clique enumeration exceeded {max_nodes} nodes")
     return [
         TwoSet(tuple(bits(mask)), _suspension_witness(g, mask)) for mask in cliques
     ]
@@ -238,5 +268,6 @@ def all_extended_squares_suspended(g: Graph) -> bool:
 
 
 def is_dually_chordal(g: Graph) -> bool:
-    """Neighborhood-Helly with a chordal square."""
-    return is_neighborhood_helly(g) and is_square_chordal(g)
+    """Neighborhood-Helly with a chordal square (Brandstädt, Dragan, Chepoi
+    and Voloshin, SIAM J. Discrete Math. 1998); the cheap check goes first."""
+    return is_square_chordal(g) and is_neighborhood_helly(g)

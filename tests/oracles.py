@@ -22,7 +22,8 @@ bit-row rewrites, and the disk oracles build their disks with that scan;
 checking peripheral witnesses by hand. All-pairs distance rows and the
 components around a removed set come from a plain queue BFS over neighbour
 sets, and the induced-cycle witness from the library's former parent-dict
-search, ``shortest_path_bfs``.
+search, ``shortest_path_bfs``. ``earlier_neighbours_are_cliques`` checks a
+perfect elimination order pair by pair.
 ``canonical_hull`` puts a Hellification hull into the enumeration hull's
 order, so the two compare exactly. ``TwinClassPoset`` is the library's
 former dominator structure, with containment edges between true-twin
@@ -639,6 +640,19 @@ def brute_force_chordal(g: Graph) -> bool:
             sub = g.induced(verts)
             if all(sub.degree(v) == 2 for v in range(size)) and sub.is_connected():
                 return False
+    return True
+
+
+def earlier_neighbours_are_cliques(g: Graph, order: Sequence[int]) -> bool:
+    """Each vertex's neighbours earlier in ``order`` are pairwise adjacent,
+    checked pair by pair on neighbour sets: the perfect-elimination test that
+    ``detectors`` ran on every vertex before it tested only the latest one."""
+    nbrs = [set(bits(row)) for row in g.adj]
+    seen: set = set()
+    for v in order:
+        if any(b not in nbrs[a] for a, b in combinations(sorted(nbrs[v] & seen), 2)):
+            return False
+        seen.add(v)
     return True
 
 

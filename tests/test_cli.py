@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import graphs
+from strategies import connected_graphs, graphs
 from tightspan import (
     Graph,
     detectors,
@@ -185,7 +185,16 @@ def test_recognize_witness(c4_file):
     assert "bipartite=yes witness=side:" in out
 
 
-def test_recognize_witness_respects_budget(c4_file, monkeypatch):
+def _grid3(tmp_path):
+    """The 3x3 grid: pseudo-modular, with a square that is not chordal."""
+    edges = [(v, v + 1) for v in range(9) if v % 3 < 2] + [(v, v + 3) for v in range(6)]
+    path = tmp_path / "grid.txt"
+    path.write_text(format_edge_list(Graph.from_edge_list(9, edges)))
+    return str(path)
+
+
+def test_recognize_witness_respects_budget(tmp_path, monkeypatch):
+    # Bron-Kerbosch runs on the grid's square, which is not chordal
     budgets = []
     original = helly.maximal_cliques
 
@@ -194,10 +203,25 @@ def test_recognize_witness_respects_budget(c4_file, monkeypatch):
         return original(rows, n, max_nodes)
 
     monkeypatch.setattr(helly, "maximal_cliques", spy)
-    code, out = _run(["recognize", c4_file, "--witness", "--budget", "123"])
+    code, out = _run(["recognize", _grid3(tmp_path), "--witness", "--budget", "123"])
     assert code == 0
-    assert "helly=no witness=unsuspended:0,1,2,3\n" in out
+    assert "square-chordal=no\nhelly=no witness=unsuspended:0,1,3,4\n" in out
     assert budgets and all(b == 123 for b in budgets)
+
+
+@pytest.mark.parametrize("witness", [[], ["--witness"]])
+def test_recognize_budget_reaches_the_search_of_a_chordal_square(c4_file, monkeypatch, witness):
+    # C4's square is K4, so the 2-sets come off its MCS, one node per vertex,
+    # and Bron-Kerbosch never runs
+    def fail(*args):
+        raise AssertionError("Bron-Kerbosch on a chordal square")
+
+    monkeypatch.setattr(helly, "maximal_cliques", fail)
+    code, out = _run(["recognize", c4_file, "--budget", "4", *witness])
+    assert code == 0 and len(out.splitlines()) == 8
+    assert "helly=no" in out and out.endswith("dually-chordal=no\n")
+    code, out = _run(["recognize", c4_file, "--budget", "3", *witness])
+    assert code == 2 and out.endswith("square-chordal=yes\n")
 
 
 def test_recognize_budget_error_keeps_earlier_lines(c4_file):
@@ -262,6 +286,99 @@ def test_recognize_lists_two_sets_once(tmp_path, monkeypatch, name, witness):
     code, out = _run(["recognize", str(path), *witness])
     assert code == 0 and out.endswith("dually-chordal=no\n")
     assert len(calls) == 1
+
+
+def _recognize_counting(monkeypatch, g, name, argv=("--witness",)):
+    """``recognize -`` on g with ``helly.<name>`` counted: calls, exit code, output."""
+    calls, original = [], getattr(helly, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(helly, name, counted)
+        m.setattr(sys, "stdin", io.StringIO(format_edge_list(g)))
+        code, out = _run(["recognize", "-", *argv])
+    return len(calls), code, out
+
+
+@pytest.mark.parametrize("witness", [[], ["--witness"]])
+@pytest.mark.parametrize("g", [fixture("C6"), *(random_chordal(160, seed) for seed in range(4))])
+def test_recognize_lists_no_two_sets_when_no_line_needs_them(monkeypatch, g, witness):
+    # a pseudo-modularity violation answers helly=no, and a square that is not
+    # chordal answers dually-chordal=no
+    assert helly.find_pseudo_modular_violation(g) and not detectors.is_square_chordal(g)
+    calls, code, out = _recognize_counting(monkeypatch, g, "maximal_two_sets", witness)
+    lines = out.splitlines()
+    assert calls == 0 and code == 0 and len(lines) == 8
+    assert lines[5] == "square-chordal=no" and lines[6].startswith("helly=no")
+    assert lines[7] == "dually-chordal=no"
+
+
+def test_recognize_lists_two_sets_for_dually_chordal_after_a_violation(monkeypatch):
+    g = random_chordal(20, 0)
+    assert helly.find_pseudo_modular_violation(g) and detectors.is_square_chordal(g)
+    calls, code, out = _recognize_counting(monkeypatch, g, "maximal_two_sets")
+    assert calls == 1 and code == 0
+    assert out.endswith(f"dually-chordal={'yes' if helly.is_dually_chordal(g) else 'no'}\n")
+
+
+@pytest.mark.parametrize("n", [96, 128, 160])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_recognize_runs_no_bron_kerbosch_on_dh_input(monkeypatch, n, seed):
+    # the squares of DH graphs are chordal, so their 2-sets come off one MCS
+    g = random_dh(n, seed)
+    calls, code, out = _recognize_counting(monkeypatch, g, "maximal_cliques")
+    assert calls == 0 and code == 0
+    assert "distance-hereditary=yes\nsquare-chordal=yes\n" in out
+
+
+def test_recognize_budget_cannot_cut_lines_that_need_no_two_sets(tmp_path):
+    # C6 has a violation and its square, the octahedron, is not chordal: no
+    # search runs, so budget 1 prints all eight lines (it exited 2 while the
+    # 2-sets were listed on every input)
+    path = tmp_path / "c6.txt"
+    path.write_text(format_edge_list(fixture("C6")))
+    code, out = _run(["recognize", str(path), "--budget", "1"])
+    assert code == 0 and out == _run(["recognize", str(path)])[1]
+    assert len(out.splitlines()) == 8 and out.endswith("helly=no\ndually-chordal=no\n")
+
+
+def _assert_lines_match_library(g):
+    with pytest.MonkeyPatch.context() as m:  # hypothesis tests take no fixtures
+        m.setattr(sys, "stdin", io.StringIO(format_edge_list(g)))
+        code, out = _run(["recognize", "-"])
+    assert code == 0
+    lines = dict(line.split("=") for line in out.splitlines())
+    assert lines["helly"] == ("yes" if helly.is_helly(g) else "no")
+    assert lines["dually-chordal"] == ("yes" if helly.is_dually_chordal(g) else "no")
+    return lines["helly"], lines["dually-chordal"]
+
+
+@given(connected_graphs(max_n=7))
+@settings(max_examples=60, deadline=None)
+def test_recognize_helly_and_dually_chordal_lines_match_library(g):
+    _assert_lines_match_library(g)
+
+
+def test_recognize_helly_and_dually_chordal_lines_match_library_on_seeded_graphs():
+    from oracles import random_connected_graph
+
+    # the 5x5 king's graph is Helly, and its square holds the induced C4
+    # (0,2) (2,0) (4,2) (2,4), so it is not dually chordal
+    king = Graph.from_edge_list(25, [
+        (5 * r + c, 5 * (r + dr) + c + dc)
+        for r in range(5) for c in range(5) for dr, dc in ((0, 1), (1, -1), (1, 0), (1, 1))
+        if r + dr < 5 and 0 <= c + dc < 5
+    ])
+    graphs = [king, *map(fixture, ("house", "C6", "gem", "W5"))]
+    graphs += [random_connected_graph(seed, min_n=5, max_n=12) for seed in range(40)]
+    graphs += [gen(n, seed) for gen in (random_chordal, random_dh) for n in (12, 30, 60) for seed in range(4)]
+    answers = {_assert_lines_match_library(g) for g in graphs}
+    # dually chordal graphs are Helly: their disks form a hypertree (Brandstaedt,
+    # Dragan, Chepoi and Voloshin, SIAM J. Discrete Math. 1998)
+    assert answers == {("yes", "yes"), ("yes", "no"), ("no", "no")}
 
 
 @pytest.mark.parametrize("witness", [[], ["--witness"]])

@@ -1,13 +1,14 @@
 import pytest
 from hypothesis import given, settings
 
-from oracles import brute_force_chordal, random_connected_graph
+from oracles import brute_force_chordal, earlier_neighbours_are_cliques, random_connected_graph
 from strategies import connected_graphs
 from tightspan import (
     Graph,
     build_injective_hull,
     cocomparability_family,
     crown_family,
+    detectors,
     find_asteroidal_triple,
     find_cocomparability_violation,
     find_long_induced_cycle,
@@ -19,6 +20,7 @@ from tightspan import (
     is_split,
     is_square_chordal,
     random_chordal,
+    random_dh,
     split_family,
     verify_cocomparability_ordering,
 )
@@ -73,8 +75,6 @@ def test_square_chordal():
 
 
 def test_dh_graphs_are_square_chordal():
-    from tightspan import random_dh
-
     for seed in range(20):
         assert is_square_chordal(random_dh(11, seed))
 
@@ -189,6 +189,37 @@ def test_chordal_matches_brute_force_and_cycle_witness_on_seeded_graphs(seed):
                 assert is_chordal(h) == (find_long_induced_cycle(h) is None)
                 if h.n <= 9:
                     assert is_chordal(h) == brute_force_chordal(h)
+
+
+@pytest.mark.parametrize("n", [10, 30, 60, 90])
+def test_chordal_order_matches_pairwise_clique_check(n):
+    # The latest-neighbour test against every pair of earlier neighbours, on
+    # graphs, squares and cubes that are and are not chordal
+    graphs = [gen(n, seed) for gen in (random_chordal, random_dh) for seed in range(8)]
+    graphs += [random_connected_graph(seed, n // 2, n) for seed in range(4)]
+    answers = set()
+    for g in graphs:
+        for h in (g, g.power(2), g.power(3)):
+            order = detectors._mcs_order(h)
+            chordal = earlier_neighbours_are_cliques(h, order)
+            assert detectors._chordal_order(h) == (order if chordal else None)
+            answers.add(chordal)
+    assert answers == {False, True}
+
+
+def test_chordal_order_is_built_once_per_graph(monkeypatch):
+    calls, original = [], detectors._perfect_order
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(detectors, "_perfect_order", counted)
+    for g in (fixture("C4"), random_dh(40, 1), random_chordal(40, 1)):
+        for _ in range(2):
+            is_chordal(g), is_square_chordal(g), find_long_induced_cycle(g)
+        assert calls == [g, g.power(2)]
+        calls.clear()
 
 
 @given(connected_graphs(max_n=7))

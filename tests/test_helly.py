@@ -23,6 +23,7 @@ from tightspan import (
     fixture,
     helly,
     hyperbolicity,
+    is_chordal,
     is_dually_chordal,
     is_helly,
     is_neighborhood_helly,
@@ -33,6 +34,7 @@ from tightspan import (
     random_dh,
     split_family,
 )
+from tightspan.graphs import bits
 
 
 def test_two_sets_k4():
@@ -231,6 +233,39 @@ def test_square_chordal_hull_dually_chordal():
 def test_clique_budget():
     with pytest.raises(BudgetExceededError):
         maximal_two_sets(split_family(4), max_nodes=3)
+
+
+def test_chordal_square_charges_one_node_per_vertex():
+    # K4 is its own square, chordal, so its one 2-set comes off 4 MCS steps
+    with pytest.raises(BudgetExceededError, match="exceeded 3 nodes"):
+        maximal_two_sets(fixture("K4"), max_nodes=3)
+    assert [s.members for s in maximal_two_sets(fixture("K4"), max_nodes=4)] == [(0, 1, 2, 3)]
+
+
+@pytest.mark.parametrize("n", [5, 12, 30, 60, 90])
+def test_mcs_cliques_match_bron_kerbosch(n):
+    # random_chordal graphs, and the squares of random_chordal and random_dh
+    # graphs: the DH squares are all chordal, the larger chordal squares mostly not
+    graphs = [gen(n, seed) for gen in (random_chordal, random_dh) for seed in range(8)]
+    read_off = 0
+    for h in graphs[:8] + [g.power(2) for g in graphs]:
+        cliques = helly._chordal_cliques(h)
+        assert (cliques is not None) == is_chordal(h)
+        if cliques is not None:
+            assert cliques == helly.maximal_cliques(h.adj, h.n)
+            read_off += 1
+    assert read_off >= 16
+    for g in graphs[8:]:
+        cliques = helly.maximal_cliques(g.power(2).adj, g.n)
+        assert [s.members for s in maximal_two_sets(g)] == [tuple(bits(c)) for c in cliques]
+
+
+def test_dually_chordal_checks_the_square_first(monkeypatch):
+    calls = []
+    monkeypatch.setattr(helly, "maximal_two_sets", lambda *args: calls.append(args) or [])
+    assert not is_dually_chordal(fixture("C6"))  # the octahedron is not chordal
+    assert calls == []
+    assert is_dually_chordal(fixture("C5")) and len(calls) == 1
 
 
 @given(connected_graphs(max_n=7))
