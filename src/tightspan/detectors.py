@@ -89,10 +89,8 @@ def _perfect_order(g: Graph) -> Optional[list[int]]:
 
 
 def _chordal_order(g: Graph) -> Optional[list[int]]:
-    """:func:`_perfect_order` of g, built once per graph; [] stands for None."""
-    if g._chordal is None:
-        g._chordal = _perfect_order(g) or []
-    return g._chordal or None
+    """:func:`_perfect_order` of g, built once per graph."""
+    return g._cached(_perfect_order)
 
 
 def is_chordal(g: Graph) -> bool:
@@ -167,22 +165,15 @@ def _bfs_forest(g: Graph) -> tuple[list[int], Optional[tuple[int, int]], int]:
     return layers, None, odd
 
 
-def _forest(g: Graph) -> tuple[list[int], Optional[tuple[int, int]], int]:
-    """:func:`_bfs_forest` of g, built once per graph."""
-    if g._forest is None:
-        g._forest = _bfs_forest(g)
-    return g._forest
-
-
 def is_bipartite(g: Graph) -> Optional[tuple[int, ...]]:
     """A BFS 2-coloring (tuple of 0/1 per vertex), or None on an odd cycle."""
-    _, edge, odd = _forest(g)
+    _, edge, odd = g._cached(_bfs_forest)
     return None if edge else tuple(odd >> v & 1 for v in range(g.n))
 
 
 def find_odd_cycle(g: Graph) -> Optional[tuple[int, ...]]:
     """An odd closed walk witnessing non-bipartiteness (not necessarily induced)."""
-    layers, edge, _ = _forest(g)
+    layers, edge, _ = g._cached(_bfs_forest)
     if edge is None:
         return None
     # both least paths run down one BFS tree: equal up to their last common vertex

@@ -53,10 +53,11 @@ class Graph:
 
     Use :meth:`from_edge_list` to build instances; the raw constructor expects
     already-symmetric loop-free rows. ``labels`` are display-only and ignored
-    by equality.
+    by equality. Structures derived from the graph are built once: the
+    distance rows in ``_dm``, everything else through :meth:`_cached`.
     """
 
-    __slots__ = ("n", "adj", "labels", "_dm", "_square", "_forest", "_chordal")
+    __slots__ = ("n", "adj", "labels", "_dm", "_cache")
 
     def __init__(self, n: int, adj: Sequence[int], labels: Optional[Sequence[str]] = None):
         if n < 1:
@@ -82,9 +83,7 @@ class Graph:
         if self.labels is not None and len(self.labels) != n:
             raise ValueError("label count does not match n")
         self._dm: Optional[tuple[tuple[int, ...], ...]] = None
-        self._square: Optional[Graph] = None
-        self._forest: Optional[tuple] = None  # detectors' BFS forest
-        self._chordal: Optional[list[int]] = None  # detectors' chordal MCS order
+        self._cache: dict = {}
 
     @classmethod
     def _of(cls, n: int, adj: Sequence[int], labels: Optional[Sequence[str]] = None) -> "Graph":
@@ -182,11 +181,17 @@ class Graph:
             labels = [self.labels[v] for v in verts]
         return Graph._of(len(verts), rows, labels)
 
+    def _cached(self, build, *args):
+        """``build(self, *args)``, built once and kept under ``(build, *args)``."""
+        key = (build, *args)
+        if key not in self._cache:
+            self._cache[key] = build(self, *args)
+        return self._cache[key]
+
     # -- metric operations ----------------------------------------------
 
     def is_connected(self) -> bool:
-        full = (1 << self.n) - 1
-        return sum(self._frontiers(1, full)) == full
+        return self._cached(_reaches_all)
 
     def _frontiers(self, start_mask: int, allowed: int) -> Iterator[int]:
         """Yield the BFS layers from ``start_mask`` inside ``allowed`` as masks.
@@ -218,25 +223,29 @@ class Graph:
 
     def disk_mask(self, v: int, r: int) -> int:
         """Mask of the vertices within distance r of v (none for r < 0)."""
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
         return sum(1 << z for z, d in enumerate(self.distances()[v]) if d <= r)
 
     def power(self, k: int) -> "Graph":
-        """Graph on the same vertices with edges between all pairs at distance <= k.
-
-        Row v is the sum of v's BFS layers 1..k from a search cut off after
-        layer k, for every k, so no distance matrix is built; the square is cached.
-        """
+        """Graph on the same vertices with edges between all pairs at distance <= k,
+        built once per k by :func:`_power`."""
         if k < 1:
             raise ValueError("power index must be >= 1")
-        if k == 2 and self._square is not None:
-            return self._square
-        self._require_connected("powers")
-        full = (1 << self.n) - 1
-        rows = [sum(islice(self._frontiers(1 << v, full), 1, k + 1)) for v in range(self.n)]
-        g = Graph._of(self.n, rows, self.labels)
-        if k == 2:
-            self._square = g
-        return g
+        return self._cached(_power, k)
+
+
+def _reaches_all(g: Graph) -> bool:
+    full = (1 << g.n) - 1
+    return sum(g._frontiers(1, full)) == full
+
+
+def _power(g: Graph, k: int) -> Graph:
+    """Row v of g^k sums v's BFS layers 1..k, so no distance matrix is built."""
+    g._require_connected("powers")
+    full = (1 << g.n) - 1
+    rows = [sum(islice(g._frontiers(1 << v, full), 1, k + 1)) for v in range(g.n)]
+    return Graph._of(g.n, rows, g.labels)
 
 
 def is_isometric_subgraph(sub: Graph, host: Graph, embed: Sequence[int]) -> bool:

@@ -260,6 +260,8 @@ def peripheral_vertices(g: Graph) -> dict[int, int]:
 def disk_separates(g: Graph, z: int, k: int, x: int, y: int) -> bool:
     """True iff removing the disk D(z, k) disconnects x from y."""
     forbidden = g.disk_mask(z, k)
+    if not (0 <= x < g.n and 0 <= y < g.n):
+        raise ValueError(f"vertices {x},{y} outside 0..{g.n - 1}")
     if forbidden >> x & 1 or forbidden >> y & 1:
         raise ValueError(f"vertices {x},{y} must lie outside D({z},{k})")
     allowed = ((1 << g.n) - 1) & ~forbidden

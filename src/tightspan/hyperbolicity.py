@@ -14,11 +14,15 @@ that order:
   compared in every lane at once. A lane holds 2^(width-1) + S_i - S_j - b
   for b = best+1, which lies in [0, 2^width) because 4*diam+1 < 2^(width-1),
   so subtraction never borrows across lanes and the lane's top bit is set
-  exactly when S_i - S_j > best. The lowest marked lane with x > w is the next
-  improving quadruple; its defect is taken exactly and only higher lanes are
-  rescanned. Lanes are byte-aligned: ``width`` is the item size of the first
-  ``array`` typecode of B, H, I, Q whose signed range holds 4*diam+1, so
-  ``int.from_bytes`` packs a row in C, not one shift per entry.
+  exactly when S_i - S_j > best. The part of a lane fixed by (u, v, w), a
+  difference e of distances within the triple less b, is added from a table
+  of 3*diam packed offsets: a sum is compared only when its bound (below)
+  beats best, so best < diam and e - b lies in [-2*diam, diam - 1]. The
+  lowest marked lane with x > w is the next improving quadruple; its defect
+  is taken exactly and only higher lanes are rescanned. Lanes are
+  byte-aligned: ``width`` is the item size of the first ``array`` typecode
+  of B, H, I, Q whose signed range holds 4*diam+1, so ``int.from_bytes``
+  packs a row in C, not one shift per entry.
 * Pruning by distance bounds (Cohen, Coudert and Lancin, "On computing the
   Gromov hyperbolicity", ACM JEA 2015). The doubled defect is at most
   2*d(u,v), so a pair (u,v) with 2*d(u,v) <= best is skipped. By the triangle
@@ -116,13 +120,16 @@ def _scan(
     """Pruned lane scan of distance rows ``d`` for defects above ``best``,
     returning at the first equal to ``stop``; witness (0, 1, 2, 3) if none."""
     n = len(d)
-    span = 4 * max(map(max, d)) + 1
-    code, width = next((c, w) for c, w in _LANE_CODES if span < 1 << (w - 1))
+    diam = max(map(max, d))
+    code, width = next((c, w) for c, w in _LANE_CODES if 4 * diam + 1 < 1 << (w - 1))
     ones = _lanes(code, [1] * n)
     guard = ones << (width - 1)
     rows = [_lanes(code, row) for row in d]
-    # offset[span + c] puts c on top of the guard bit in every lane.
-    offset = [guard + c * ones for c in range(-span, span + 1)]
+    # offset[2*diam + c] puts c on top of the guard bit in every lane. A term is
+    # read only when its lead, at most diam, beats best, so 0 <= best < diam, and
+    # it reads c = e - best - 1 for a distance difference |e| <= diam: c lies in
+    # [-2*diam, diam - 1], so the table holds 3*diam offsets.
+    offset = [guard + c * ones for c in range(-2 * diam, diam)]
     # above[x]: the guard bits of lanes x+1 .. n-1.
     above = [guard >> (width * (x + 1)) << (width * (x + 1)) for x in range(n)]
     witness = (0, 1, 2, 3)
@@ -146,7 +153,7 @@ def _scan(
                 q = rw - rv  # A - C less a constant
                 lo = w
                 while True:
-                    k = span - best - 1
+                    k = 2 * diam - best - 1
                     marks = 0
                     if lead_a > best:
                         marks = (p + offset[k + duv - dvw]) & (q + offset[k + duv - duw])

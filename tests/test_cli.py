@@ -22,6 +22,7 @@ from tightspan import (
     random_dh,
     split_family,
 )
+from tightspan import graphs as graphs_module
 from tightspan.cli import run
 
 
@@ -399,6 +400,27 @@ def test_recognize_builds_bfs_forest_once(tmp_path, monkeypatch, name, witness):
     assert code == 0 and f"bipartite={'yes' if bipartite else 'no'}" in out
     assert ("odd-cycle:" in out) == (not bipartite and bool(witness))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv,g", [
+    (["recognize", "-", "--witness"], fixture("C6")),
+    (["hull", "-", "--format", "json"], fixture("C6")),
+    (["hellify-dh", "-", "--format", "json"], random_dh(60, 1)),
+    (["hyperbolicity", "-"], fixture("C6")),
+])
+def test_each_op_searches_connectivity_once(monkeypatch, argv, g):
+    # the parser, distances, powers and the DH check read one cached answer
+    calls, reaches_all = [], graphs_module._reaches_all
+
+    def counted(h):
+        calls.append(h.n)
+        return reaches_all(h)
+
+    monkeypatch.setattr(graphs_module, "_reaches_all", counted)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(format_edge_list(g)))
+    code, out = _run(argv)
+    assert code == 0 and out
+    assert calls == [g.n]
 
 
 @pytest.mark.parametrize("argv", [["recognize", "-", "--witness"], ["two-sets", "-"]])

@@ -170,6 +170,19 @@ def test_square_is_cached():
     assert g.power(2) is g.power(2)
 
 
+def test_every_power_is_cached():
+    g = fixture("C6")
+    assert g.power(3) is g.power(3)
+    assert g.power(3) != g.power(2)
+
+
+@pytest.mark.parametrize("v,r", [(-1, 0), (9, 1)])
+def test_disk_mask_rejects_vertex_outside_graph(v, r):
+    # -1 read vertex 3's disk, and 9 raised IndexError
+    with pytest.raises(ValueError, match=rf"vertex {v} outside 0\.\.3"):
+        fixture("C4").disk_mask(v, r)
+
+
 def test_power_idempotent_on_result():
     g = fixture("C6")
     assert g.power(2).power(1) == g.power(2)

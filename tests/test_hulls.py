@@ -233,6 +233,14 @@ def test_disk_separates_precondition():
         disk_separates(fixture("P3"), 1, 1, 0, 2)
 
 
+@pytest.mark.parametrize("z,x,y", [(2, 0, 7), (-1, 0, 2), (2, -1, 4), (2, 0, -3)])
+def test_disk_separates_rejects_vertices_outside_graph(z, x, y):
+    # P5 has vertices 0..4: y = 7 read as separated, z = -1 read vertex 4's
+    # disk, and a negative x or y failed with "negative shift count"
+    with pytest.raises(ValueError, match=r"outside 0\.\.4"):
+        disk_separates(fixture("P5"), z, 0, x, y)
+
+
 def test_disk_separates_split_family_single_clique_vertex():
     g = split_family(4)
     # x_i = i-1, y_i = k+i-1, clique M = ids 8..23

@@ -374,7 +374,7 @@ def test_cycle_scan_stops_at_the_diameter(k, scans):
 def test_lane_widths_on_scaled_metrics(name, scale, code, monkeypatch):
     # A metric times c is a metric whose defects are c times as large; its
     # span 4*c*diam+1 picks the lane typecode. The offset table holds
-    # 2*span+1 ints, so a span that needs Q is out of reach.
+    # 3*diam ints, so a span that needs Q is out of reach.
     d = [[scale * x for x in row] for row in fixture(name).distances()]
     codes = set()
     lanes = hyp_module._lanes

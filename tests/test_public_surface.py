@@ -1,4 +1,5 @@
-"""The public names of ``tightspan``, ``Graph`` and ``InjectiveHull``, pinned.
+"""The public names of ``tightspan``, ``Graph`` and ``InjectiveHull``, and the
+slots of ``Graph``, pinned.
 
 A name that is added, or a removed one that comes back, fails here until this
 list is changed on purpose.
@@ -34,6 +35,11 @@ GRAPH = [
 
 HULL = ["added", "hull", "is_real", "n_helly", "n_real", "source", "vectors"]
 
+# A graph's own fields and its two caches: the distance rows, and every other
+# derived structure under one key per builder. A new per-structure slot fails
+# here until this list is changed on purpose.
+GRAPH_SLOTS = ("n", "adj", "labels", "_dm", "_cache")
+
 
 def _public(names):
     return sorted(name for name in names if not name.startswith("_"))
@@ -44,3 +50,7 @@ def test_public_names_are_pinned():
     assert _public(package) == PACKAGE
     assert _public(dir(fixture("C4"))) == GRAPH
     assert _public(dir(build_injective_hull(fixture("C4")))) == HULL
+
+
+def test_graph_slots_are_pinned():
+    assert tightspan.Graph.__slots__ == GRAPH_SLOTS
