@@ -23,6 +23,7 @@ from .errors import (
 from .graphs import (
     DEFAULT_MAX_VERTICES,
     Graph,
+    _json_edges,
     format_edge_list,
     json_pairs,
     parse_edge_list,
@@ -98,7 +99,7 @@ def _cmd_hellify_dh(args, out) -> int:
         out.write(
             f'{{\n  "n": {hull.n},\n  "m": {hull.m},\n'
             f'  "added": {json_pairs(result.added)},\n'
-            f'  "edges": {json_pairs(hull.edges())}\n}}\n'
+            f'  "edges": {_json_edges(hull)}\n}}\n'
         )
     elif args.format == "edgelist":
         out.write(format_edge_list(hull))

@@ -9,7 +9,10 @@ function of its inputs.
 
 from __future__ import annotations
 
-from itertools import islice
+import json
+import re
+from itertools import compress, islice
+from operator import and_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DisconnectedGraphError
@@ -302,10 +305,43 @@ def _blocks(g: Graph) -> list[list[int]]:
 
 def json_pairs(pairs) -> str:
     """A list of int pairs as ``json.dumps(..., indent=2)`` lays it out at depth 1."""
-    if not pairs:
-        return "[]"
-    items = ",\n".join(f"    [\n      {a},\n      {b}\n    ]" for a, b in pairs)
-    return f"[\n{items}\n  ]"
+    return _json_list(",\n".join(f"    [\n      {a},\n      {b}\n    ]" for a, b in pairs))
+
+
+def _json_edges(g: Graph) -> str:
+    """``json_pairs(g.edges())``, written a row at a time by :func:`_edge_text`."""
+    return _json_list(_edge_text(g, "    [\n      {},\n      ", "\n    ]", ",\n"))
+
+
+def _json_list(items: str) -> str:
+    return f"[\n{items}\n  ]" if items else "[]"
+
+
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _edge_text(g: Graph, head: str, tail: str, glue: str) -> str:
+    """Every edge u < v of g as ``head.format(u) + str(v) + tail``, in
+    ``edges()`` order, joined by ``glue``.
+
+    Row u's higher neighbours are read off ``bin(row >> (u + 1))`` as one byte
+    of 0/1 flag per bit, lowest first, and their names picked by ``compress``,
+    so each row costs one ``join`` rather than a step per edge. The names are
+    sliced to the flags' length only, so a sparse row copies few of them. All
+    pieces are joined once at the end: adding head and tail to each row's
+    string would copy it twice more, and on large hulls those freed copies
+    fragment the heap and raise the peak resident memory by megabytes.
+    """
+    names = list(map(str, range(g.n)))
+    pieces = []
+    for u, row in enumerate(g.adj):
+        row >>= u + 1
+        if row:
+            flags = bin(row)[:1:-1].encode().translate(_FLAGS)
+            h = head.format(u)
+            picked = compress(names[u + 1 : u + 1 + len(flags)], flags)
+            pieces += (glue, h, (tail + glue + h).join(picked), tail)
+    return "".join(pieces[1:])
 
 
 # -- edge-list text format -----------------------------------------------
@@ -313,10 +349,61 @@ def json_pairs(pairs) -> str:
 # First meaningful line is "n m", followed by m lines "u v" with 0-based ids,
 # every number ASCII ``-?[0-9]+``. Text from "#" to the end of a line and
 # blank lines are ignored. This format is the input to every CLI command.
+#
+# Text in the canonical form that format_edge_list writes, every line
+# "[0-9]+ [0-9]+" and a final newline, is read on a fast path: one C-level
+# read of every number, then the checks and the rows. Any other text, and
+# any canonical text that fails a check, goes to the general parser, the one
+# source of every error message.
+
+# A line start not followed by one canonical line. A lookahead at each line
+# start keeps no state across lines, where a whole-text match of
+# "(?:[0-9]+ [0-9]+\n)+" would keep some for every line.
+_NOT_CANONICAL = re.compile(r"^(?![0-9]+ [0-9]+$)", re.M)
+
+
+def _is_canonical(text: str) -> bool:
+    """True iff every line of ``text`` is canonical and it ends in a newline;
+    the search stops short of that newline, after which no line starts."""
+    return text.endswith("\n") and not _NOT_CANONICAL.search(text, 0, len(text) - 1)
 
 
 def parse_edge_list(text: str, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
     """Parse the edge-list text format into a connected Graph."""
+    g = _parse_canonical(text, max_vertices)
+    return g if g is not None else _parse_general(text, max_vertices)
+
+
+def _parse_canonical(text: str, max_vertices: int) -> Optional[Graph]:
+    """The graph of a canonical text that passes every check, else None."""
+    if not _is_canonical(text):
+        return None
+    # With commas for the separators the numbers are a JSON array, read in one
+    # C pass that makes no string per number. JSON refuses a leading zero, and
+    # a number past int()'s digit limit: both raise ValueError.
+    try:
+        tokens = json.loads("[" + text[:-1].replace(" ", ",").replace("\n", ",") + "]")
+    except ValueError:
+        return None
+    n, m = tokens[0], tokens[1]
+    ends = tokens[2:]
+    if not 0 < n <= max_vertices or len(ends) != 2 * m or max(ends, default=0) >= n:
+        return None
+    bit = [1 << v for v in range(n)]
+    rows = [0] * n
+    pairs = iter(ends)
+    for u, v in zip(pairs, pairs):
+        rows[u] |= bit[v]
+        rows[v] |= bit[u]
+    if any(map(and_, rows, bit)):  # a loop edge
+        return None
+    g = Graph._of(n, rows)
+    return g if g.is_connected() else None
+
+
+def _parse_general(text: str, max_vertices: int) -> Graph:
+    """Parse any text in the edge-list format, or raise the ValueError that
+    names its first fault."""
     tokens = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -345,9 +432,7 @@ def parse_edge_list(text: str, max_vertices: int = DEFAULT_MAX_VERTICES) -> Grap
 
 
 def format_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    return f"{g.n} {g.m}\n" + _edge_text(g, "{} ", "\n", "")
 
 
 def dot_label(text: str) -> str:
@@ -360,7 +445,9 @@ def to_dot(g: Graph) -> str:
     lines = ["graph G {"]
     for v in range(g.n):
         lines.append(f"  {v} [label={dot_label(g.label(v))}];")
-    for u, v in g.edges():
-        lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + _dot_edges(g) + "}\n"
+
+
+def _dot_edges(g: Graph) -> str:
+    """The ``u -- v;`` lines of ``to_dot`` and ``hull_to_dot``."""
+    return _edge_text(g, "  {} -- ", ";\n", "")

@@ -31,7 +31,8 @@ of the list. :class:`InjectiveHull`, also returned by ``dh.hellify_dh``,
 reads its vectors off one hull BFS per real vertex, never the hull's
 all-pairs distances; matching the enumeration checks the embedding too.
 ``hull_to_json`` writes the document directly, with the bytes
-``json.dumps(doc, indent=2)`` would give.
+``json.dumps(doc, indent=2)`` would give; its edges, like ``hull_to_dot``'s,
+come a row at a time from the edge writer the edge-list format uses too.
 
 Source vertex z is hull vertex z: the hull lists the n real vertices first,
 in source order, then the Helly vertices in lexicographic vector order.
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BudgetExceededError
-from .graphs import Graph, _blocks, _distance_row, _layer_masks, dot_label, json_pairs
+from .graphs import Graph, _blocks, _distance_row, _dot_edges, _json_edges, _layer_masks, dot_label
 
 Vector = tuple[int, ...]
 
@@ -287,7 +288,7 @@ def hull_to_json(h: InjectiveHull) -> str:
     return (
         f'{{\n  "n_real": {h.n_real},\n  "n_helly": {h.n_helly},\n'
         f'  "vertices": [\n{vertices}\n  ],\n'
-        f'  "edges": {json_pairs(h.hull.edges())}\n}}\n'
+        f'  "edges": {_json_edges(h.hull)}\n}}\n'
     )
 
 
@@ -297,7 +298,4 @@ def hull_to_dot(h: InjectiveHull) -> str:
     for v in range(h.hull.n):
         shape = "circle" if h.is_real(v) else "square"
         lines.append(f"  {v} [label={dot_label(h.hull.label(v))}, shape={shape}];")
-    for u, v in h.hull.edges():
-        lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + _dot_edges(h.hull) + "}\n"

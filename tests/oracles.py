@@ -31,6 +31,8 @@ classes, and ``poset_snapshot`` reads it as value objects;
 ``hellify_sequence`` walks a pruning sequence on it and returns the
 Hellification host's sequence. ``is_comparability`` checks Golumbic's
 implication classes, for pinning which graphs are permutation graphs.
+The edge-list, JSON-pairs and DOT writers at the end are the library's
+former ones, which print one ``Graph.edges()`` pair at a time.
 """
 
 import json
@@ -42,7 +44,7 @@ import numpy as np
 
 from tightspan import Graph, SplitMix64
 from tightspan.dh import FALSE_TWIN, PENDANT, TRUE_TWIN, PruningSequence, PruningStep
-from tightspan.graphs import bits
+from tightspan.graphs import bits, dot_label
 from tightspan.helly import ExtendedSquare, maximal_cliques
 from tightspan.hyperbolicity import HyperbolicityReport
 
@@ -978,3 +980,39 @@ def disk_mask_scan(g: Graph, v: int, r: int) -> int:
         if d[u] <= r:
             mask |= 1 << u
     return mask
+
+
+def format_edge_list_by_edges(g: Graph) -> str:
+    lines = [f"{g.n} {g.m}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(lines) + "\n"
+
+
+def json_pairs_by_edges(g: Graph) -> str:
+    """``g.edges()`` as ``json.dumps(..., indent=2)`` lays a list out at depth 1."""
+    pairs = g.edges()
+    if not pairs:
+        return "[]"
+    items = ",\n".join(f"    [\n      {a},\n      {b}\n    ]" for a, b in pairs)
+    return f"[\n{items}\n  ]"
+
+
+def to_dot_by_edges(g: Graph) -> str:
+    lines = ["graph G {"]
+    for v in range(g.n):
+        lines.append(f"  {v} [label={dot_label(g.label(v))}];")
+    for u, v in g.edges():
+        lines.append(f"  {u} -- {v};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def hull_to_dot_by_edges(h) -> str:
+    lines = ["graph H {"]
+    for v in range(h.hull.n):
+        shape = "circle" if h.is_real(v) else "square"
+        lines.append(f"  {v} [label={dot_label(h.hull.label(v))}, shape={shape}];")
+    for u, v in h.hull.edges():
+        lines.append(f"  {u} -- {v};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -640,6 +640,17 @@ MALFORMED = [
     "600 0\n",
     "-99999999999999999999 0\n",
     "-99999999999999999999 1\n0 1\n",
+    # near the canonical form that format_edge_list writes
+    "3 5\n0 " + "9" * 5000 + "\n",
+    "2 1\n0 1",
+    "2 1\r\n0 1\r\n",
+    "2  1\n0 1\n",
+    "2 1\n00 1\n",
+    "2 1\n0 1\n\n",
+    "3 3\n0 1\n1 1\n1 2\n",
+    "3 2\n0 1\n0 1\n",
+    "4 2\n0 1\n2 3\n",
+    "1 0\n",
 ]
 
 

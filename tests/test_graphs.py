@@ -1,19 +1,28 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import is_isometric_subgraph_apsp
+from oracles import (
+    format_edge_list_by_edges,
+    hull_to_dot_by_edges,
+    is_isometric_subgraph_apsp,
+    json_pairs_by_edges,
+    to_dot_by_edges,
+)
 from strategies import connected_graphs
 from tightspan import (
     DisconnectedGraphError,
     Graph,
     build_injective_hull,
+    crown_family,
     disk_helly_up_to_radius,
     fixture,
     format_edge_list,
     hellify_dh,
+    hull_to_dot,
     is_isometric_subgraph,
     parse_edge_list,
     peripheral_vertices,
@@ -22,7 +31,13 @@ from tightspan import (
     to_dot,
 )
 from tightspan.dh import pruning_sequence, replay
-from tightspan.graphs import _layer_masks
+from tightspan.graphs import (
+    _is_canonical,
+    _json_edges,
+    _layer_masks,
+    _parse_canonical,
+    _parse_general,
+)
 
 
 def test_single_vertex():
@@ -394,6 +409,153 @@ def test_to_dot_contains_labels():
 def test_to_dot_escapes_labels():
     g = Graph.from_edge_list(2, [(0, 1)], labels=['a"b', "c\\"])
     assert to_dot(g) == 'graph G {\n  0 [label="a\\"b"];\n  1 [label="c\\\\"];\n  0 -- 1;\n}\n'
+
+
+# -- the canonical-form parse path against the general parser ----------------
+
+
+def _parsed(parse, text, max_vertices):
+    """What ``parse`` makes of ``text``: the graph's rows, or the error's type and message."""
+    try:
+        g = parse(text, max_vertices)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return g.n, g.adj
+
+
+def _path_text(n):
+    return f"{n} {n - 1}\n" + "".join(f"{v} {v + 1}\n" for v in range(n - 1))
+
+
+_DIGITS = "9" * 5000  # past int()'s 4300-digit limit
+
+
+_NEAR_CANONICAL = {
+    "digit-limit-edge": (f"3 5\n0 {_DIGITS}\n", 512),
+    "digit-limit-last": (f"3 2\n0 1\n1 {_DIGITS}\n", 512),
+    "digit-limit-n": (f"{_DIGITS} 0\n", 512),
+    "no-final-newline": ("3 2\n0 1\n1 2", 512),
+    "no-final-newline-two-digits": ("3 2\n0 1\n1 20", 512),
+    "crlf": ("3 2\r\n0 1\r\n1 2\r\n", 512),
+    "double-space": ("3 2\n0  1\n1 2\n", 512),
+    "leading-zero-id": ("3 2\n0 01\n1 2\n", 512),
+    "leading-zero-n": ("03 2\n0 1\n1 2\n", 512),
+    "trailing-blank-line": ("3 2\n0 1\n1 2\n\n", 512),
+    "trailing-comment": ("3 2\n0 1\n1 2\n# c\n", 512),
+    "leading-space": (" 3 2\n0 1\n1 2\n", 512),
+    "trailing-space": ("3 2\n0 1\n1 2 \n", 512),
+    "m-one-short": ("3 1\n0 1\n1 2\n", 512),
+    "m-one-over": ("3 3\n0 1\n1 2\n", 512),
+    "repeat-reversed": ("3 3\n0 1\n1 2\n2 1\n", 512),
+    "repeats": ("3 4\n0 1\n0 1\n1 2\n1 2\n", 512),
+    "loop": ("3 3\n0 1\n1 1\n1 2\n", 512),
+    "out-of-range": ("3 2\n0 1\n1 3\n", 512),
+    "disconnected": ("4 2\n0 1\n2 3\n", 512),
+    "repeat-leaves-isolated": ("3 2\n0 1\n0 1\n", 512),
+    "K1": ("1 0\n", 512),
+    "no-vertex": ("0 0\n", 512),
+    "blank": ("\n", 512),
+    "empty": ("", 512),
+    "P512-cap-512": (_path_text(512), 512),
+    "P513-cap-512": (_path_text(513), 512),
+    "P4096-cap-4096": (_path_text(4096), 4096),
+    "P4097-cap-4096": (_path_text(4097), 4096),
+}
+
+
+@pytest.mark.parametrize("name", _NEAR_CANONICAL)
+def test_canonical_parse_matches_general_parser(name):
+    text, max_vertices = _NEAR_CANONICAL[name]
+    assert _parsed(parse_edge_list, text, max_vertices) == _parsed(_parse_general, text, max_vertices)
+
+
+def test_canonical_path_reads_the_written_form(corpus):
+    for name, g in corpus:
+        assert _parse_canonical(format_edge_list(g), 512) == g, name
+    assert _parse_canonical(format_edge_list(random_dh(4096, 1)), 4096) == random_dh(4096, 1)
+
+
+@st.composite
+def near_canonical_texts(draw):
+    """Canonical edge lists, half of them over a spanning tree, some edited
+    into another form: ids up to n, m off by one, repeats, loops, and
+    whitespace, digit and line-ending changes."""
+    n = draw(st.integers(0, 6))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)] if draw(st.booleans()) else []
+    ids = st.integers(0, max(n, 1))
+    extra = draw(st.lists(st.tuples(ids, ids), max_size=4))
+    edges = draw(st.permutations(tree + extra))
+    m = len(edges) + draw(st.sampled_from([0] * 6 + [-1, 1]))
+    text = f"{n} {m}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        insert = draw(st.sampled_from(["", " ", "\n", "\r", "\u2028", "0", "#", "-", "+", "\t", "\u0663"]))
+        cut = draw(st.integers(0, 1))
+        text = text[:at] + insert + text[at + cut :]
+    return text
+
+
+@given(near_canonical_texts(), st.just(512) | st.integers(0, 8))
+@settings(max_examples=500)
+def test_canonical_parse_matches_general_parser_fuzz(text, max_vertices):
+    assert _parsed(parse_edge_list, text, max_vertices) == _parsed(_parse_general, text, max_vertices)
+
+
+def test_canonical_check_keeps_no_per_line_state():
+    # A repeated-group match over the whole text holds backtracking state for
+    # every line, which this bound would catch.
+    text = format_edge_list(random_dh(4096, 1))
+    tracemalloc.start()
+    try:
+        assert _is_canonical(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 400_000 and peak < 64 * 1024
+
+
+# -- the row-joined edge writer against the per-edge writers -----------------
+
+_WRITER_FIXTURES = ["house", "domino", "gem", "permutation", "K1", "K2", "P5", "C4", "C5", "W5"]
+_WRITER_HULLS = {
+    **{f"C{k}": lambda k=k: build_injective_hull(fixture(f"C{k}")) for k in range(4, 12)},
+    **{f"crown{k}": lambda k=k: build_injective_hull(crown_family(k)) for k in range(4, 8)},
+    **{
+        f"dh{n}-{seed}": lambda n=n, seed=seed: hellify_dh(random_dh(n, seed))
+        for n in (1, 2, 3, 10, 100, 1000, 4096)
+        for seed in (1, 2)
+    },
+}
+
+
+def _assert_writers_match(g):
+    assert format_edge_list(g) == format_edge_list_by_edges(g)
+    assert _json_edges(g) == json_pairs_by_edges(g)
+    assert to_dot(g) == to_dot_by_edges(g)
+
+
+def test_writers_on_k1():
+    g = fixture("K1")
+    assert (format_edge_list(g), _json_edges(g)) == ("1 0\n", "[]")
+    _assert_writers_match(g)
+
+
+@pytest.mark.parametrize("name", _WRITER_FIXTURES)
+def test_writers_match_per_edge_writers_on_fixtures(name):
+    _assert_writers_match(fixture(name))
+
+
+@pytest.mark.parametrize("name", sorted(_WRITER_HULLS))
+def test_writers_match_per_edge_writers_on_hulls(name):
+    h = _WRITER_HULLS[name]()
+    _assert_writers_match(h.hull)
+    assert hull_to_dot(h) == hull_to_dot_by_edges(h)
+
+
+@given(connected_graphs(min_n=1, max_n=12))
+@settings(max_examples=100)
+def test_writers_match_per_edge_writers_random(g):
+    _assert_writers_match(g)
 
 
 @given(connected_graphs())

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -357,3 +359,26 @@ def test_helly_matches_hull_oracle_nine_vertices():
     for seed in range(1000, 1020):
         g = random_connected_graph(seed, min_n=9, max_n=9)
         assert is_helly(g) == (build_injective_hull(g).n_helly == 0), seed
+
+
+def test_listing_two_sets_again_holds_no_more_memory():
+    # Member tuples made by tuple() of a generator are resized from a guessed
+    # length, so each one freed stays on the free list of its final size: with
+    # the collector off, the traced memory would grow on every repeat. The
+    # squares of DH graphs are chordal, so no Bron-Kerbosch closure is left
+    # for the collector.
+    graphs = [random_dh(n, seed) for n, seed in ((120, 1), (160, 2), (200, 3))]
+    collecting = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        held = []
+        for _ in range(4):
+            for g in graphs:
+                maximal_two_sets(g)
+            held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+        if collecting:
+            gc.enable()
+    assert held[-1] - held[1] < 4096, held
