@@ -107,6 +107,8 @@ def maximal_cliques(
         raise BudgetExceededError(
             f"clique enumeration ran out of recursion depth after {nodes} nodes"
         ) from None
+    finally:
+        expand = None  # expand reaches itself through its closure cell; break the cycle
     out.sort(key=_members)
     return out
 

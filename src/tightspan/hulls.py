@@ -24,15 +24,16 @@ search stops once its nodes over all blocks pass ``max_nodes`` (default
 ``DEFAULT_MAX_NODES``) or at the recursion limit, raising
 BudgetExceededError rather than truncating.
 
-Adjacency packs each vector into one int, a lane per coordinate, and tests a
-pair with one subtraction and two masks (``_chebyshev_pairs``); since the
-vectors are sorted, the candidates for a vector form one contiguous window
-of the list. :class:`InjectiveHull`, also returned by ``dh.hellify_dh``,
-reads its vectors off one hull BFS per real vertex, never the hull's
-all-pairs distances; matching the enumeration checks the embedding too.
-``hull_to_json`` writes the document directly, with the bytes
-``json.dumps(doc, indent=2)`` would give; its edges, like ``hull_to_dot``'s,
-come a row at a time from the edge writer the edge-list format uses too.
+Adjacency needs no pair scan (``_chebyshev_rows``): per coordinate k and
+value c, one bit slice masks the hull vertices with f[k] = c, and a vertex's
+row is the AND over k of the slices for f[k] - 1, f[k] and f[k] + 1, one
+AND per coordinate. :class:`InjectiveHull`, also returned by
+``dh.hellify_dh``, reads its vectors off one hull BFS per real vertex, never
+the hull's all-pairs distances; matching the enumeration checks the
+embedding too. ``hull_to_json`` writes the document directly, with the
+bytes ``json.dumps(doc, indent=2)`` would give; its edges, like
+``hull_to_dot``'s, come a row at a time from the edge writer the edge-list
+format uses too.
 
 Source vertex z is hull vertex z: the hull lists the n real vertices first,
 in source order, then the Helly vertices in lexicographic vector order.
@@ -40,9 +41,10 @@ in source order, then the Helly vertices in lexicographic vector order.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_, getitem
+from typing import Sequence
 
 from .errors import BudgetExceededError
 from .graphs import Graph, _blocks, _distance_row, _dot_edges, _json_edges, _layer_masks, dot_label
@@ -130,6 +132,8 @@ def _search(
         raise BudgetExceededError(
             f"hull enumeration ran out of recursion depth after {nodes} nodes"
         ) from None
+    finally:
+        dfs = None  # dfs reaches itself through its closure cell; break the cycle
     return nodes
 
 
@@ -167,33 +171,23 @@ class InjectiveHull:
         return hull_vertex < self.n_real
 
 
-def _chebyshev_pairs(vectors: list[Vector]) -> list[tuple[int, int]]:
-    """Index pairs i < j of the sorted, distinct ``vectors`` at Chebyshev distance 1.
+def _chebyshev_rows(vectors: Sequence[Vector]) -> list[int]:
+    """Adjacency rows joining the distinct ``vectors``, in any order, at
+    Chebyshev distance 1.
 
-    Vector f is packed into P = sum f[k] << (width * k). A lane holds up to
-    ``top + 1`` below its guard bit, so ``(P_i + ONES) | GUARD`` minus P_j
-    neither carries nor borrows across lanes and leaves ``f_i[k] - f_j[k] + 1``
-    under each guard. Every guard survives and no lane exceeds 2 exactly when
-    every coordinate differs by at most 1, which for distinct vectors is
-    Chebyshev distance 1. A neighbour of f has first coordinate f[0] - 1,
-    f[0] or f[0] + 1, so the later ones form the window up to f[0] + 1.
+    A slice ``at[c]`` of coordinate k masks the vectors f with f[k] = c, so
+    ``near[c] = at[c - 1] | at[c] | at[c + 1]`` masks those within 1 there.
+    Row a is the AND over k of ``near[f_a[k]]`` without a itself: the vectors
+    within 1 of f_a in every coordinate, which for distinct vectors is
+    Chebyshev distance 1.
     """
-    top = max(max(v) for v in vectors)
-    width = (top + 1).bit_length() + 1
-    half = 1 << (width - 1)
-    ones = sum(1 << (width * k) for k in range(len(vectors[0])))
-    guard = ones * half
-    spill = ones * (half - 3)  # lifts a lane of 3 or more into its guard bit
-    packed = [sum(x << (width * k) for k, x in enumerate(v)) for v in vectors]
-    firsts = [v[0] for v in vectors]
-    pairs = []
-    for i, p in enumerate(packed):
-        lifted = (p + ones) | guard
-        for j in range(i + 1, bisect_right(firsts, firsts[i] + 1, i + 1)):
-            d = lifted - packed[j]
-            if d & guard == guard and not ((d ^ guard) + spill) & guard:
-                pairs.append((i, j))
-    return pairs
+    near = []
+    for column in zip(*vectors):
+        at = [0] * (max(column) + 3)  # at[c + 1] is the slice of value c
+        for a, c in enumerate(column):
+            at[c + 1] |= 1 << a
+        near.append([at[c] | at[c + 1] | at[c + 2] for c in range(len(at) - 2)])
+    return [reduce(and_, map(getitem, near, v)) ^ 1 << a for a, v in enumerate(vectors)]
 
 
 def build_injective_hull(g: Graph, max_nodes: int = DEFAULT_MAX_NODES) -> InjectiveHull:
@@ -204,16 +198,9 @@ def build_injective_hull(g: Graph, max_nodes: int = DEFAULT_MAX_NODES) -> Inject
     real_set = set(reals)
     # canonical order: reals in source order, then the Helly vectors sorted
     canonical = reals + tuple(v for v in vectors if v not in real_set)
-    at = {v: k for k, v in enumerate(canonical)}
-    pos = [at[v] for v in vectors]
-    rows = [0] * len(canonical)
-    for i, j in _chebyshev_pairs(vectors):
-        a, b = pos[i], pos[j]
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
     labels = [g.label(z) for z in range(g.n)]
     labels += [f"h{k}" for k in range(1, len(canonical) - g.n + 1)]
-    h = InjectiveHull(g, Graph._of(len(canonical), rows, labels))
+    h = InjectiveHull(g, Graph._of(len(canonical), _chebyshev_rows(canonical), labels))
     if h.vectors != canonical:
         raise RuntimeError("internal consistency failure: hull distances differ from the vectors")
     return h

@@ -1,4 +1,6 @@
+import gc
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -36,3 +38,27 @@ def corpus():
 def corpus_hulls(corpus):
     """Injective hulls for every corpus graph, built once per session."""
     return {name: build_injective_hull(g) for name, g in corpus}
+
+
+@pytest.fixture
+def traced_rounds():
+    """``rounds(call)``: the traced memory after each of four calls of
+    ``call()``, with the cyclic collector off, so anything a call leaves in a
+    reference cycle shows as growth."""
+
+    def rounds(call, count=4):
+        collecting = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            held = []
+            for _ in range(count):
+                call()
+                held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+            if collecting:
+                gc.enable()
+        return held
+
+    return rounds

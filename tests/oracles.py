@@ -7,9 +7,10 @@ its nodes so the library's budget boundary can be checked against it;
 blocks come from deleting one vertex at a time and comparing components;
 feasibility and extremality are
 direct pairwise checks, hull adjacency compares every pair of vectors
-coordinate by coordinate, the isometry check reads both all-pairs distance
-matrices, the hull document goes through ``json.dumps``, Helly checks go
-through exhaustive disk families, bounded disk-Helly intersects every pair
+coordinate by coordinate, ``chebyshev_pairs_windowed`` is the library's
+former packed-lane scan over a sorted first-coordinate window, the isometry
+check reads both all-pairs distance matrices, the hull document goes
+through ``json.dumps``, Helly checks go through exhaustive disk families, bounded disk-Helly intersects every pair
 of disks, pseudo-modularity is a direct triple scan over the distance
 matrix, DH pruning sequences come from a per-round rescan and from the
 library's former neighbour re-keying worklist, DH recognition
@@ -36,6 +37,7 @@ former ones, which print one ``Graph.edges()`` pair at a time.
 """
 
 import json
+from bisect import bisect_right
 from collections import deque
 from itertools import combinations, count
 from typing import Optional, Sequence
@@ -196,8 +198,8 @@ def is_extremal(vector: tuple[int, ...], dist_rows) -> bool:
 def chebyshev_rows_pairwise(vectors) -> list[int]:
     """Adjacency rows joining every two vectors at Chebyshev distance 1.
 
-    Plain O(N^2 * n) pair loop in the given order; the hull's packed-lane
-    window scan must give the same rows.
+    Plain O(N^2 * n) pair loop in the given order; the hull's bit-slice rows
+    must be the same.
     """
     n = len(vectors)
     rows = [0] * n
@@ -208,6 +210,35 @@ def chebyshev_rows_pairwise(vectors) -> list[int]:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return rows
+
+
+def chebyshev_pairs_windowed(vectors: list[tuple[int, ...]]) -> list[tuple[int, int]]:
+    """Index pairs i < j of the sorted, distinct ``vectors`` at Chebyshev distance 1.
+
+    Vector f is packed into P = sum f[k] << (width * k). A lane holds up to
+    ``top + 1`` below its guard bit, so ``(P_i + ONES) | GUARD`` minus P_j
+    neither carries nor borrows across lanes and leaves ``f_i[k] - f_j[k] + 1``
+    under each guard. Every guard survives and no lane exceeds 2 exactly when
+    every coordinate differs by at most 1, which for distinct vectors is
+    Chebyshev distance 1. A neighbour of f has first coordinate f[0] - 1,
+    f[0] or f[0] + 1, so the later ones form the window up to f[0] + 1.
+    """
+    top = max(max(v) for v in vectors)
+    width = (top + 1).bit_length() + 1
+    half = 1 << (width - 1)
+    ones = sum(1 << (width * k) for k in range(len(vectors[0])))
+    guard = ones * half
+    spill = ones * (half - 3)  # lifts a lane of 3 or more into its guard bit
+    packed = [sum(x << (width * k) for k, x in enumerate(v)) for v in vectors]
+    firsts = [v[0] for v in vectors]
+    pairs = []
+    for i, p in enumerate(packed):
+        lifted = (p + ones) | guard
+        for j in range(i + 1, bisect_right(firsts, firsts[i] + 1, i + 1)):
+            d = lifted - packed[j]
+            if d & guard == guard and not ((d ^ guard) + spill) & guard:
+                pairs.append((i, j))
+    return pairs
 
 
 def hull_json_dumps(h) -> str:

@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 from contextlib import contextmanager
 from itertools import product
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from oracles import (
     blocks_by_separation,
     brute_force_extremal,
+    chebyshev_pairs_windowed,
     chebyshev_rows_pairwise,
     extremal_dfs,
     hull_json_dumps,
@@ -38,7 +40,7 @@ from tightspan import (
 )
 from tightspan import hulls
 from tightspan.graphs import _blocks
-from tightspan.hulls import _chebyshev_pairs
+from tightspan.hulls import _chebyshev_rows
 
 
 def test_enumerate_k1():
@@ -407,17 +409,47 @@ def test_corpus_hulls_match_oracles(corpus_hulls):
         assert hull_to_json(h) == hull_json_dumps(h), name
 
 
+def _windowed_rows(vectors):
+    """Rows of the former packed-lane window scan, which needs the vectors
+    sorted, put back into the order of ``vectors``."""
+    order = sorted(range(len(vectors)), key=vectors.__getitem__)
+    rows = [0] * len(vectors)
+    for i, j in chebyshev_pairs_windowed([vectors[a] for a in order]):
+        a, b = order[i], order[j]
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    return rows
+
+
 @pytest.mark.parametrize("top, dim", [(1, 5), (2, 4), (3, 3), (4, 3), (7, 2)])
 def test_chebyshev_pairs_on_full_grids(top, dim):
-    # Every vector of {0..top}^dim, sorted. top + 1 = 2, 4 and 8 are powers of
-    # two, where the lane width steps up: the largest lane value, top + 1,
-    # sets the highest bit below the guard.
+    # Every vector of {0..top}^dim, sorted, then shuffled: the slices need no
+    # order, and the hull's canonical order is not sorted. top + 1 = 2, 4 and 8
+    # are powers of two, where the windowed scan's lane width steps up.
     vectors = list(product(range(top + 1), repeat=dim))
-    rows = [0] * len(vectors)
-    for i, j in _chebyshev_pairs(vectors):
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-    assert rows == chebyshev_rows_pairwise(vectors)
+    shuffled = vectors[:]
+    random.Random(top * 10 + dim).shuffle(shuffled)
+    for order in (vectors, shuffled):
+        rows = _chebyshev_rows(order)
+        assert rows == _windowed_rows(order)
+        assert rows == chebyshev_rows_pairwise(order)
+
+
+# Hulls too large for the pairwise oracle, checked against the windowed scan
+@pytest.mark.parametrize("name", ["C15", "crown8"])
+def test_large_hull_rows_match_windowed_oracle(name):
+    build, size = LARGE_SEARCHES[name]
+    h = build_injective_hull(build())
+    assert h.hull.n == size
+    assert list(h.hull.adj) == _windowed_rows(h.vectors)
+
+
+def test_c16_hull_counts_pinned():
+    # the edges were counted with the windowed scan
+    build, size = LARGE_SEARCHES["C16"]
+    h = build_injective_hull(build())
+    assert h.hull.n == size == 3281
+    assert h.hull.m == 678_032
 
 
 def test_hull_never_builds_hull_distances():
@@ -436,11 +468,22 @@ def test_hull_json_matches_json_dumps(name):
 
 @pytest.mark.parametrize("drop", [0, 1])
 def test_hull_consistency_check_fires(monkeypatch, drop):
-    # Pair 0 joins real vertices 0 and 1 of C6, so the isometric embedding
-    # breaks. Pair 1 joins real vertex 0 to a Helly vertex: the reals stay
-    # isometric, and only the Helly vertices' distances to them change.
-    pairs = hulls._chebyshev_pairs
-    monkeypatch.setattr(hulls, "_chebyshev_pairs", lambda v: [p for k, p in enumerate(pairs(v)) if k != drop])
+    # Case 0 drops the edge between real vertices 0 and 1 of C6, so the
+    # isometric embedding breaks. Case 1 drops the edge from real vertex 0 to
+    # its first Helly neighbour: the reals stay isometric, and only the Helly
+    # vertices' distances to them change.
+    rows_of = hulls._chebyshev_rows
+
+    def dropped(vectors):
+        rows = rows_of(vectors)
+        helly = rows[0] >> 6
+        assert rows[0] & 2 and helly
+        b = 1 if drop == 0 else 5 + (helly & -helly).bit_length()
+        rows[0] ^= 1 << b
+        rows[b] ^= 1
+        return rows
+
+    monkeypatch.setattr(hulls, "_chebyshev_rows", dropped)
     with pytest.raises(RuntimeError, match="internal consistency failure"):
         build_injective_hull(fixture("C6"))
 
@@ -526,3 +569,16 @@ def test_blocks_share_the_node_budget():
         build_injective_hull(g, max_nodes=nodes - 1)
     assert str(exc.value) == f"hull enumeration exceeded {nodes - 1} search nodes"
 
+
+def test_enumerating_again_holds_no_more_memory(traced_rounds):
+    # The search's nested dfs reaches itself through its closure cell; unless
+    # the cell is cleared, each block's function, cells, bound rows and found
+    # vectors wait for the cyclic collector, which is off here.
+    graphs = [fixture("C10"), crown_family(5), _glued()]
+
+    def call():
+        for g in graphs:
+            enumerate_extremal_functions(g)
+
+    held = traced_rounds(call)
+    assert held[-1] - held[1] < 4096, held
