@@ -38,8 +38,10 @@ def _distance_row(n: int, layers: Iterable[int]) -> tuple[int, ...]:
     """Distance row of one source from its BFS layers."""
     row = [0] * n
     for k, layer in enumerate(layers):
-        for v in bits(layer):
-            row[v] = k
+        while layer:
+            low = layer & -layer
+            row[low.bit_length() - 1] = k
+            layer ^= low
     return tuple(row)
 
 
@@ -203,9 +205,11 @@ class Graph:
         seen = frontier = start_mask & allowed
         while frontier:
             yield frontier
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= adj[v]
+            nxt, rest = 0, frontier
+            while rest:
+                low = rest & -rest
+                nxt |= adj[low.bit_length() - 1]
+                rest ^= low
             frontier = nxt & allowed & ~seen
             seen |= frontier
 

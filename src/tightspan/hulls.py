@@ -6,16 +6,20 @@ tight against some other, so no coordinate can be lowered. Real vertices are
 the distance vectors ``d_z``; everything else is a Helly vertex. Two hull
 vertices are adjacent exactly when their Chebyshev distance is 1.
 
-Enumeration assigns f depth-first in vertex order, each value between the
-lower bound max(0, d(x,y) - f(y)) over assigned y and the eccentricity. Next
-to each unassigned y's bound it keeps the mask of assigned x attaining it, y's
-possible tight partners. The mask passed down marks the assigned coordinates
-witnessed by a tight partner. Only a coordinate's lowest value can be tight,
-so its tight set is its bound's mask plus itself; a branch dies when an
-unwitnessed coordinate is in no unassigned vertex's mask, a test of one OR per
-node. ``enumerate_extremal_functions`` searches each 2-connected block
-alone, on the source's distance rows restricted to it, and extends a block
-B's vector f to V by f(x) = min over a in B of f(a) + d(a, x): Helly graphs
+Enumeration assigns f depth-first in farthest-first order: a vertex of
+largest eccentricity, then ever the vertex with the largest sum of distances
+to those taken. Each value lies between the lower bound max(0, d(x,y) - f(y))
+over assigned y and the eccentricity. Next to each unassigned y's bound it
+keeps the mask of assigned x attaining it, y's possible tight partners. The
+mask passed down marks the assigned coordinates witnessed by a tight partner.
+Only a coordinate's lowest value can be tight, so its tight set is its bound's
+mask plus itself; a branch dies when an unwitnessed coordinate is in no
+unassigned vertex's mask. Those masks, OR-ed over the suffix, only grow with
+the value, so they are bucketed once per vertex and read per value, and the
+suffix's bounds are updated only for a value that survives.
+``enumerate_extremal_functions`` searches each 2-connected block alone, on
+the source's distance rows restricted to it, and extends a block B's vector
+f to V by f(x) = min over a in B of f(a) + d(a, x): Helly graphs
 are closed under gated amalgams, as at a cut vertex (Bandelt and Chepoi,
 "Metric graph theory and geometry: a survey", 2008), and hyperconvex spaces
 glued at a point stay hyperconvex (Miesch, "Gluing hyperconvex metric
@@ -59,20 +63,42 @@ def enumerate_extremal_functions(
 ) -> list[Vector]:
     """All extremal integer vectors of g, sorted lexicographically.
 
-    Searched block by block on g's distance rows: a block is isometric, so the
-    rows restricted to a block B are B's own distances, and each of its
-    vectors f extends to V by f(x) = min over a in B of f(a) + d(a, x), taken
-    at x's gate in B. Bridges add nothing to the n distance vectors, so a tree
-    searches nothing. Raises BudgetExceededError once the search nodes over
-    all blocks pass ``max_nodes``, or past the recursion limit, which a
-    block's size counts against; results are never silently truncated.
+    Searched block by block on g's distance rows, each block in
+    ``_farthest_first`` order: a block is isometric, so the rows restricted to
+    a block B are B's own distances, and each of its vectors f extends to V by
+    f(x) = min over a in B of f(a) + d(a, x), taken at x's gate in B, which
+    also maps it back to source order. Bridges add nothing to the n distance
+    vectors, so a tree searches nothing. Raises BudgetExceededError once the
+    search nodes over all blocks pass ``max_nodes``, or past the recursion
+    limit, which a block's size counts against; results are never silently
+    truncated.
     """
     d = g.distances()
     found, nodes = set(d), 0
     for block in (b for b in _blocks(g) if len(b) > 2):
+        block = _farthest_first(d, block)
         gate = [min((d[a][x], i) for i, a in enumerate(block)) for x in range(g.n)]
         nodes = _search([[d[a][b] for b in block] for a in block], gate, found, max_nodes, nodes)
     return sorted(found)
+
+
+def _farthest_first(d: Sequence[Sequence[int]], block: list[int]) -> list[int]:
+    """The sorted ``block`` in the search's order on distance rows ``d``: first its
+    vertex of largest eccentricity, then ever the remaining vertex with the largest
+    sum of distances to those taken, the lowest id on ties."""
+    rest = block[:]
+    total = dict.fromkeys(block, 0)
+    pick = max(rest, key=lambda a: max(d[a][b] for b in block))
+    order = []
+    while True:
+        order.append(pick)
+        rest.remove(pick)
+        if not rest:
+            return order
+        row = d[pick]
+        for b in rest:
+            total[b] += row[b]
+        pick = max(rest, key=total.__getitem__)
 
 
 def _search(
@@ -98,18 +124,36 @@ def _search(
             return
         cur, rc, nxt, rn = lower[i], reach[i], lower[i + 1], reach[i + 1]
         di = d[i]
-        lowest = cur[i]
+        lowest, top = cur[i], ecc[i]
         bit = 1 << i
         # only the lowest value is tight: with reach[i][i], or with i at 0; a pair witnesses both
         tight = rc[i] | bit
-        for value in range(lowest, ecc[i] + 1):
+        # with s = d(i, y) - lower(y), a value makes i one of y's partners while it is
+        # <= s and keeps y's old ones once it is >= s: partners grow as the value does,
+        # by gained[value - lowest]. lowest <= top, as lower(y) <= ecc(y)
+        gained = [0] * (top - lowest + 1)
+        last = lowest - 1
+        for y in range(i + 1, n):
+            s = di[y] - cur[y]
+            if s > last:
+                last = s
+            if s <= top:
+                gained[s - lowest if s > lowest else 0] |= rc[y]
+        partners = 0
+        # a value past last and lowest leaves i unwitnessed and in no reach: it is dead,
+        # so those are only counted, after the live ones as a value-by-value pass would
+        end = max(lowest, min(last, top))
+        for value in range(lowest, end + 1):
             nodes += 1
             if nodes > max_nodes:
-                raise BudgetExceededError(
-                    f"hull enumeration exceeded {max_nodes} search nodes"
-                )
+                raise _exceeded(max_nodes)
+            partners |= gained[value - lowest]
+            w = witnessed | tight if value == lowest else witnessed
+            # dead once an unwitnessed coordinate is in no unassigned vertex's reach;
+            # i itself is covered up to end
+            if ~w & (bit - 1) & ~partners:
+                continue
             f[i] = value
-            partners = 0
             for y in range(i + 1, n):
                 t = di[y] - value
                 c = cur[y]
@@ -119,11 +163,10 @@ def _search(
                 else:
                     nxt[y] = c
                     rn[y] = rc[y] | bit if t == c else rc[y]
-                partners |= rn[y]
-            w = witnessed | tight if value == lowest else witnessed
-            # dead once an unwitnessed coordinate is in no unassigned vertex's reach
-            if not ~w & (2 * bit - 1) & ~partners:
-                dfs(i + 1, w)
+            dfs(i + 1, w)
+        nodes += top - end
+        if nodes > max_nodes:
+            raise _exceeded(max_nodes)
 
     try:
         dfs(0, 0)
@@ -135,6 +178,10 @@ def _search(
     finally:
         dfs = None  # dfs reaches itself through its closure cell; break the cycle
     return nodes
+
+
+def _exceeded(max_nodes: int) -> BudgetExceededError:
+    return BudgetExceededError(f"hull enumeration exceeded {max_nodes} search nodes")
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from tightspan import (
 )
 from tightspan import hulls
 from tightspan.graphs import _blocks
-from tightspan.hulls import _chebyshev_rows
+from tightspan.hulls import _chebyshev_rows, _farthest_first
 
 
 def test_enumerate_k1():
@@ -322,11 +322,17 @@ FAMILY_HULLS = {
 }
 
 
+def _dfs_nodes(g, blocks):
+    """The former DFS's node count over ``blocks``, each induced in the library's
+    farthest-first order, which the search must match value for value."""
+    d = g.distances()
+    return sum(extremal_dfs(g.induced(_farthest_first(d, b)))[1] for b in blocks)
+
+
 def _assert_same_search(g, label=None):
-    """Same vectors as the former whole-graph DFS, and a budget boundary at the
-    sum of its node counts on the blocks that need a search: on a 2-connected
-    graph, its node count on g."""
-    nodes = sum(extremal_dfs(g.induced(b))[1] for b in blocks_by_separation(g) if len(b) > 2)
+    """Same vectors as the former whole-graph DFS in source order, and a budget
+    boundary at the sum of its node counts on the blocks that need a search."""
+    nodes = _dfs_nodes(g, [b for b in blocks_by_separation(g) if len(b) > 2])
     assert enumerate_extremal_functions(g, max_nodes=nodes) == extremal_dfs(g)[0], label
     if nodes:
         with pytest.raises(BudgetExceededError, match=f"exceeded {nodes - 1} search nodes"):
@@ -357,30 +363,64 @@ def test_search_matches_dfs_oracle_random(g):
     _assert_same_search(g)
 
 
-# Search nodes of the extremal enumeration, measured with tests/oracles.extremal_dfs
-# (the former DFS). Any change to the value order or the pruning moves them.
+def _assert_farthest_first(g, label=None):
+    """Each block's order is a permutation of it that starts at a vertex of
+    largest eccentricity; each later vertex has the largest distance sum to
+    those before it, and the lowest id among ties."""
+    d = g.distances()
+    for block in _blocks(g):
+        order = _farthest_first(d, block)
+        assert sorted(order) == block, label
+        ecc = {a: max(d[a][b] for b in block) for a in block}
+        assert ecc[order[0]] == max(ecc.values()), label
+        for k, a in enumerate(order):
+            score = ecc.__getitem__ if k == 0 else lambda b: sum(d[b][c] for c in order[:k])
+            assert a == max(sorted(order[k:]), key=score), label
+
+
+def test_farthest_first_order_corpus(corpus):
+    for name, g in corpus:
+        _assert_farthest_first(g, name)
+    _assert_farthest_first(_glued())
+    assert _farthest_first(fixture("C6").distances(), list(range(6))) == [0, 3, 1, 4, 2, 5]
+
+
+@given(connected_graphs(max_n=9))
+@settings(max_examples=100, deadline=None)
+def test_farthest_first_order_random(g):
+    _assert_farthest_first(g)
+
+
+# Search nodes of the extremal enumeration in the library's order, measured with
+# tests/oracles.extremal_dfs (the former DFS) on the farthest-first induced copy.
+# Any change to the vertex order, the value order or the pruning moves them.
 SEARCH_NODES = {
-    "crown6": 5232,
-    "crown7": 15065,
-    "crown8": 43748,
-    "crown9": 127937,
-    "C12": 14961,
-    "C13": 12421,
-    "C14": 58755,
-    "C15": 42366,
-    "C16": 223703,
-    "split2": 305,
-    "cocomparability2": 312,
+    "crown6": 738,
+    "crown7": 1327,
+    "crown8": 2438,
+    "crown9": 4583,
+    "crown10": 8786,
+    "C12": 7843,
+    "C13": 10107,
+    "C14": 26450,
+    "C15": 30391,
+    "C16": 85626,
+    "C17": 86918,
+    "split2": 292,
+    "cocomparability2": 299,
 }
 
 # Searches too large for the pairwise Chebyshev oracle of FAMILY_HULLS, pinned
-# by their node counts and hull sizes: 2k + 2^k for the k-crown, (3^k + 1) / 2
-# for C_2k, and 683 for C15
+# by their hull sizes and, but for C18, their node counts: 2k + 2^k for the
+# k-crown, (3^k + 1) / 2 for C_2k, and 683 and 1786 for C15 and C17
 LARGE_SEARCHES = {
     "crown8": (lambda: crown_family(8), 2 * 8 + 2**8),
     "crown9": (lambda: crown_family(9), 2 * 9 + 2**9),
+    "crown10": (lambda: crown_family(10), 2 * 10 + 2**10),
     "C15": (lambda: fixture("C15"), 683),
     "C16": (lambda: fixture("C16"), (3**8 + 1) // 2),
+    "C17": (lambda: fixture("C17"), 1786),
+    "C18": (lambda: fixture("C18"), (3**9 + 1) // 2),
 }
 
 
@@ -450,6 +490,18 @@ def test_c16_hull_counts_pinned():
     h = build_injective_hull(build())
     assert h.hull.n == size == 3281
     assert h.hull.m == 678_032
+
+
+# Counts only, no oracle; the edges were counted with the former vertex order
+@pytest.mark.parametrize(
+    "name, vertices, edges",
+    [("crown10", 1044, 534_106), ("C17", 1786, 171_870), ("C18", 9842, 4_326_142)],
+)
+def test_larger_hull_counts_pinned(name, vertices, edges):
+    build, size = LARGE_SEARCHES[name]
+    h = build_injective_hull(build())
+    assert h.hull.n == size == vertices
+    assert h.hull.m == edges
 
 
 def test_hull_never_builds_hull_distances():
@@ -563,7 +615,7 @@ def test_build_computes_one_distance_matrix(monkeypatch):
 
 def test_blocks_share_the_node_budget():
     g = _glued()
-    nodes = sum(extremal_dfs(g.induced(b))[1] for b in GLUED_BLOCKS[:2])
+    nodes = _dfs_nodes(g, GLUED_BLOCKS[:2])
     assert build_injective_hull(g, max_nodes=nodes).hull.n == 31
     with pytest.raises(BudgetExceededError) as exc:
         build_injective_hull(g, max_nodes=nodes - 1)
