@@ -42,11 +42,12 @@ EXIT_PRECONDITION = 3
 # lists edges. At n = 512 (2-vCPU host, Python 3.11) the hull search of a
 # 2-connected input costs 55-87 us per node, so the default budget would run
 # 9-15 min before exit 2. The four-point scan stops at a proven bound on
-# 2*delta: random_dh(512, 1) takes 0.16-0.25 s and random_chordal(512, 1)
-# 0.21-0.24 s (largest blocks of about 330 vertices, bound 2), C512 0.4 s
-# (bound the diameter), and P512, all bridges, runs no scan (0.4 s of BFS).
-# An input whose delta stays below its bound scans in full: C510 and C511 take
-# 1.3-2.3 s. The hyperbolicity cap stays until the scan has a work budget.
+# 2*delta. With its distance rows, random_dh(512, 1) takes 0.04 s and
+# random_chordal(512, 1) 0.07-0.08 s (largest blocks of about 330 vertices,
+# bound 2), C512 0.12-0.15 s (bound the diameter), and P512, all bridges, runs
+# no scan (0.19-0.28 s of distance rows). An input whose delta stays below its
+# bound scans in full: C510 and C511 take 1.3-2.0 s. The hyperbolicity cap
+# stays until the scan has a work budget.
 HULL_MAX_VERTICES = 14
 HYPERBOLICITY_MAX_VERTICES = 128
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import compress, islice
-from operator import and_
+from functools import partial, reduce
+from itertools import compress, islice, repeat
+from operator import add, and_, lshift, or_, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DisconnectedGraphError
@@ -218,14 +219,12 @@ class Graph:
             raise DisconnectedGraphError(f"{what} need a connected graph")
 
     def distances(self) -> tuple[tuple[int, ...], ...]:
-        """All-pairs distance rows, cached on first use: row u is read off one
-        BFS from u. They are the one all-pairs structure a graph caches."""
+        """All-pairs distance rows, cached on first use: every row at once from
+        one level-synchronous sweep (:func:`_sweep`). They are the one
+        all-pairs structure a graph caches."""
         if self._dm is None:
             self._require_connected("distances")
-            full = (1 << self.n) - 1
-            self._dm = tuple(
-                _distance_row(self.n, self._frontiers(1 << u, full)) for u in range(self.n)
-            )
+            self._dm = _rows(_sweep(self))
         return self._dm
 
     def disk_mask(self, v: int, r: int) -> int:
@@ -245,6 +244,56 @@ class Graph:
 def _reaches_all(g: Graph) -> bool:
     full = (1 << g.n) - 1
     return sum(g._frontiers(1, full)) == full
+
+
+# A byte lane counts at most this many levels before its totals are read off.
+_LANE_LEVELS = 255
+
+
+def _sweep(g: Graph) -> list[list[bytes]]:
+    """Distance rows of a connected g, every source at once, as byte parts.
+
+    ``ball[v]`` holds one byte lane per vertex, 1 on the vertices within the
+    current level of v: v's own lane at level 0, its closed neighbourhood at
+    level 1. Each further level sets every ball to the OR of the balls of v's
+    neighbours (which hold v from level 1 on) and adds it to v's total,
+    all in C with no Python step per vertex, until every ball holds every
+    vertex. Lane s of ``levels * ones - total[v]`` then counts the levels at
+    which s was still outside v's ball: d(v, s). A lane holds at most 255, so
+    every 255 levels the totals are read off, one part of n bytes per vertex,
+    and restart; d(v, s) is the sum of byte s of v's parts. Only the balls,
+    their successors and the totals are kept, never a list per level.
+    """
+    n = g.n
+    nbrs = [list(bits(row)) for row in g.adj]
+    ones = int.from_bytes(b"\1" * n, "little")
+    own = list(map(lshift, repeat(1), range(0, 8 * n, 8)))
+    ball = list(map(reduce, repeat(or_), map(map, repeat(own.__getitem__), nbrs), own))
+    total, levels, parts = list(map(add, own, ball)), 2, []
+    while ball.count(ones) < n:
+        ball = list(map(reduce, repeat(or_), map(map, repeat(ball.__getitem__), nbrs)))
+        if levels == _LANE_LEVELS:
+            parts.append(_lane_bytes(n, levels * ones, total))
+            total, levels = ball, 1
+        else:
+            total, levels = list(map(add, total, ball)), levels + 1
+    parts.append(_lane_bytes(n, levels * ones, total))
+    return parts
+
+
+def _lane_bytes(n: int, full: int, total: list[int]) -> list[bytes]:
+    """Each ``full - t``, lane s of which counts the levels s was outside, as n bytes."""
+    return [t.to_bytes(n, "little") for t in map(sub, repeat(full), total)]
+
+
+def _rows(parts: list[list[bytes]]) -> tuple[tuple[int, ...], ...]:
+    """The distance rows that :func:`_sweep`'s parts sum to."""
+    if len(parts) == 1:
+        return tuple(map(tuple, parts[0]))
+    # Sums above 256 are new ints; index them into one list so rows share them.
+    values = list(range(_LANE_LEVELS * len(parts)))
+    sums = (reduce(partial(map, add), row) for row in zip(*parts))
+    return tuple(tuple(map(values.__getitem__, s)) for s in sums)
 
 
 def _power(g: Graph, k: int) -> Graph:
@@ -378,6 +427,10 @@ def parse_edge_list(text: str, max_vertices: int = DEFAULT_MAX_VERTICES) -> Grap
     return g if g is not None else _parse_general(text, max_vertices)
 
 
+# Both separators of a canonical text to commas, in one copy of the text.
+_COMMAS = str.maketrans(" \n", ",,")
+
+
 def _parse_canonical(text: str, max_vertices: int) -> Optional[Graph]:
     """The graph of a canonical text that passes every check, else None."""
     if not _is_canonical(text):
@@ -386,7 +439,7 @@ def _parse_canonical(text: str, max_vertices: int) -> Optional[Graph]:
     # C pass that makes no string per number. JSON refuses a leading zero, and
     # a number past int()'s digit limit: both raise ValueError.
     try:
-        tokens = json.loads("[" + text[:-1].replace(" ", ",").replace("\n", ",") + "]")
+        tokens = json.loads("[" + text[:-1].translate(_COMMAS) + "]")
     except ValueError:
         return None
     n, m = tokens[0], tokens[1]

@@ -46,7 +46,7 @@ import numpy as np
 
 from tightspan import Graph, SplitMix64
 from tightspan.dh import FALSE_TWIN, PENDANT, TRUE_TWIN, PruningSequence, PruningStep
-from tightspan.graphs import bits, dot_label
+from tightspan.graphs import _distance_row, bits, dot_label
 from tightspan.helly import ExtendedSquare, maximal_cliques
 from tightspan.hyperbolicity import HyperbolicityReport
 
@@ -994,6 +994,15 @@ def distances_bfs(g: Graph) -> tuple[tuple[int, ...], ...]:
                     queue.append(u)
         rows.append(tuple(dist))
     return tuple(rows)
+
+
+def distances_by_layers(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """All-pairs distance rows with row u read off one BFS from u, its layers
+    from ``Graph._frontiers``: the per-source search that ``Graph.distances``
+    replaced with one sweep over every source at once."""
+    g._require_connected("distances")
+    full = (1 << g.n) - 1
+    return tuple(_distance_row(g.n, g._frontiers(1 << u, full)) for u in range(g.n))
 
 
 def interval_scan(g: Graph, x: int, y: int) -> frozenset[int]:

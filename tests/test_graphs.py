@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -178,6 +179,33 @@ def test_fresh_distances_check_connectivity_once(monkeypatch):
     g = Graph._of(6, adj)
     assert g.distances() is g.distances()
     assert calls == [6]
+
+
+def _held_bytes(rows) -> int:
+    """Bytes the rows hold: the tuples and each distinct int in them."""
+    ints = {id(x): x for row in rows for x in row}
+    # one int object per distance, however many rows hold it
+    assert len(ints) == len(set(ints.values()))
+    return sys.getsizeof(rows) + sum(map(sys.getsizeof, [*rows, *ints.values()]))
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: random_dh(512, 1), lambda: fixture("P512")], ids=["random_dh(512, 1)", "P512"]
+)
+def test_distance_sweep_memory_stays_near_its_rows(make):
+    # Besides the rows, the sweep holds its balls, their successors and the
+    # totals, n ints of n bytes, and one n-byte part per vertex per 255
+    # levels: 0.13 and 0.40 of the rows here. A list kept per level would
+    # add up to n such ints a level, 1.7 and 71 times the rows. P512's rows
+    # hold distances above 256, one shared int each (1.8 MB apart).
+    g = make()
+    tracemalloc.start()
+    try:
+        rows = g.distances()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * _held_bytes(rows)
 
 
 def test_square_is_cached():

@@ -2,6 +2,9 @@
 against the vertex scans they replaced (``tests/oracles.py``): same answers,
 witnesses and order."""
 
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +14,7 @@ from oracles import (
     cocomparability_violation_scan,
     component_labels,
     distances_bfs,
+    distances_by_layers,
     disk_mask_scan,
     extended_squares_scan,
     find_long_induced_cycle_bfs,
@@ -24,6 +28,7 @@ from oracles import (
     tree_plus_chords,
 )
 from strategies import connected_graphs, graphs
+import tightspan
 from tightspan import (
     DisconnectedGraphError,
     Graph,
@@ -38,6 +43,7 @@ from tightspan import (
     is_bipartite,
     is_split,
     maximal_two_sets,
+    parse_edge_list,
     peripheral_vertices,
     random_chordal,
     random_dh,
@@ -45,6 +51,10 @@ from tightspan import (
 from tightspan.detectors import _mcs_order
 from tightspan.graphs import bits
 from tightspan.helly import _suspension_witness
+
+# perfbench/workloads.py is only read, for the seed-1 benchmark inputs.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 FAMILIES = (random_dh, random_chordal, tree_plus_chords)
 
@@ -80,13 +90,21 @@ def check_classes(g: Graph, seed: int = 0) -> tuple[bool, bool, bool]:
     return split is not None, triple is not None, coloring is not None
 
 
+def assert_distances_match(g: Graph) -> None:
+    """The sweep's rows of a fresh copy of g, so none is read from a cache,
+    equal both per-source searches'."""
+    rows = Graph(g.n, g.adj).distances()
+    assert rows == distances_by_layers(g)
+    assert rows == distances_bfs(g)
+
+
 def check_metric(g: Graph) -> int:
     """Compare distances, disks, extended squares and peripheral vertices
     with their oracles on a connected g.
 
     Returns the number of extended squares.
     """
-    assert Graph(g.n, g.adj).distances() == distances_bfs(g)
+    assert_distances_match(g)
     for x, row in enumerate(g.distances()):
         for r in range(-2, max(row) + 2):
             assert g.disk_mask(x, r) == disk_mask_scan(g, x, r)
@@ -244,6 +262,53 @@ def test_at_free_graphs_match_oracle():
         co = Graph(g.n, [full & ~(row | 1 << v) for v, row in enumerate(g.adj)])
         outcomes.add(check_classes(co, seed)[1])
     assert outcomes == {True, False}
+
+
+def _star(n: int) -> Graph:
+    return Graph.from_edge_list(n, [(0, v) for v in range(1, n)])
+
+
+# A byte lane counts 255 levels: P255's last lane reaches exactly 255. P256
+# and C510 need one level more, so their totals are read off once and
+# restart; P257 is the first path with a lane outside 256 levels. P510 reads
+# off twice, its second part full, and P511 three times, its last part one
+# level. C255 and C256 sit on both sides of n = 256.
+SWEEP_GRAPHS = {
+    "K1": lambda: fixture("K1"),
+    "K2": lambda: fixture("K2"),
+    "K9": lambda: fixture("K9"),
+    "star9": lambda: _star(9),
+    "P255": lambda: fixture("P255"),
+    "C255": lambda: fixture("C255"),
+    "P256": lambda: fixture("P256"),
+    "C256": lambda: fixture("C256"),
+    "P257": lambda: fixture("P257"),
+    "P510": lambda: fixture("P510"),
+    "P511": lambda: fixture("P511"),
+    "C510": lambda: fixture("C510"),
+    "random_dh(512, 1)": lambda: random_dh(512, 1),
+    "random_chordal(512, 1)": lambda: random_chordal(512, 1),
+}
+
+
+@pytest.mark.parametrize("name", SWEEP_GRAPHS)
+def test_distance_sweep_matches_per_source_searches(name):
+    assert_distances_match(SWEEP_GRAPHS[name]())
+
+
+def test_distance_sweep_matches_per_source_searches_on_seeded_graphs():
+    for seed in range(300):
+        assert_distances_match(random_connected_graph(seed))
+    for n in (6, 9, 12, 60):
+        for seed in range(20):
+            assert_distances_match(tree_plus_chords(n, seed))
+
+
+@pytest.mark.parametrize("workload", ["hyperbolicity", "hull"])
+def test_distance_sweep_matches_per_source_searches_on_benchmark_inputs(workload):
+    inputs, _ = workloads.build_inputs(tightspan, workload, 1)
+    for inp in inputs:
+        assert_distances_match(parse_edge_list(inp.text))
 
 
 def test_distances_keep_their_disconnected_message():
