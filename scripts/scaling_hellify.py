@@ -1,24 +1,22 @@
 #!/usr/bin/env python3
 """Soft scaling check for distance-hereditary Hellification.
 
-Times the sequence-to-hull core (one pass over the sequence that updates
-the twin classes in O(1) per step and writes the host's neighbour lists as
-it goes, linear in the size of the host) on random build sequences, and
-reports hull-size growth. The expectation: hull vertex count stays
-within a small constant of n, and core time grows subquadratically in n (it
-tracks n + m, and m itself grows superlinearly for uniformly random
-twin-heavy instances).
+Times the sequence-to-hull core (``dh.hellify_adjacency``, linear in the size
+of the host) on random build sequences, and reports hull-size growth. The
+expectation: hull vertex count stays within a small constant of n, and core
+time grows subquadratically in n (it tracks n + m, and m itself grows
+superlinearly for uniformly random twin-heavy instances). Up to n = 30000 it
+measured a hull-size exponent of about 1.00 and core time exponents of
+1.32-1.40, with the core taking 0.15-0.26 s at n = 30000: the twin-class pass
+0.016 s of it, and building the host's adjacency lists most of the rest.
 
 The pendant/twin *search* that turns an arbitrary graph back into a sequence
-is a separate worklist pass: a removed twin becomes a ghost of its anchor in
-every other key, so a removal re-keys only the anchor (at most four bucket
-updates), but each update and each pop still works on n-bit masks. Time it
-with --with-builder. On random DH graphs (seed 1, 2-vCPU host), eight runs over
-the default n = 500..4000 measured time growth exponents of 1.53-1.64, and four
-runs over n = 500..8000 measured 1.55-1.66, while m grows as about n^1.35: the
-per-update cost grows with n. The former builder, which re-keyed every
-neighbour, measured 1.48-1.75 and 1.66-1.94 and was about 4x slower at
-n = 8000 (1.7-1.8 s against 0.41-0.47 s): the constant fell, not the exponent.
+(``dh.pruning_sequence``) is timed with --with-builder. Each of its bucket
+updates and worklist pops works on n-bit masks, so its time grows faster than
+n + m. On random DH graphs (seed 1, 2-vCPU host, Python 3.11), eight runs
+over the default n = 500..4000 measured time growth exponents of 1.53-1.64,
+and four runs over n = 500..8000 measured 1.55-1.66 (0.41-0.47 s at
+n = 8000), while m grows as about n^1.35: the per-update cost grows with n.
 
 Usage: python scripts/scaling_hellify.py [--sizes 1000,3000,10000,30000]
        [--seed 1] [--with-builder]

@@ -1,17 +1,7 @@
 """Recognizers for the graph classes the library quantifies over.
 
-Chordality goes through maximum cardinality search, kept as one mask of
-unnumbered vertices per weight with ties to the lowest id, and a check that
-each vertex's earlier neighbours in that order form a clique; bipartiteness
-and splitness return explicit partitions, the colouring from the odd BFS
-layers and the split from the degree sequence; AT-freeness decomposes the
-graph around each closed neighborhood into component masks and scans
-candidate triples on bit rows. Every search here runs on the layer masks of
-``Graph._frontiers``, and the induced-cycle and odd-cycle witnesses are least
-paths read off them, the paths a queue BFS in id order would record. Full
-cocomparability recognition is deliberately out of scope: generators supply
-orderings and this module only verifies them, on rows relabelled to order
-positions.
+Full cocomparability recognition is deliberately out of scope: generators
+supply orderings, and this module only verifies them.
 """
 
 from __future__ import annotations

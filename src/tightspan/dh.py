@@ -1,18 +1,10 @@
-"""Distance-hereditary recognition and linear-style Hellification.
+"""Distance-hereditary recognition and linear-time Hellification.
 
 A graph is distance-hereditary exactly when it can be grown from a single
 vertex by pendant, true-twin, and false-twin extensions. Recognition prunes
 such a vertex per round and reverses the removals into a
-:class:`PruningSequence`, and :func:`replay` rebuilds the graph from one.
-Hellification is one walk over the sequence that writes the host's
-neighbour lists as it goes: a false twin of an anchor whose closed
-neighbourhood is not contained in any other vertex's is preceded by a fresh
-true twin of the anchor (the new Helly vertex). The dominator query reads
-the host's true-twin classes, each kept with its size and a flag saying that
-some closed neighbourhood strictly contains the class's; a step updates them
-in O(1). Every step, Helly or not, meets the lists through the same code as
-:func:`replay`, and the host is returned as a ``hulls.InjectiveHull``, whose
-vectors cost nothing unread.
+:class:`PruningSequence`; :func:`replay` rebuilds the graph from one, and
+:func:`hellify_adjacency` builds the hull in one pass over it.
 
 The sequence builder keeps the live vertices in one bucket map keyed by closed
 rows N[v] and open rows N(v), and a worklist mask of vertices whose status may
@@ -164,9 +156,6 @@ def pruning_sequence(g: Graph) -> Optional[PruningSequence]:
         live ^= bit
         _leave(buckets, okey[v], bit)
         _leave(buckets, ckey[v], bit)
-        # Only a's keys move: v turns into a ghost of a, which leaves a true
-        # twin's open key and enters a false twin's closed key, and a
-        # pendant's one neighbour drops v and its ghosts from both keys.
         a, gone = step.anchor, ghosts[v] | bit
         abit = 1 << a
         if step.kind == PENDANT:

@@ -1,9 +1,7 @@
 """Constructors for exponential-hull families, random instances, and fixtures.
 
-The three 2^k-families share a vertex numbering convention so reports are
-comparable across runs: the X block first, then Y, then M grouped by block
-index. Seeded generators use an explicit splitmix-style PRNG so outputs are
-identical across platforms and Python versions.
+Seeded generators draw from :class:`SplitMix64`, so their outputs are the
+same on every platform and Python version.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ _MASK64 = (1 << 64) - 1
 
 
 class SplitMix64:
-    """Tiny portable PRNG; identical streams on every platform."""
+    """Tiny portable PRNG."""
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
@@ -49,9 +47,10 @@ class SplitMix64:
 
 
 def _family(k: int, xy_cliques: bool) -> Graph:
-    """Both families on one id layout: x_i = i, y_i = k + i, and block j is
-    u_j, v_j, w_j, z_j at 2k + 4j. Neighbourhoods are as in :func:`split_family`,
-    and X and Y are cliques when ``xy_cliques`` is set."""
+    """Both families on one id layout, so their reports compare: x_i = i,
+    y_i = k + i, and block j is u_j, v_j, w_j, z_j at 2k + 4j. Neighbourhoods
+    are as in :func:`split_family`, and X and Y are cliques when ``xy_cliques``
+    is set."""
     n = 6 * k
     check_size(n)
     labels = [f"x{i + 1}" for i in range(k)] + [f"y{i + 1}" for i in range(k)]

@@ -46,14 +46,6 @@ def _distance_row(n: int, layers: Iterable[int]) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _layer_masks(row: Sequence[int]) -> list[int]:
-    """BFS layers of one source from its distance row: the inverse of _distance_row."""
-    layers = [0] * (max(row) + 1)
-    for v, k in enumerate(row):
-        layers[k] |= 1 << v
-    return layers
-
-
 class Graph:
     """Simple undirected graph with one integer bit-row per vertex.
 
@@ -219,9 +211,7 @@ class Graph:
             raise DisconnectedGraphError(f"{what} need a connected graph")
 
     def distances(self) -> tuple[tuple[int, ...], ...]:
-        """All-pairs distance rows, cached on first use: every row at once from
-        one level-synchronous sweep (:func:`_sweep`). They are the one
-        all-pairs structure a graph caches."""
+        """All-pairs distance rows, read off :func:`_sweep` on first use."""
         if self._dm is None:
             self._require_connected("distances")
             self._dm = _rows(_sweep(self))
@@ -304,16 +294,21 @@ def _power(g: Graph, k: int) -> Graph:
     return Graph._of(g.n, rows, g.labels)
 
 
+def _source_rows(g: Graph, sources: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """The distance row of each source in turn, each off its own BFS and only
+    when it is read, so a reader that stops early pays for no more searches."""
+    full = (1 << g.n) - 1
+    return (_distance_row(g.n, g._frontiers(1 << z, full)) for z in sources)
+
+
 def is_isometric_subgraph(sub: Graph, host: Graph, embed: Sequence[int]) -> bool:
     """True iff ``embed`` maps ``sub`` onto host vertices preserving all distances.
 
-    Reads each embedded vertex's host distance row off one BFS, as
-    ``InjectiveHull.vectors`` does, and compares it at the embedded vertices
-    with the vertex's row of ``sub.distances()``. The host's distance rows
-    are never built, so checking a small graph inside its large hull costs
-    ``sub.n`` BFS runs, not the hull's all-pairs distances. Raises ValueError
-    when ``embed`` is not an injective map into the host's vertices, and
-    DisconnectedGraphError when either graph is disconnected.
+    The host's distance rows are never built: checking a small graph inside
+    its large hull costs at most ``sub.n`` BFS runs, and stops at the first
+    embedded vertex that fails. Raises ValueError when ``embed`` is not an
+    injective map into the host's vertices, and DisconnectedGraphError when
+    either graph is disconnected.
     """
     if len(embed) != sub.n:
         raise ValueError("embedding must cover every vertex of the subgraph")
@@ -323,12 +318,9 @@ def is_isometric_subgraph(sub: Graph, host: Graph, embed: Sequence[int]) -> bool
         raise ValueError(f"embedding has vertices outside 0..{host.n - 1}")
     rows = sub.distances()
     host._require_connected("distances")
-    full = (1 << host.n) - 1
-    for z, want in zip(embed, rows):
-        row = _distance_row(host.n, host._frontiers(1 << z, full))
-        if tuple(row[x] for x in embed) != want:
-            return False
-    return True
+    return all(
+        tuple(row[x] for x in embed) == want for want, row in zip(rows, _source_rows(host, embed))
+    )
 
 
 def _blocks(g: Graph) -> list[list[int]]:
@@ -499,12 +491,11 @@ def dot_label(text: str) -> str:
 
 def to_dot(g: Graph) -> str:
     """Render the graph in DOT format with display labels."""
-    lines = ["graph G {"]
-    for v in range(g.n):
-        lines.append(f"  {v} [label={dot_label(g.label(v))}];")
-    return "\n".join(lines) + "\n" + _dot_edges(g) + "}\n"
+    return _dot(g, "G", [""] * g.n)
 
 
-def _dot_edges(g: Graph) -> str:
-    """The ``u -- v;`` lines of ``to_dot`` and ``hull_to_dot``."""
-    return _edge_text(g, "  {} -- ", ";\n", "")
+def _dot(g: Graph, name: str, attrs: Sequence[str]) -> str:
+    """DOT graph ``name``: vertex v labelled ``g.label(v)`` with ``attrs[v]``
+    after the label, then the ``u -- v;`` edge lines a row at a time."""
+    nodes = "".join(f"  {v} [label={dot_label(g.label(v))}{a}];\n" for v, a in enumerate(attrs))
+    return f"graph {name} {{\n" + nodes + _edge_text(g, "  {} -- ", ";\n", "") + "}\n"

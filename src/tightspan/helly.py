@@ -1,17 +1,5 @@
-"""Direct Helly-property recognition without building the hull.
-
-The decision procedure composes two checks: pseudo-modularity, tested per
-source on that source's own BFS layers with one bitset scan per vertex, and
-the neighborhood-Helly property, tested through maximal 2-sets. Maximal
-2-sets are exactly the maximal cliques of the square graph. A chordal square
-has at most n of them, read off one maximum cardinality search; any other
-square goes to pivoting Bron-Kerbosch on bit rows. Dually chordal is
-neighborhood-Helly with a chordal square, and the square is checked first,
-since it alone can answer no. A bounded
-disk-Helly check, which reads the disk intersection graph off BFS layers
-without comparing disks pairwise, and the extended-square
-characterization used for distance-hereditary inputs live here too.
-"""
+"""Helly-property recognition without building the hull, and the 2-set,
+disk-Helly and extended-square checks around it."""
 
 from __future__ import annotations
 
@@ -61,9 +49,7 @@ def _members(mask: int) -> tuple[int, ...]:
     return tuple(list(bits(mask)))
 
 
-def maximal_cliques(
-    rows: tuple[int, ...], n: int, max_nodes: int = DEFAULT_CLIQUE_NODES
-) -> list[int]:
+def maximal_cliques(rows: tuple[int, ...], max_nodes: int = DEFAULT_CLIQUE_NODES) -> list[int]:
     """All maximal cliques of a bit-row graph as vertex masks, sorted.
 
     Pivoting Bron-Kerbosch; the pivot is the P|X vertex covering most of P,
@@ -100,7 +86,7 @@ def maximal_cliques(
             x |= bv
 
     try:
-        expand(0, (1 << n) - 1, 0)
+        expand(0, (1 << len(rows)) - 1, 0)
     except RecursionError:
         # Recursion depth is the clique size; a clique deeper than the
         # interpreter's stack allows is reported like an exhausted budget.
@@ -157,7 +143,7 @@ def maximal_two_sets(
     square = g.power(2)
     cliques = _chordal_cliques(square)
     if cliques is None:
-        cliques = maximal_cliques(square.adj, g.n, max_nodes)
+        cliques = maximal_cliques(square.adj, max_nodes)
     elif g.n > max_nodes:
         raise BudgetExceededError(f"clique enumeration exceeded {max_nodes} nodes")
     return [
@@ -240,7 +226,7 @@ def disk_helly_up_to_radius(g: Graph, r: int) -> bool:
             for j in range(r + 1):
                 row |= balls[u][i + j] << (j * n)
             rows.append(row & ~(1 << (i * n + u)))
-    for clique in maximal_cliques(tuple(rows), len(disks)):
+    for clique in maximal_cliques(tuple(rows)):
         common = (1 << n) - 1
         for i in bits(clique):
             common &= disks[i]

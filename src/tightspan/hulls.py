@@ -5,42 +5,6 @@ A hull vertex is an integer vector f over V(G) that is feasible,
 tight against some other, so no coordinate can be lowered. Real vertices are
 the distance vectors ``d_z``; everything else is a Helly vertex. Two hull
 vertices are adjacent exactly when their Chebyshev distance is 1.
-
-Enumeration assigns f depth-first in farthest-first order: a vertex of
-largest eccentricity, then ever the vertex with the largest sum of distances
-to those taken. Each value lies between the lower bound max(0, d(x,y) - f(y))
-over assigned y and the eccentricity. Next to each unassigned y's bound it
-keeps the mask of assigned x attaining it, y's possible tight partners. The
-mask passed down marks the assigned coordinates witnessed by a tight partner.
-Only a coordinate's lowest value can be tight, so its tight set is its bound's
-mask plus itself; a branch dies when an unwitnessed coordinate is in no
-unassigned vertex's mask. Those masks, OR-ed over the suffix, only grow with
-the value, so they are bucketed once per vertex and read per value, and the
-suffix's bounds are updated only for a value that survives.
-``enumerate_extremal_functions`` searches each 2-connected block alone, on
-the source's distance rows restricted to it, and extends a block B's vector
-f to V by f(x) = min over a in B of f(a) + d(a, x): Helly graphs
-are closed under gated amalgams, as at a cut vertex (Bandelt and Chepoi,
-"Metric graph theory and geometry: a survey", 2008), and hyperconvex spaces
-glued at a point stay hyperconvex (Miesch, "Gluing hyperconvex metric
-spaces", 2015). Bridges need no search. Hulls can be exponential, so the
-search stops once its nodes over all blocks pass ``max_nodes`` (default
-``DEFAULT_MAX_NODES``) or at the recursion limit, raising
-BudgetExceededError rather than truncating.
-
-Adjacency needs no pair scan (``_chebyshev_rows``): per coordinate k and
-value c, one bit slice masks the hull vertices with f[k] = c, and a vertex's
-row is the AND over k of the slices for f[k] - 1, f[k] and f[k] + 1, one
-AND per coordinate. :class:`InjectiveHull`, also returned by
-``dh.hellify_dh``, reads its vectors off one hull BFS per real vertex, never
-the hull's all-pairs distances; matching the enumeration checks the
-embedding too. ``hull_to_json`` writes the document directly, with the
-bytes ``json.dumps(doc, indent=2)`` would give; its edges, like
-``hull_to_dot``'s, come a row at a time from the edge writer the edge-list
-format uses too.
-
-Source vertex z is hull vertex z: the hull lists the n real vertices first,
-in source order, then the Helly vertices in lexicographic vector order.
 """
 
 from __future__ import annotations
@@ -51,7 +15,7 @@ from operator import and_, getitem
 from typing import Sequence
 
 from .errors import BudgetExceededError
-from .graphs import Graph, _blocks, _distance_row, _dot_edges, _json_edges, _layer_masks, dot_label
+from .graphs import Graph, _blocks, _dot, _json_edges, _source_rows
 
 Vector = tuple[int, ...]
 
@@ -67,11 +31,14 @@ def enumerate_extremal_functions(
     ``_farthest_first`` order: a block is isometric, so the rows restricted to
     a block B are B's own distances, and each of its vectors f extends to V by
     f(x) = min over a in B of f(a) + d(a, x), taken at x's gate in B, which
-    also maps it back to source order. Bridges add nothing to the n distance
-    vectors, so a tree searches nothing. Raises BudgetExceededError once the
-    search nodes over all blocks pass ``max_nodes``, or past the recursion
-    limit, which a block's size counts against; results are never silently
-    truncated.
+    also maps it back to source order. That covers every vector: Helly graphs
+    are closed under gated amalgams, as at a cut vertex (Bandelt and Chepoi,
+    "Metric graph theory and geometry: a survey", 2008), and hyperconvex
+    spaces glued at a point stay hyperconvex (Miesch, "Gluing hyperconvex
+    metric spaces", 2015). Bridges add nothing to the n distance vectors, so
+    a tree searches nothing. Raises BudgetExceededError once the search nodes
+    over all blocks pass ``max_nodes``, or past the recursion limit, which a
+    block's size counts against; results are never silently truncated.
     """
     d = g.distances()
     found, nodes = set(d), 0
@@ -106,7 +73,12 @@ def _search(
 ) -> int:
     """The enumeration on distance rows ``d``, counting nodes on from ``nodes``;
     adds each vector f to ``found``, extended to x as f[i] + offset for x's
-    (offset, i) in ``gate``, and returns the count."""
+    (offset, i) in ``gate``, and returns the count.
+
+    f is assigned depth-first, each value from its feasibility bound
+    max(0, d(i, y) - f(y)) over assigned y up to i's eccentricity. The mask
+    passed down marks the assigned coordinates witnessed by a tight partner.
+    """
     ecc = [max(row) for row in d]
     n = len(d)
 
@@ -201,10 +173,7 @@ class InjectiveHull:
     def vectors(self) -> tuple[Vector, ...]:
         """Each hull vertex's hull distances to the real vertices, its extremal
         function; read off one BFS per real vertex, never the all-pairs matrix."""
-        hull = self.hull
-        full = (1 << hull.n) - 1
-        rows = [_distance_row(hull.n, hull._frontiers(1 << z, full)) for z in range(self.n_real)]
-        return tuple(zip(*rows))
+        return tuple(zip(*_source_rows(self.hull, range(self.n_real))))
 
     @property
     def n_real(self) -> int:
@@ -239,7 +208,8 @@ def _chebyshev_rows(vectors: Sequence[Vector]) -> list[int]:
 
 def build_injective_hull(g: Graph, max_nodes: int = DEFAULT_MAX_NODES) -> InjectiveHull:
     """Construct H(g) on its extremal vectors, its blocks' glued at the cut
-    vertices, and check its vectors, read off the hull."""
+    vertices, and check its vectors, read off the hull; as real vertex z's
+    vector is d_z, that check covers the embedding's isometry too."""
     reals = g.distances()
     vectors = enumerate_extremal_functions(g, max_nodes)
     real_set = set(reals)
@@ -275,7 +245,7 @@ def peripheral_vertices(g: Graph) -> dict[int, int]:
     intervals does not disqualify a witness.
     """
     rows = g.distances()
-    layers = [_layer_masks(row) for row in rows]
+    layers = [list(g._frontiers(1 << y, (1 << g.n) - 1)) for y in range(g.n)]
     # I(y, x) is the sum over k of L_k(y) & L_{d-k}(x) with d = d(y, x), L the layers
     imask = [
         [sum(ly[k] & lx[d - k] for k in range(d + 1)) for lx, d in zip(layers, row)]
@@ -328,8 +298,4 @@ def hull_to_json(h: InjectiveHull) -> str:
 
 def hull_to_dot(h: InjectiveHull) -> str:
     """DOT rendering with real vertices as circles and Helly vertices as squares."""
-    lines = ["graph H {"]
-    for v in range(h.hull.n):
-        shape = "circle" if h.is_real(v) else "square"
-        lines.append(f"  {v} [label={dot_label(h.hull.label(v))}, shape={shape}];")
-    return "\n".join(lines) + "\n" + _dot_edges(h.hull) + "}\n"
+    return _dot(h.hull, "H", [", shape=circle"] * h.n_real + [", shape=square"] * h.n_helly)

@@ -14,15 +14,9 @@ that order:
   compared in every lane at once. A lane holds 2^(width-1) + S_i - S_j - b
   for b = best+1, which lies in [0, 2^width) because 4*diam+1 < 2^(width-1),
   so subtraction never borrows across lanes and the lane's top bit is set
-  exactly when S_i - S_j > best. The part of a lane fixed by (u, v, w), a
-  difference e of distances within the triple less b, is added from a table
-  of 3*diam packed offsets: a sum is compared only when its bound (below)
-  beats best, so best < diam and e - b lies in [-2*diam, diam - 1]. The
-  lowest marked lane with x > w is the next improving quadruple; its defect
-  is taken exactly and only higher lanes are rescanned. Lanes are
-  byte-aligned: ``width`` is the item size of the first ``array`` typecode
-  of B, H, I, Q whose signed range holds 4*diam+1, so ``int.from_bytes``
-  packs a row in C, not one shift per entry.
+  exactly when S_i - S_j > best. The lowest marked lane with x > w is the
+  next improving quadruple; its defect is taken exactly and only higher
+  lanes are rescanned.
 * Pruning by distance bounds (Cohen, Coudert and Lancin, "On computing the
   Gromov hyperbolicity", ACM JEA 2015). The doubled defect is at most
   2*d(u,v), so a pair (u,v) with 2*d(u,v) <= best is skipped. By the triangle
@@ -43,8 +37,7 @@ started from the best so far; smaller blocks have delta = 0. Phase 2 scans
 all of g from best = 2*delta - 1 and returns at its first improvement: since
 pruning skips only quadruples with a defect of at most 2*delta - 1, that is
 the least maximizer. A block's own witness would not do, as a quadruple
-through other blocks can come first (a pendant vertex before a C4). When g is
-one block, phase 1 is the whole-graph scan from 0, on g's own rows; when
+through other blocks can come first (a pendant vertex before a C4). When
 delta = 0, every quadruple attains it and the witness is (0, 1, 2, 3).
 
 Every phase-1 scan stops at a proven bound on 2*delta, and phase 1 skips the
@@ -125,10 +118,11 @@ def _scan(
     ones = _lanes(code, [1] * n)
     guard = ones << (width - 1)
     rows = [_lanes(code, row) for row in d]
-    # offset[2*diam + c] puts c on top of the guard bit in every lane. A term is
-    # read only when its lead, at most diam, beats best, so 0 <= best < diam, and
-    # it reads c = e - best - 1 for a distance difference |e| <= diam: c lies in
-    # [-2*diam, diam - 1], so the table holds 3*diam offsets.
+    # offset[2*diam + c] puts c on top of the guard bit in every lane: the part
+    # of a lane fixed by (u, v, w). A term is read only when its lead, at most
+    # diam, beats best, so 0 <= best < diam, and it reads c = e - best - 1 for
+    # a distance difference |e| <= diam: c lies in [-2*diam, diam - 1], so the
+    # table holds 3*diam offsets.
     offset = [guard + c * ones for c in range(-2 * diam, diam)]
     # above[x]: the guard bits of lanes x+1 .. n-1.
     above = [guard >> (width * (x + 1)) << (width * (x + 1)) for x in range(n)]

@@ -452,7 +452,7 @@ def disk_helly_pairwise(g: Graph, r: int) -> bool:
             if disks[a] & disks[b]:
                 rows[a] |= 1 << b
                 rows[b] |= 1 << a
-    for clique in maximal_cliques(tuple(rows), k):
+    for clique in maximal_cliques(tuple(rows)):
         common = (1 << g.n) - 1
         for i in bits(clique):
             common &= disks[i]

@@ -199,9 +199,9 @@ def test_recognize_witness_respects_budget(tmp_path, monkeypatch):
     budgets = []
     original = helly.maximal_cliques
 
-    def spy(rows, n, max_nodes=helly.DEFAULT_CLIQUE_NODES):
+    def spy(rows, max_nodes=helly.DEFAULT_CLIQUE_NODES):
         budgets.append(max_nodes)
-        return original(rows, n, max_nodes)
+        return original(rows, max_nodes)
 
     monkeypatch.setattr(helly, "maximal_cliques", spy)
     code, out = _run(["recognize", _grid3(tmp_path), "--witness", "--budget", "123"])

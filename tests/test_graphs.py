@@ -35,7 +35,6 @@ from tightspan.dh import pruning_sequence, replay
 from tightspan.graphs import (
     _is_canonical,
     _json_edges,
-    _layer_masks,
     _parse_canonical,
     _parse_general,
 )
@@ -249,6 +248,29 @@ def test_shortcut_edge_breaks_isometry():
     for host, expected in ((c6, True), (chorded, False)):
         assert is_isometric_subgraph(p4, host, (0, 1, 2, 3)) is expected
         assert is_isometric_subgraph_apsp(p4, host, (0, 1, 2, 3)) is expected
+
+
+def test_isometry_check_stops_at_the_first_failing_vertex(monkeypatch):
+    # a host row is searched only when it is compared: once an embedded
+    # vertex's row differs, no further BFS runs
+    p4, c6 = fixture("P4"), fixture("C6")
+    chorded = Graph.from_edge_list(6, c6.edges() + [(1, 4)])
+    for g in (p4, c6, chorded):  # connectivity and P4's rows, cached before counting
+        g.is_connected()
+    p4.distances()
+    calls, frontiers = [], Graph._frontiers
+
+    def counted(self, start_mask, allowed):
+        calls.append(start_mask)
+        return frontiers(self, start_mask, allowed)
+
+    monkeypatch.setattr(Graph, "_frontiers", counted)
+    embed = (1, 2, 3, 4)
+    assert is_isometric_subgraph(p4, c6, embed)
+    assert calls == [1 << z for z in embed]
+    calls.clear()
+    assert not is_isometric_subgraph(p4, chorded, embed)
+    assert calls == [1 << 1]
 
 
 @pytest.mark.parametrize("name", ["C4", "C5", "C6", "house", "domino"])
@@ -616,13 +638,12 @@ def test_every_graph_isometric_in_itself(g):
 @given(connected_graphs())
 @settings(max_examples=60)
 def test_level_masks_match_distance_rows(g):
-    # each BFS layer from u is the ring between two disks, and the row's layers
+    # each BFS layer from u is the ring between two disks, and a level set of u's row
     d = g.distances()
     full = (1 << g.n) - 1
     for u in range(g.n):
         layers = list(g._frontiers(1 << u, full))
         assert len(layers) == max(d[u]) + 1
-        assert _layer_masks(d[u]) == layers
         assert g.disk_mask(u, -1) == 0
         for k, mask in enumerate(layers):
             assert mask == sum(1 << v for v in range(g.n) if d[u][v] == k)

@@ -252,11 +252,11 @@ def test_mcs_cliques_match_bron_kerbosch(n):
         cliques = helly._chordal_cliques(h)
         assert (cliques is not None) == is_chordal(h)
         if cliques is not None:
-            assert cliques == helly.maximal_cliques(h.adj, h.n)
+            assert cliques == helly.maximal_cliques(h.adj)
             read_off += 1
     assert read_off >= 16
     for g in graphs[8:]:
-        cliques = helly.maximal_cliques(g.power(2).adj, g.n)
+        cliques = helly.maximal_cliques(g.power(2).adj)
         assert [s.members for s in maximal_two_sets(g)] == [tuple(bits(c)) for c in cliques]
 
 
@@ -325,9 +325,9 @@ def test_disk_helly_huge_radius_stops_at_diameter(monkeypatch):
     sizes = []
     original = helly.maximal_cliques
 
-    def spy(rows, n, *args):
-        sizes.append(n)
-        return original(rows, n, *args)
+    def spy(rows, *args):
+        sizes.append(len(rows))
+        return original(rows, *args)
 
     monkeypatch.setattr(helly, "maximal_cliques", spy)
     assert not disk_helly_up_to_radius(fixture("C4"), 10**9)
@@ -340,9 +340,9 @@ def test_disk_helly_clamps_radius_at_diameter_only(monkeypatch):
     sizes = []
     original = helly.maximal_cliques
 
-    def spy(rows, n, *args):
-        sizes.append(n)
-        return original(rows, n, *args)
+    def spy(rows, *args):
+        sizes.append(len(rows))
+        return original(rows, *args)
 
     monkeypatch.setattr(helly, "maximal_cliques", spy)
     g = fixture("P7")
@@ -378,7 +378,7 @@ def test_listing_cliques_again_holds_no_more_memory(traced_rounds):
 
     def call():
         for sq in squares:
-            helly.maximal_cliques(sq.adj, sq.n)
+            helly.maximal_cliques(sq.adj)
 
     held = traced_rounds(call)
     assert held[-1] - held[1] < 4096, held

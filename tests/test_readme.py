@@ -1,10 +1,13 @@
-"""The README's examples run as written and give the results their comments state."""
+"""The README's examples run as written and give the results their comments
+state, and its module table names only what exists."""
 
+import importlib
 import io
 import re
 import sys
 from pathlib import Path
 
+from tightspan import Graph, InjectiveHull
 from tightspan.cli import run
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -49,3 +52,19 @@ def test_cli_quick_start(monkeypatch):
     out = io.StringIO()
     assert run(["hull", "-"], out=out) == 0
     assert out.getvalue().splitlines() == expected
+
+
+def test_module_table_names_only_what_exists():
+    # Each row names a module that imports, and its backticked names are
+    # attributes of that module, of Graph or of InjectiveHull.
+    section = README[README.index("\n## What's inside\n"):]
+    section = section[: section.index("\n## ", 1)]
+    rows = re.findall(r"^\| `([\w.]+)` \| (.*) \|$", section, re.M)
+    assert len(rows) == 8
+    for module_name, contents in rows:
+        module = importlib.import_module(module_name)
+        names = re.findall(r"`([^`]*)`", contents)
+        assert names, module_name
+        for name in names:
+            owners = (module, Graph, InjectiveHull)
+            assert any(hasattr(owner, name) for owner in owners), (module_name, name)

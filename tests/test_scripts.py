@@ -69,3 +69,17 @@ def test_same_bytes_digest_on_trimmed_calls():
         "54 calls sha256=551b0ad1f6f270ef4149c01b678fe2939eea9ea5c0a9ab2f2282c5e8ac726772"
     )
     assert script["digest"](trimmed) == out
+
+
+def test_src_lines_counts_add_up_to_each_file(monkeypatch, capsys):
+    _main("src_lines.py", [], monkeypatch)
+    header, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert header == ["module", "code", "docstring", "comment", "blank", "total"]
+    files = sorted((SCRIPTS.parent / "src" / "tightspan").glob("*.py"))
+    assert [r[0] for r in rows] == [f.name for f in files] + ["total"]
+    counts = [list(map(int, r[1:])) for r in rows]
+    for path, (*kinds, total) in zip(files, counts):
+        assert sum(kinds) == total == len(path.read_text().splitlines()), path.name
+    assert counts[-1] == [sum(column) for column in zip(*counts[:-1])]
+    # the package's own docstrings are found
+    assert all(c[1] > 0 for c, f in zip(counts, files) if f.name != "__main__.py")
