@@ -46,8 +46,9 @@ def _mcs_order(g: Graph) -> list[int]:
     return order
 
 
-def _perfect_order(g: Graph) -> Optional[list[int]]:
-    """The MCS order when each vertex's neighbours earlier in it form a clique,
+def _clique_masks(g: Graph) -> Optional[list[int]]:
+    """The masks K_i, the i-th vertex of the MCS order plus its earlier
+    neighbours, in that order, when each earlier neighbourhood is a clique,
     which holds iff g is chordal; None otherwise.
 
     It is enough that the earlier neighbours other than the latest one, p,
@@ -58,8 +59,8 @@ def _perfect_order(g: Graph) -> Optional[list[int]]:
     """
     adj = g.adj
     earlier = last = closed = 0  # last: the previous vertex's bit; closed: its N[]
-    order = _mcs_order(g)
-    for v in order:
+    ks = []
+    for v in _mcs_order(g):
         prior = adj[v] & earlier
         if prior & last:
             if prior & ~closed:
@@ -73,19 +74,15 @@ def _perfect_order(g: Graph) -> Optional[list[int]]:
             if common != prior:
                 return None
         last = 1 << v
+        ks.append(prior | last)
         closed = adj[v] | last
         earlier |= last
-    return order
-
-
-def _chordal_order(g: Graph) -> Optional[list[int]]:
-    """:func:`_perfect_order` of g, built once per graph."""
-    return g._cached(_perfect_order)
+    return ks
 
 
 def is_chordal(g: Graph) -> bool:
-    """True iff g is chordal: :func:`_chordal_order` finds an order."""
-    return _chordal_order(g) is not None
+    """True iff g is chordal: :func:`_clique_masks`, built once per graph, finds the masks."""
+    return g._cached(_clique_masks) is not None
 
 
 def find_long_induced_cycle(g: Graph) -> Optional[tuple[int, ...]]:

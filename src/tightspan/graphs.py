@@ -13,7 +13,7 @@ import json
 import re
 from functools import partial, reduce
 from itertools import compress, islice, repeat
-from operator import add, and_, lshift, or_, sub
+from operator import add, lshift, or_, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DisconnectedGraphError
@@ -100,18 +100,20 @@ class Graph:
     ) -> "Graph":
         """Build a graph from ``(u, v)`` pairs, deduplicating repeats.
 
-        Loops and out-of-range endpoints are rejected. Disconnected inputs are
+        Loops and out-of-range endpoints are rejected at the first pair that
+        has one, so the pairs' order picks the message. Disconnected inputs are
         rejected because every metric operation assumes connectivity; the raw
         constructor builds them anyway (metric calls will still refuse to run).
         """
         rows = [0] * max(n, 0)
+        bit = [1 << v for v in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"loop edge at {u}")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
+            rows[u] |= bit[v]
+            rows[v] |= bit[u]
         if n < 1:
             raise ValueError("graph needs at least one vertex")
         g = cls._of(n, rows, labels)
@@ -396,10 +398,9 @@ def _edge_text(g: Graph, head: str, tail: str, glue: str) -> str:
 # blank lines are ignored. This format is the input to every CLI command.
 #
 # Text in the canonical form that format_edge_list writes, every line
-# "[0-9]+ [0-9]+" and a final newline, is read on a fast path: one C-level
-# read of every number, then the checks and the rows. Any other text, and
-# any canonical text that fails a check, goes to the general parser, the one
-# source of every error message.
+# "[0-9]+ [0-9]+" and a final newline, has its numbers read in one C pass;
+# any other text goes to the general tokenizer. Either way the graph is built
+# by Graph.from_edge_list, so a text's faults get the same message on both.
 
 # A line start not followed by one canonical line. A lookahead at each line
 # start keeps no state across lines, where a whole-text match of
@@ -415,44 +416,37 @@ def _is_canonical(text: str) -> bool:
 
 def parse_edge_list(text: str, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
     """Parse the edge-list text format into a connected Graph."""
-    g = _parse_canonical(text, max_vertices)
-    return g if g is not None else _parse_general(text, max_vertices)
+    numbers = _canonical_numbers(text)
+    if numbers is None or len(numbers) != 2 * numbers[1] + 2:
+        numbers = _general_numbers(text)
+    check_size(numbers[0], max_vertices)
+    ends = islice(numbers, 2, None)
+    return Graph.from_edge_list(numbers[0], zip(ends, ends))
 
 
 # Both separators of a canonical text to commas, in one copy of the text.
 _COMMAS = str.maketrans(" \n", ",,")
 
 
-def _parse_canonical(text: str, max_vertices: int) -> Optional[Graph]:
-    """The graph of a canonical text that passes every check, else None."""
+def _canonical_numbers(text: str) -> Optional[list[int]]:
+    """The numbers of a canonical text in order, else None.
+
+    With commas for the separators they are a JSON array, read in one C pass
+    that makes no string per number. JSON refuses a leading zero, and a number
+    past int()'s digit limit: both send the text on. The shape check comes
+    first because JSON would also take ``true``, ``1.0`` and ``null``.
+    """
     if not _is_canonical(text):
         return None
-    # With commas for the separators the numbers are a JSON array, read in one
-    # C pass that makes no string per number. JSON refuses a leading zero, and
-    # a number past int()'s digit limit: both raise ValueError.
     try:
-        tokens = json.loads("[" + text[:-1].translate(_COMMAS) + "]")
+        return json.loads("[" + text[:-1].translate(_COMMAS) + "]")
     except ValueError:
         return None
-    n, m = tokens[0], tokens[1]
-    ends = tokens[2:]
-    if not 0 < n <= max_vertices or len(ends) != 2 * m or max(ends, default=0) >= n:
-        return None
-    bit = [1 << v for v in range(n)]
-    rows = [0] * n
-    pairs = iter(ends)
-    for u, v in zip(pairs, pairs):
-        rows[u] |= bit[v]
-        rows[v] |= bit[u]
-    if any(map(and_, rows, bit)):  # a loop edge
-        return None
-    g = Graph._of(n, rows)
-    return g if g.is_connected() else None
 
 
-def _parse_general(text: str, max_vertices: int) -> Graph:
-    """Parse any text in the edge-list format, or raise the ValueError that
-    names its first fault."""
+def _general_numbers(text: str) -> list[int]:
+    """The numbers ``n, m, u1, v1, ...`` of any text in the edge-list format,
+    or the ValueError that names its first fault in the layout."""
     tokens = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -463,21 +457,19 @@ def _parse_general(text: str, max_vertices: int) -> Graph:
     head = tokens[0]
     if len(head) != 2:
         raise ValueError("header line must be 'n m'")
-    n, m = int(head[0]), int(head[1])
-    if len(tokens) - 1 != m:
-        raise ValueError(f"expected {m} edge lines, found {len(tokens) - 1}")
-    edges = []
+    numbers = [int(head[0]), int(head[1])]
+    if len(tokens) - 1 != numbers[1]:
+        raise ValueError(f"expected {numbers[1]} edge lines, found {len(tokens) - 1}")
     for tok in tokens[1:]:
         if len(tok) != 2:
             raise ValueError(f"bad edge line: {' '.join(tok)}")
-        edges.append((int(tok[0]), int(tok[1])))
+        numbers += (int(tok[0]), int(tok[1]))
     # int() also takes "+3", "1_0" and non-ASCII digits; one scan clears most texts
     if not text.isascii() or "+" in text or "_" in text:
         bad = [t for row in tokens for t in row if not t.isascii() or "+" in t or "_" in t]
         if bad:
             raise ValueError(f"invalid literal for int() with base 10: {bad[0]!r}")
-    check_size(n, max_vertices)
-    return Graph.from_edge_list(n, edges)
+    return numbers
 
 
 def format_edge_list(g: Graph) -> str:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import accumulate, islice
 from typing import Optional
 
-from .detectors import _chordal_order, is_square_chordal
+from .detectors import _clique_masks, is_square_chordal
 from .errors import BudgetExceededError
 from .graphs import Graph, _distance_row, bits
 
@@ -102,22 +102,15 @@ def maximal_cliques(rows: tuple[int, ...], max_nodes: int = DEFAULT_CLIQUE_NODES
 def _chordal_cliques(g: Graph) -> Optional[list[int]]:
     """The maximal cliques of g as sorted masks, or None when g is not chordal.
 
-    With K_i the i-th vertex of a maximum cardinality search order plus its
-    earlier neighbours, the maximal cliques are the K_i with i = n or
-    |K_{i+1}| <= |K_i| (Blair and Peyton, "An introduction to chordal graphs
-    and clique trees", 1993).
+    They are the K_i of g's cached :func:`detectors._clique_masks` with
+    i = n or |K_{i+1}| <= |K_i| (Blair and Peyton, "An introduction to
+    chordal graphs and clique trees", 1993).
     """
-    order = _chordal_order(g)
-    if order is None:
+    ks = g._cached(_clique_masks)
+    if ks is None:
         return None
-    adj, earlier, ks = g.adj, 0, []
-    for v in order:
-        bit = 1 << v
-        ks.append(adj[v] & earlier | bit)
-        earlier |= bit
     ends = zip(ks, ks[1:] + [0])
-    cliques = [k for k, nxt in ends if nxt.bit_count() <= k.bit_count()]
-    return sorted(cliques, key=_members)
+    return sorted((k for k, nxt in ends if nxt.bit_count() <= k.bit_count()), key=_members)
 
 
 def _suspension_witness(g: Graph, mask: int) -> Optional[int]:

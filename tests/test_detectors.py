@@ -14,11 +14,13 @@ from tightspan import (
     find_long_induced_cycle,
     find_odd_cycle,
     fixture,
+    helly,
     is_at_free,
     is_bipartite,
     is_chordal,
     is_split,
     is_square_chordal,
+    maximal_two_sets,
     random_chordal,
     random_dh,
     split_family,
@@ -191,6 +193,15 @@ def test_chordal_matches_brute_force_and_cycle_witness_on_seeded_graphs(seed):
                     assert is_chordal(h) == brute_force_chordal(h)
 
 
+def _masks_along(g, order):
+    """Each vertex of ``order`` with its neighbours earlier in it, as masks."""
+    earlier, out = 0, []
+    for v in order:
+        out.append(g.adj[v] & earlier | 1 << v)
+        earlier |= 1 << v
+    return out
+
+
 @pytest.mark.parametrize("n", [10, 30, 60, 90])
 def test_chordal_order_matches_pairwise_clique_check(n):
     # The latest-neighbour test against every pair of earlier neighbours, on
@@ -202,22 +213,24 @@ def test_chordal_order_matches_pairwise_clique_check(n):
         for h in (g, g.power(2), g.power(3)):
             order = detectors._mcs_order(h)
             chordal = earlier_neighbours_are_cliques(h, order)
-            assert detectors._chordal_order(h) == (order if chordal else None)
+            assert detectors._clique_masks(h) == (_masks_along(h, order) if chordal else None)
             answers.add(chordal)
     assert answers == {False, True}
 
 
 def test_chordal_order_is_built_once_per_graph(monkeypatch):
-    calls, original = [], detectors._perfect_order
+    calls, original = [], detectors._clique_masks
 
     def counted(g):
         calls.append(g)
         return original(g)
 
-    monkeypatch.setattr(detectors, "_perfect_order", counted)
+    monkeypatch.setattr(detectors, "_clique_masks", counted)
+    monkeypatch.setattr(helly, "_clique_masks", counted)
     for g in (fixture("C4"), random_dh(40, 1), random_chordal(40, 1)):
         for _ in range(2):
             is_chordal(g), is_square_chordal(g), find_long_induced_cycle(g)
+            maximal_two_sets(g)
         assert calls == [g, g.power(2)]
         calls.clear()
 

@@ -1,6 +1,8 @@
 import random
 import sys
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +16,7 @@ from oracles import (
     to_dot_by_edges,
 )
 from strategies import connected_graphs
+import tightspan
 from tightspan import (
     DisconnectedGraphError,
     Graph,
@@ -32,12 +35,11 @@ from tightspan import (
     to_dot,
 )
 from tightspan.dh import pruning_sequence, replay
-from tightspan.graphs import (
-    _is_canonical,
-    _json_edges,
-    _parse_canonical,
-    _parse_general,
-)
+from tightspan.graphs import _canonical_numbers, _general_numbers, _is_canonical, _json_edges
+
+# perfbench/workloads.py is only read, for the seed-1 benchmark inputs.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 def test_single_vertex():
@@ -461,7 +463,13 @@ def test_to_dot_escapes_labels():
     assert to_dot(g) == 'graph G {\n  0 [label="a\\"b"];\n  1 [label="c\\\\"];\n  0 -- 1;\n}\n'
 
 
-# -- the canonical-form parse path against the general parser ----------------
+# -- the canonical-form tokenizer against the general one -------------------
+
+
+def _parse_general(text, max_vertices):
+    """``parse_edge_list`` with the canonical tokenizer switched off."""
+    with mock.patch.object(tightspan.graphs, "_canonical_numbers", lambda text: None):
+        return parse_edge_list(text, max_vertices)
 
 
 def _parsed(parse, text, max_vertices):
@@ -510,6 +518,10 @@ _NEAR_CANONICAL = {
     "P513-cap-512": (_path_text(513), 512),
     "P4096-cap-4096": (_path_text(4096), 4096),
     "P4097-cap-4096": (_path_text(4097), 4096),
+    "json-true": ("2 1\n0 true\n", 512),
+    "json-float": ("2 1\n0 1.0\n", 512),
+    "json-exponent": ("2 1\n0 1e0\n", 512),
+    "json-null": ("2 1\n0 null\n", 512),
 }
 
 
@@ -519,10 +531,25 @@ def test_canonical_parse_matches_general_parser(name):
     assert _parsed(parse_edge_list, text, max_vertices) == _parsed(_parse_general, text, max_vertices)
 
 
+def _assert_tokenizers_agree(text):
+    assert _is_canonical(text)
+    assert _canonical_numbers(text) == _general_numbers(text)
+
+
 def test_canonical_path_reads_the_written_form(corpus):
     for name, g in corpus:
-        assert _parse_canonical(format_edge_list(g), 512) == g, name
-    assert _parse_canonical(format_edge_list(random_dh(4096, 1)), 4096) == random_dh(4096, 1)
+        _assert_tokenizers_agree(format_edge_list(g))
+        assert parse_edge_list(format_edge_list(g)) == g, name
+    text = format_edge_list(random_dh(4096, 1))
+    _assert_tokenizers_agree(text)
+    assert parse_edge_list(text, 4096) == random_dh(4096, 1)
+
+
+@pytest.mark.parametrize("workload", ["recognize", "hull", "hellify", "hyperbolicity"])
+def test_canonical_tokenizer_matches_general_on_benchmark_inputs(workload):
+    inputs, _ = workloads.build_inputs(tightspan, workload, 1)
+    for inp in inputs:
+        _assert_tokenizers_agree(inp.text)
 
 
 @st.composite
