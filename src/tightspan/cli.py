@@ -24,6 +24,7 @@ from .graphs import (
     DEFAULT_MAX_VERTICES,
     Graph,
     _json_edges,
+    _json_object,
     format_edge_list,
     json_pairs,
     parse_edge_list,
@@ -36,20 +37,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BUDGET = 2
 EXIT_PRECONDITION = 3
-
-# Interactive size caps, enforced by the reader. Graph construction and the
-# algorithms are uncapped; the generators cap n, so `generate` fails before it
-# lists edges. At n = 512 (2-vCPU host, Python 3.11) the hull search of a
-# 2-connected input costs 55-87 us per node, so the default budget would run
-# 9-15 min before exit 2. The four-point scan stops at a proven bound on
-# 2*delta. With its distance rows, random_dh(512, 1) takes 0.04 s and
-# random_chordal(512, 1) 0.07-0.08 s (largest blocks of about 330 vertices,
-# bound 2), C512 0.12-0.15 s (bound the diameter), and P512, all bridges, runs
-# no scan (0.19-0.28 s of distance rows). An input whose delta stays below its
-# bound scans in full: C510 and C511 take 1.3-2.0 s. The hyperbolicity cap
-# stays until the scan has a work budget.
-HULL_MAX_VERTICES = 14
-HYPERBOLICITY_MAX_VERTICES = 128
 
 
 class _UsageError(Exception):
@@ -71,15 +58,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _read_graph(path: str, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
+def _read_graph(path: str, max_vertices: int) -> Graph:
     if path == "-":
         return parse_edge_list(sys.stdin.read(), max_vertices=max_vertices)
     with open(path) as fh:
         return parse_edge_list(fh.read(), max_vertices=max_vertices)
 
 
-def _cmd_hull(args, out) -> int:
-    g = _read_graph(args.file, HULL_MAX_VERTICES)
+def _cmd_hull(g: Graph, args, out) -> int:
     h = build_injective_hull(g, args.budget)
     if args.format == "json":
         out.write(hull_to_json(h))
@@ -92,16 +78,12 @@ def _cmd_hull(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_hellify_dh(args, out) -> int:
-    g = _read_graph(args.file, DH_MAX_VERTICES)
+def _cmd_hellify_dh(g: Graph, args, out) -> int:
     result = hellify_dh(g)
     hull = result.hull
     if args.format == "json":
-        out.write(
-            f'{{\n  "n": {hull.n},\n  "m": {hull.m},\n'
-            f'  "added": {json_pairs(result.added)},\n'
-            f'  "edges": {_json_edges(hull)}\n}}\n'
-        )
+        added = json_pairs(result.added)
+        out.write(_json_object(n=hull.n, m=hull.m, added=added, edges=_json_edges(hull)))
     elif args.format == "edgelist":
         out.write(format_edge_list(hull))
     else:
@@ -166,8 +148,7 @@ def _recognize_lines(
     yield "dually-chordal", ts is None and square_chordal, None
 
 
-def _cmd_recognize(args, out) -> int:
-    g = _read_graph(args.file)
+def _cmd_recognize(g: Graph, args, out) -> int:
     for name, answer, witness in _recognize_lines(g, args.budget):
         line = f"{name}={'yes' if answer else 'no'}"
         if args.witness and witness is not None:
@@ -176,16 +157,14 @@ def _cmd_recognize(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_hyperbolicity(args, out) -> int:
-    g = _read_graph(args.file, HYPERBOLICITY_MAX_VERTICES)
+def _cmd_hyperbolicity(g: Graph, args, out) -> int:
     report = hyperbolicity(g)
     u, v, w, x = report.witness
     out.write(f"delta={report.render()} witness=({u},{v},{w},{x})\n")
     return EXIT_OK
 
 
-def _cmd_two_sets(args, out) -> int:
-    g = _read_graph(args.file)
+def _cmd_two_sets(g: Graph, args, out) -> int:
     for ts in helly.maximal_two_sets(g, args.budget):
         members = " ".join(map(str, ts.members))
         if ts.suspended:
@@ -228,8 +207,7 @@ def _cmd_generate(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_export_dot(args, out) -> int:
-    g = _read_graph(args.file)
+def _cmd_export_dot(g: Graph, args, out) -> int:
     out.write(to_dot(g))
     return EXIT_OK
 
@@ -240,7 +218,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="tightspan", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def graph_command(name, func, with_format=None, budget=None):
+    def graph_command(name, func, with_format=None, budget=None, cap=DEFAULT_MAX_VERTICES):
         p = sub.add_parser(name)
         p.add_argument("file", help="edge-list file, or - for stdin")
         if budget is not None:
@@ -249,16 +227,29 @@ def _build_parser() -> _Parser:
             )
         if with_format:
             p.add_argument("--format", choices=with_format, default=with_format[0])
-        p.set_defaults(func=func)
+        p.set_defaults(func=lambda args, out: func(_read_graph(args.file, cap), args, out))
         return p
 
+    # Interactive size caps, one per command, enforced by the reader; the rest
+    # take DEFAULT_MAX_VERTICES. Graph construction and the algorithms are
+    # uncapped; the generators other than random_pruning_sequence cap n, so
+    # `generate` fails before it lists edges. At n = 512 (2-vCPU host, Python
+    # 3.11) the hull search of a 2-connected input costs 55-87 us per node, so
+    # the default budget would run 9-15 min before exit 2. The four-point scan
+    # stops at a proven bound on 2*delta. With its distance rows,
+    # random_dh(512, 1) takes 0.04 s and random_chordal(512, 1) 0.07-0.08 s
+    # (largest blocks of about 330 vertices, bound 2), C512 0.12-0.15 s (bound
+    # the diameter), and P512, all bridges, runs no scan (0.19-0.28 s of
+    # distance rows). An input whose delta stays below its bound scans in full:
+    # C510 and C511 take 1.3-2.0 s. The hyperbolicity cap stays until the scan
+    # has a work budget.
+    graph_command("hull", _cmd_hull, ["summary", "json", "dot"], budget=DEFAULT_MAX_NODES, cap=14)
     graph_command(
-        "hull", _cmd_hull, with_format=["summary", "json", "dot"], budget=DEFAULT_MAX_NODES
+        "hellify-dh", _cmd_hellify_dh, ["summary", "edgelist", "json"], cap=DH_MAX_VERTICES
     )
-    graph_command("hellify-dh", _cmd_hellify_dh, with_format=["summary", "edgelist", "json"])
     p = graph_command("recognize", _cmd_recognize, budget=helly.DEFAULT_CLIQUE_NODES)
     p.add_argument("--witness", action="store_true")
-    graph_command("hyperbolicity", _cmd_hyperbolicity)
+    graph_command("hyperbolicity", _cmd_hyperbolicity, cap=128)
     graph_command("two-sets", _cmd_two_sets, budget=helly.DEFAULT_CLIQUE_NODES)
     graph_command("export-dot", _cmd_export_dot)
 

@@ -139,14 +139,7 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as sorted ``(u, v)`` pairs with ``u < v``."""
-        out = []
-        for u, row in enumerate(self.adj):
-            row = row >> (u + 1) << (u + 1)
-            while row:
-                low = row & -row
-                out.append((u, low.bit_length() - 1))
-                row ^= low
-        return out
+        return [(u, v) for u, row in enumerate(self.adj) for v in bits(row >> (u + 1) << (u + 1))]
 
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
@@ -362,6 +355,16 @@ def _json_edges(g: Graph) -> str:
 
 def _json_list(items: str) -> str:
     return f"[\n{items}\n  ]" if items else "[]"
+
+
+def _json_object(**fields) -> str:
+    """A top-level object as ``json.dumps(..., indent=2) + "\\n"`` lays it out,
+    from values already written at depth 1, joined in one pass: a nested
+    join or a ``%`` format copies the multi-megabyte edge lists again."""
+    parts = ["{"]
+    for key, value in fields.items():
+        parts += ('\n  "', key, '": ', str(value), ",")
+    return "".join(parts[:-1] + ["\n}\n"])
 
 
 _FLAGS = bytes.maketrans(b"01", b"\0\1")

@@ -15,7 +15,7 @@ from operator import and_, getitem
 from typing import Sequence
 
 from .errors import BudgetExceededError
-from .graphs import Graph, _blocks, _dot, _json_edges, _source_rows
+from .graphs import Graph, _blocks, _dot, _json_edges, _json_list, _json_object, _source_rows
 
 Vector = tuple[int, ...]
 
@@ -289,10 +289,8 @@ def hull_to_json(h: InjectiveHull) -> str:
         f'      "vector": [\n        {sep.join(map(str, vec))}\n      ]\n    }}'
         for i, vec in enumerate(h.vectors)
     )
-    return (
-        f'{{\n  "n_real": {h.n_real},\n  "n_helly": {h.n_helly},\n'
-        f'  "vertices": [\n{vertices}\n  ],\n'
-        f'  "edges": {_json_edges(h.hull)}\n}}\n'
+    return _json_object(
+        n_real=h.n_real, n_helly=h.n_helly, vertices=_json_list(vertices), edges=_json_edges(h.hull)
     )
 
 

@@ -77,12 +77,10 @@ class HyperbolicityReport:
 def hyperbolicity(g: Graph) -> HyperbolicityReport:
     """Exact hyperbolicity with the least maximizing quadruple as witness."""
     d = g.distances()
-    if g.n < 4:
-        return HyperbolicityReport(0, (0,) * 4)
-    report = HyperbolicityReport(0, (0, 1, 2, 3))
     blocks = [b for b in _blocks(g) if len(b) > 3]
     if not blocks:
-        return report
+        return HyperbolicityReport(0, (0, 1, 2, 3) if g.n > 3 else (0,) * 4)
+    report = HyperbolicityReport(0, (0, 1, 2, 3))
     bound = max(map(max, d))
     if bound > 2 and (detectors.is_chordal(g) or dh.pruning_sequence(g) is not None):
         bound = 2

@@ -1,8 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -84,11 +86,13 @@ def test_two_sets_budget_exit_code(c4_file):
     assert _run(["two-sets", c4_file, "--budget", "1"]) == (2, "")
 
 
-@pytest.mark.parametrize("budget", ["0", "-1"])
+@pytest.mark.parametrize("budget", ["0", "-1", "abc"])
 @pytest.mark.parametrize("command", ["hull", "recognize", "two-sets"])
 def test_budget_below_one_is_usage_error(c4_file, command, budget, capsys):
     assert _run([command, c4_file, "--budget", budget]) == (1, "")
-    assert "usage error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage error:" in err
+    assert f"expected a positive integer, got {budget!r}" in err
 
 
 def test_hull_budget_of_one_runs_out(c4_file, capsys):
@@ -616,6 +620,20 @@ def test_pipe_generate_into_hull():
     assert hull.returncode == 0
     n_helly = int(dict(l.split("=") for l in hull.stdout.splitlines())["n_helly"])
     assert n_helly >= 6
+
+
+@pytest.mark.parametrize("command, text, code, first, err", [
+    ("recognize", format_edge_list(fixture("C5")), 0, "chordal=no", ""),
+    ("hull", "15 0\n", 1, "", "error: n=15 exceeds the size cap 14\n"),
+], ids=["recognize-C5", "hull-over-cap"])
+def test_module_entry_point(command, text, code, first, err):
+    # `python -m tightspan` runs __main__ and cli.main, whose exit status is run's code
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "tightspan", command, "-"],
+        input=text, capture_output=True, text=True, env=env,
+    )
+    assert (done.returncode, done.stdout.split("\n")[0], done.stderr) == (code, first, err)
 
 
 FORMATS = {

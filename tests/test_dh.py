@@ -265,6 +265,8 @@ def test_hellify_adjacency_rejects_bad_anchor_like_replay():
     ((0, 0), ((0, PENDANT, 0),), "permutation"),
     ((1, 2), ((2, PENDANT, 1),), "permutation"),
     ((0, 1, 2), ((1, PENDANT, 0), (2, TRUE_TWIN, -1)), "step 1: anchor -1 not yet placed"),
+    ((0, 1), (), "step count must be len\\(order\\) - 1"),
+    ((0, 1, 2), ((2, PENDANT, 0), (1, PENDANT, 0)), "step 0 vertex does not match order"),
 ])
 def test_sequence_rejects_bad_order_and_anchor(order, steps, message):
     with pytest.raises(ValueError, match=message):

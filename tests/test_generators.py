@@ -18,6 +18,7 @@ from tightspan import (
     pruning_sequence,
     random_chordal,
     random_dh,
+    random_pruning_sequence,
     split_family,
     verify_cocomparability_ordering,
 )
@@ -319,6 +320,10 @@ def test_generated_graphs_are_pinned():
     (lambda: fixture("P0"), "path needs n >= 1"),
     (lambda: fixture("nope"), "unknown fixture 'nope'"),
     (lambda: random_chordal(0, 1), "n must be >= 1"),
+    (lambda: cocomparability_family(1), "cocomparability family needs k >= 2"),
+    # named: its message, and so its default id, is random_chordal's
+    pytest.param(lambda: random_pruning_sequence(0, 1), "n must be >= 1", id="pruning-n-0"),
+    (lambda: SplitMix64(1).below(0), "bound must be positive"),
 ])
 def test_generator_messages_are_pinned(make, message):
     with pytest.raises(ValueError) as info:

@@ -20,12 +20,14 @@ import tightspan
 from tightspan import (
     DisconnectedGraphError,
     Graph,
+    InjectiveHull,
     build_injective_hull,
     crown_family,
     disk_helly_up_to_radius,
     fixture,
     format_edge_list,
     hellify_dh,
+    helly_gap,
     hull_to_dot,
     is_isometric_subgraph,
     parse_edge_list,
@@ -40,6 +42,35 @@ from tightspan.graphs import _canonical_numbers, _general_numbers, _is_canonical
 # perfbench/workloads.py is only read, for the seed-1 benchmark inputs.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
+
+
+def test_power_index_below_one_is_rejected():
+    with pytest.raises(ValueError, match="power index must be >= 1"):
+        fixture("C5").power(0)
+
+
+def test_hash_agrees_with_equality_across_constructors_and_labels():
+    c5 = fixture("C5")
+    same = [
+        Graph(5, c5.adj),
+        Graph(5, c5.adj, labels="abcde"),
+        Graph.from_edge_list(5, reversed(c5.edges())),
+        parse_edge_list(format_edge_list(c5)),
+    ]
+    for g in same:
+        assert g == c5 and hash(g) == hash(c5)
+    assert len({c5, *same}) == 1
+    assert fixture("P5") != c5 and c5 != c5.adj
+
+
+def test_repr_names_the_counts():
+    assert repr(fixture("C5")) == "Graph(n=5, m=5)"
+
+
+def test_helly_gap_rejects_a_disconnected_hull():
+    h = InjectiveHull(fixture("K1"), Graph(2, [0, 0]))
+    with pytest.raises(RuntimeError, match="hull is disconnected"):
+        helly_gap(h)
 
 
 def test_single_vertex():

@@ -54,6 +54,24 @@ def test_cli_quick_start(monkeypatch):
     assert out.getvalue().splitlines() == expected
 
 
+def test_reader_caps_are_as_stated(monkeypatch, capsys):
+    # "The reader caps the vertex count per command: 14 for `hull`, ... and
+    # 512 for the rest": a header-only text one above a command's cap fails
+    # with the size-cap message, and one at the cap gets past the reader.
+    stated = re.search(r"per command: (.*?) for the rest\.", README, re.S).group(1)
+    caps = {name: int(cap) for cap, name in re.findall(r"(\d+)\s+for\s+`([\w-]+)`", stated)}
+    rest = int(stated.split()[-1])
+    assert caps == {"hull": 14, "hyperbolicity": 128, "hellify-dh": 4096}
+    for command in ("hull", "hellify-dh", "recognize", "hyperbolicity", "two-sets", "export-dot"):
+        cap = caps.get(command, rest)
+        for n, over in ((cap + 1, True), (cap, False)):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(f"{n} 0\n"))
+            code = run([command, "-"], out=io.StringIO())
+            err = capsys.readouterr().err
+            message = f"error: n={n} exceeds the size cap {cap}\n"
+            assert (code == 1 and err == message) == over, (command, n, code, err)
+
+
 def test_module_table_names_only_what_exists():
     # Each row names a module that imports, and its backticked names are
     # attributes of that module, of Graph or of InjectiveHull.
